@@ -59,9 +59,9 @@ from .geometry import (
     translation_vector,
 )
 from .quadrature import (
-    QuadratureConfig,
     SelfSimilarMeasure,
     cell_average,
+    cell_means,
     integrate_mc,
     integrate_qmc,
     pairwise_sum,

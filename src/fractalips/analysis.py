@@ -30,11 +30,12 @@ from .geometry import (
 )
 from .quadrature import (
     SelfSimilarMeasure,
+    cell_means,
     check_eval_budget,
     evaluate_on_points,
     pairwise_sum,
 )
-from .symbolic import Word, check_level_size, level_weights
+from .symbolic import Word, check_level_size
 from .transfer import PiecewiseConstantField
 
 
@@ -101,25 +102,15 @@ def projection_error(
     if sublevel < 2:
         raise ValueError("sublevel must be >= 2")
     k = meas.k
-    n = check_level_size(k, m + sublevel)
-    check_eval_budget(n)
+    check_eval_budget(check_level_size(k, m + sublevel))
     pts = attractor_points(meas.ifs, m + sublevel, anchor)
     vals = evaluate_on_points(phi, pts)
     if vals.ndim == 1:
         vals = vals[:, None]
     blocks = vals.reshape(k**m, k**sublevel, vals.shape[1])
-    if meas.natural:
-        means = pairwise_sum(blocks, axis=1) / k**sublevel
-    else:
-        q = level_weights(meas.p, sublevel)
-        means = np.einsum("wus,u->ws", blocks, q)
-    resid = blocks - means[:, None, :]
+    resid = blocks - cell_means(vals, meas.p, sublevel)[:, None, :]
     mag = np.linalg.norm(resid, axis=2) if vals.shape[1] > 1 else np.abs(resid[:, :, 0])
-    if meas.natural:
-        total = pairwise_sum(mag.reshape(-1) ** p_exponent) / n
-    else:
-        w_full = meas.weights(m + sublevel).reshape(k**m, k**sublevel)
-        total = pairwise_sum(pairwise_sum(w_full * mag**p_exponent, axis=1))
+    total = cell_means(mag.reshape(-1) ** p_exponent, meas.p, m + sublevel)[0]
     return float(total) ** (1.0 / p_exponent)
 
 
@@ -129,29 +120,24 @@ def _modulus_single_level(
     """max over ordered sibling pairs of the matched-pair L^p difference at
     translation scale A^ell tau_ij."""
     k = meas.k
-    L = ell + 1 + sublevel
-    n = check_level_size(k, L)
-    check_eval_budget(n)
+    check_eval_budget(check_level_size(k, ell + 1 + sublevel))
     pts = attractor_points(meas.ifs, ell + 1 + sublevel, anchor)
     vals = evaluate_on_points(phi, pts)
     if vals.ndim > 1:
         raise ValueError("the modulus is defined for scalar-valued functions")
     blocks = vals.reshape(k**ell, k, k**sublevel)
-    if not meas.natural:
-        w_full = meas.weights(L).reshape(k**ell, k, k**sublevel)
+    parr = meas.p.as_array()
     best = 0.0
     for i in range(k):
         for j in range(k):
             if i == j:
                 continue
-            # x in K_{w i u}  <->  x + tau in K_{w j u}; same (w, u) indices
+            # x in K_{w i u}  <->  x + tau in K_{w j u}; same (w, u) indices,
+            # and nu(K_{w i u}) = p_i nu(K_{w u})
             diff = np.abs(blocks[:, j, :] - blocks[:, i, :])
-            if meas.natural:
-                term = pairwise_sum(diff.reshape(-1) ** p_exponent) / n
-            else:
-                term = pairwise_sum(
-                    pairwise_sum(w_full[:, i, :] * diff**p_exponent, axis=1)
-                )
+            term = parr[i] * cell_means(
+                diff.reshape(-1) ** p_exponent, meas.p, ell + sublevel
+            )[0]
             best = max(best, float(term) ** (1.0 / p_exponent))
     return best
 

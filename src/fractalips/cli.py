@@ -19,7 +19,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,12 +35,15 @@ from .analysis import (
 from .dynamics import (
     assemble_deterministic,
     builtin_kernels,
+    builtin_models,
+    consensus_model,
     integrate_ips,
     kuramoto_inertia_model,
     kuramoto_model,
     project_initial,
     project_kernel,
     sample_bernoulli,
+    step_count,
 )
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
 from .experiments import (
@@ -63,16 +65,11 @@ from .quadrature import (
     stationary_mean,
 )
 from .symbolic import DEFAULT_ENUMERATION_CAP, ProbabilityVector
-from .transfer import kernel_to_graphon, martingale_level, transfer_to_interval
-
-SUBCOMMANDS = (
-    "integrate",
-    "project",
-    "transfer",
-    "simulate",
-    "rate",
-    "vlasov",
-    "modulus",
+from .transfer import (
+    PiecewiseConstantField,
+    kernel_to_graphon,
+    martingale_level,
+    transfer_to_interval,
 )
 
 # known config keys per section; validate() reports anything else
@@ -96,9 +93,7 @@ _UNIT_RANGE_KERNELS = {"expdist", "gaussian"}
 
 def _test_functions(d: int) -> dict:
     fns = {
-        "one": lambda x: np.ones(np.shape(x)[0] if np.ndim(x) else 1, float)
-        if d == 1
-        else np.ones(len(x)),
+        "one": lambda x: np.ones(len(x)),
         "coord1": (lambda x: x) if d == 1 else (lambda x: x[..., 0]),
     }
     if d >= 2:
@@ -243,7 +238,7 @@ def parse_config(path: str | Path, preset_override: str | None = None,
 
     praw = get("measure", "p", fallback="natural")
     if praw == "natural":
-        p = ProbabilityVector.uniform(ifs.k)
+        p = SelfSimilarMeasure.natural_measure(ifs).p
     else:
         try:
             p = ProbabilityVector(tuple(float(v) for v in praw.split(",")))
@@ -316,7 +311,7 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         )
     if cfg.function_name not in _test_functions(cfg.ifs.dimension):
         diags.append(f"unknown test function {cfg.function_name!r}")
-    if cfg.kernel_name not in ("expdist", "gaussian", "constant"):
+    if cfg.kernel_name not in builtin_kernels(cfg.ifs.dimension):
         diags.append(f"unknown kernel {cfg.kernel_name!r}")
     if cfg.graph_kind not in ("deterministic", "bernoulli"):
         diags.append(f"unknown graph kind {cfg.graph_kind!r}")
@@ -343,10 +338,15 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         diags.append("vlasov mode needs at least 2 refinement levels")
     if cfg.quad_method not in ("qmc", "mc"):
         diags.append(f"unknown quadrature method {cfg.quad_method!r}")
-    if cfg.model_name not in ("kuramoto", "kuramoto_inertia", "consensus"):
+    if cfg.model_name not in builtin_models():
         diags.append(f"unknown model {cfg.model_name!r}")
     if cfg.dt <= 0 or cfg.T < 0:
         diags.append("time parameters must satisfy dt > 0 and T >= 0")
+    else:
+        try:
+            step_count(cfg.T, cfg.dt)
+        except ValueError as exc:
+            diags.append(str(exc))
     return diags
 
 
@@ -384,23 +384,16 @@ def write_manifest(out: Path, subcommand: str, cfg: ExperimentConfig,
         fh.write("\n")
 
 
-def _thread_map(fn, tasks, threads: int):
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ---------------------------------------------------------------------------
 # subcommand pipelines
 
 
-def run_integrate(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def run_integrate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     anchor = fixed_point_centroid(cfg.ifs)
     d = cfg.ifs.dimension
     one = _test_functions(d)["one"]
-    ident = (lambda x: x) if d == 1 else (lambda x: x)
+    ident = lambda x: x
     rows = []
     total = integrate_qmc(meas, one, cfg.quad_level, anchor=anchor)
     rows.append(("total_mass", "qmc", 0, total, 1.0, abs(total - 1.0)))
@@ -424,18 +417,14 @@ def run_integrate(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     return ["integrate.csv"]
 
 
-def run_project(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def run_project(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     phi = cfg.test_function()
     levels = sorted(cfg.levels)
-    errors = _thread_map(
-        lambda m: projection_error(meas, phi, m, 2.0, max(cfg.sublevel, 2)),
-        levels,
-        threads,
-    )
+    errors = [projection_error(meas, phi, m, 2.0, max(cfg.sublevel, 2)) for m in levels]
     bounds = [""] * len(levels)
     alpha_txt = ""
-    if has_common_linear_part(cfg.ifs) and meas.natural:
+    if has_common_linear_part(cfg.ifs) and meas.p.is_uniform:
         mls, omega = modulus_profile(
             meas, phi, levels, 2.0, cfg.modulus_max_ell, cfg.sublevel
         )
@@ -453,7 +442,7 @@ def run_project(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     return ["projection.csv"]
 
 
-def run_transfer(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     m = min(max(cfg.levels), 6)
     fld = martingale_level(meas, cfg.test_function(), m, cfg.sublevel)
@@ -476,77 +465,66 @@ def run_transfer(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     return ["transfer_step.csv", "graphon_pixels.csv"]
 
 
-def _build_model(cfg: ExperimentConfig, meas: SelfSimilarMeasure, m: int, omega):
+def _build_model(cfg: ExperimentConfig, omega):
     if cfg.model_name == "kuramoto":
         return kuramoto_model(cfg.coupling_strength, omega)
     if cfg.model_name == "kuramoto_inertia":
         return kuramoto_inertia_model(cfg.coupling_strength, cfg.damping, omega)
-    from .dynamics import consensus_model
-
     return consensus_model()
 
 
-def run_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     kern = cfg.kernel()
     d = cfg.ifs.dimension
     field_seed = cfg.seeds[0]
     omega_fn = random_trig_field((field_seed, 1), d, amplitude=cfg.omega_scale)
     phase_fn = random_trig_field((field_seed, 2), d, offset=0.5)
+    graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else (None,)
     outputs = []
-
-    def tasks():
-        for m in sorted(cfg.levels):
-            if cfg.graph_kind == "bernoulli":
-                for seed in cfg.seeds:
-                    yield (m, seed)
-            else:
-                yield (m, None)
-
-    def solve(task):
-        m, seed = task
+    for m in sorted(cfg.levels):
+        # the kernel, frequencies and phases depend on the level only; the
+        # graph seeds share them
         km = project_kernel(meas, kern, m, cfg.sublevel)
-        graph = (
-            assemble_deterministic(km, meas)
-            if seed is None
-            else sample_bernoulli(km, meas, seed, cfg.graph_symmetric)
-        )
         omega = (
             project_initial(meas, omega_fn, m, cfg.sublevel)
             if cfg.omega_mode == "field"
             else 0.0
         )
+        init = project_initial(meas, phase_fn, m, cfg.sublevel)
         if cfg.model_name == "kuramoto_inertia":
-            phases = project_initial(meas, phase_fn, m, cfg.sublevel)
-            init_vals = np.hstack([phases.values, np.zeros_like(phases.values)])
-            from .transfer import PiecewiseConstantField
-
-            init = PiecewiseConstantField(meas.k, m, init_vals)
-        else:
-            init = project_initial(meas, phase_fn, m, cfg.sublevel)
-        model = _build_model(cfg, meas, m, omega)
-        return task, integrate_ips(model, graph, init, cfg.T, cfg.dt,
-                                   cfg.output_stride)
-
-    for (m, seed), traj in _thread_map(solve, list(tasks()), threads):
-        stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
-        rows = []
-        for ti, t in enumerate(traj.times):
-            for ci in range(traj.values.shape[1]):
-                for comp in range(traj.state_dim):
-                    rows.append((t, ci, comp, traj.values[ti, ci, comp]))
-        write_csv(out / f"{stem}.csv", ("t", "cell_index", "component", "value"),
-                  rows)
-        meta = dict(traj.metadata)
-        meta["config_hash"] = cfg.config_hash()
-        with open(out / f"{stem}.meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs += [f"{stem}.csv", f"{stem}.meta.json"]
+            init = PiecewiseConstantField(
+                meas.k, m, np.hstack([init.values, np.zeros_like(init.values)])
+            )
+        model = _build_model(cfg, omega)
+        for seed in graph_seeds:
+            graph = (
+                assemble_deterministic(km, meas)
+                if seed is None
+                else sample_bernoulli(km, meas, seed, cfg.graph_symmetric)
+            )
+            traj = integrate_ips(model, graph, init, cfg.T, cfg.dt, cfg.output_stride)
+            stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
+            outputs += _write_trajectory(out, stem, traj, cfg)
     return outputs
 
 
-def run_rate(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def _write_trajectory(out: Path, stem: str, traj, cfg: ExperimentConfig) -> list[str]:
+    rows = []
+    for ti, t in enumerate(traj.times):
+        for ci in range(traj.values.shape[1]):
+            for comp in range(traj.state_dim):
+                rows.append((t, ci, comp, traj.values[ti, ci, comp]))
+    write_csv(out / f"{stem}.csv", ("t", "cell_index", "component", "value"), rows)
+    meta = dict(traj.metadata)
+    meta["config_hash"] = cfg.config_hash()
+    with open(out / f"{stem}.meta.json", "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [f"{stem}.csv", f"{stem}.meta.json"]
+
+
+def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     levels, errors, _ = kuramoto_refinement_errors(
         meas,
@@ -584,7 +562,7 @@ def run_rate(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     return ["rate.csv", "rate.json"]
 
 
-def run_vlasov(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     m = min(cfg.levels)
     omega_mode = cfg.omega_mode
@@ -630,7 +608,7 @@ def run_vlasov(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     return ["vlasov.csv", "vlasov_summary.csv"]
 
 
-def run_modulus(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
+def run_modulus(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     if not has_common_linear_part(cfg.ifs):
         raise ConfigError(
@@ -683,6 +661,7 @@ _RUNNERS = {
     "vlasov": run_vlasov,
     "modulus": run_modulus,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -696,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--output", default=None, help="output directory")
         sp.add_argument("--preset", default=None, help="IFS preset override")
-        sp.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -726,7 +704,7 @@ def main(argv=None) -> int:
     try:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        outputs = _RUNNERS[args.subcommand](cfg, out, args.threads)
+        outputs = _RUNNERS[args.subcommand](cfg, out)
         write_manifest(out, args.subcommand, cfg, outputs, started)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from .quadrature import (
     SelfSimilarMeasure,
     check_eval_budget,
 )
-from .symbolic import check_level_size
+from .symbolic import check_level_size, level_weights
 from .transfer import KernelMatrix, PiecewiseConstantField, martingale_level
 
 
@@ -45,8 +45,6 @@ class ModelSpec:
     state_dim: int
     drift: Callable
     interaction: Callable
-    lipschitz_drift: float = 1.0
-    lipschitz_interaction: float = 1.0
     interaction_bound: float = 1.0
     params: np.ndarray | None = None
     coupling_term: Callable | None = None
@@ -55,8 +53,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
-        if self.lipschitz_drift <= 0 or self.lipschitz_interaction <= 0:
-            raise ValueError("declared Lipschitz constants must be positive")
         if self.params is not None:
             self.params = np.atleast_2d(np.asarray(self.params, dtype=np.float64))
         if self.spot_check:
@@ -146,7 +142,11 @@ def project_kernel(
     check_eval_budget(n_fine * n_fine)
     pts = attractor_points(meas.ifs, m + sublevel, anchor)
     d = meas.ifs.dimension
-    q = meas.weights(sublevel)
+    # sub-cylinder masses relative to the largest one, normalized once at
+    # the end: uniform p gives weights of exactly 1, so a constant kernel
+    # projects to exactly itself and stays admissible for Bernoulli sampling
+    parr = meas.p.as_array()
+    q = level_weights(parr / parr.max(), sublevel)
     x = pts[:, 0] if d == 1 else pts
 
     entries = np.empty((n_cells, n_cells), dtype=np.float64)
@@ -162,11 +162,8 @@ def project_kernel(
                 kernel(xs[:, None, :], x[None, :, :]), dtype=np.float64
             )
         block = block.reshape(w1 - w0, n_sub, n_cells, n_sub)
-        if meas.natural:
-            entries[w0:w1] = np.einsum("aubv->ab", block) / (n_sub * n_sub)
-        else:
-            entries[w0:w1] = np.einsum("aubv,u,v->ab", block, q, q)
-    return KernelMatrix(k, m, entries)
+        entries[w0:w1] = np.einsum("aubv,u,v->ab", block, q, q)
+    return KernelMatrix(k, m, entries / q.sum() ** 2)
 
 
 def project_initial(
@@ -232,6 +229,19 @@ def _rhs(model: ModelSpec, weights: np.ndarray, t: float, u: np.ndarray) -> np.n
     return out
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of steps of size dt that reach T exactly.
+
+    Raises ValueError unless T/dt is a whole number to a relative 1e-9, so a
+    run never stops short of T (or overshoots it) without a word.
+    """
+    ratio = T / dt
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
+        raise ValueError(f"T = {T:g} is not a whole multiple of dt = {dt:g}")
+    return n_steps
+
+
 def integrate_ips(
     model: ModelSpec,
     coupling: CouplingGraph,
@@ -250,6 +260,7 @@ def integrate_ips(
         raise ValueError("dt must be positive")
     if T < 0:
         raise ValueError("T must be nonnegative")
+    n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
     if initial.k != coupling.k or initial.level != coupling.level:
         raise ValueError("initial field and coupling graph levels differ")
@@ -258,7 +269,6 @@ def integrate_ips(
     if model.params is not None and model.params.shape[0] not in (1, n):
         raise ValueError("per-cell parameter count does not match the level")
 
-    n_steps = int(round(T / dt))
     u = initial.values.astype(np.float64).copy()
     times = [0.0]
     states = [u.copy()]
@@ -326,8 +336,6 @@ def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
         state_dim=1,
         drift=drift,
         interaction=interaction,
-        lipschitz_drift=1.0,
-        lipschitz_interaction=2.0 * np.pi * max(abs(K), 1e-12),
         interaction_bound=max(abs(K), 1e-12),
         params=omega,
         coupling_term=coupling_term,
@@ -369,8 +377,6 @@ def kuramoto_inertia_model(
         state_dim=2,
         drift=drift,
         interaction=interaction,
-        lipschitz_drift=max(gamma, 1.0),
-        lipschitz_interaction=2.0 * np.pi * max(abs(K), 1e-12),
         interaction_bound=max(abs(K), 1e-12),
         params=omega,
         coupling_term=coupling_term,
@@ -398,8 +404,6 @@ def consensus_model(interaction_fn=None, bound: float = 4.0) -> ModelSpec:
         state_dim=1,
         drift=drift,
         interaction=interaction,
-        lipschitz_drift=1e-12,
-        lipschitz_interaction=1.0,
         interaction_bound=bound,
         coupling_term=coupling_term,
     )

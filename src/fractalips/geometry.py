@@ -360,7 +360,12 @@ def similarity_dimension(ifs: IFS) -> float:
 
 
 def natural_probability_weights(ifs: IFS) -> np.ndarray:
-    """p_i = r_i**s with s the similarity dimension (uniform for equal ratios)."""
+    """p_i = r_i**s with s the similarity dimension.
+
+    Equal ratios give exactly 1/k, the same floats as the uniform vector.
+    """
+    if len(set(ifs.ratios)) == 1:
+        return np.full(ifs.k, 1.0 / ifs.k)
     s = similarity_dimension(ifs)
     p = np.array([r**s for r in ifs.ratios])
     return p / p.sum()

@@ -6,8 +6,8 @@ Monte-Carlo estimator driven by the ergodic average along a random symbol
 sequence.  Cell averages are QMC on a sub-attractor and feed the Galerkin
 projections.
 
-Callables are evaluated on point arrays of shape (N, d), or (N,) when d = 1,
-and may return (N,) scalars or (N, s) vectors.
+Callables must be vectorized: they are evaluated once on a point array of
+shape (N, d), or (N,) when d = 1, and return (N,) scalars or (N, s) vectors.
 """
 
 from __future__ import annotations
@@ -75,22 +75,39 @@ def pairwise_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return x[0]
 
 
-def evaluate_on_points(phi, pts: np.ndarray) -> np.ndarray:
-    """Evaluate phi on an (N, d) point array; returns (N,) or (N, s).
+def cell_means(values: np.ndarray, p: ProbabilityVector, sublevel: int) -> np.ndarray:
+    """nu-weighted means over consecutive blocks of k**sublevel rows.
 
-    Points are passed as (N,) when d == 1.  Falls back to a per-point loop
-    if the callable does not broadcast.
+    Rows are level-(m + sublevel) nodes in lexicographic order, so block w
+    holds the descendants of the level-m cell K_w and its mean is the
+    conditional expectation E(phi | level m) there.  Trailing state axes are
+    kept.  Uniform p divides a pairwise sum by the block size, so constants
+    (with short mantissas) come out exactly; any other p pairwise-sums the
+    values weighted by the sub-cylinder masses nu(K_{wu}) / nu(K_w).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n_sub = p.k**sublevel
+    blocks = values.reshape(len(values) // n_sub, n_sub, -1)
+    if p.is_uniform:
+        means = pairwise_sum(blocks, axis=1) / n_sub
+    else:
+        means = pairwise_sum(blocks * level_weights(p, sublevel)[:, None], axis=1)
+    return means.reshape((-1,) + values.shape[1:])
+
+
+def evaluate_on_points(phi, pts: np.ndarray) -> np.ndarray:
+    """Evaluate a vectorized phi on an (N, d) point array; returns (N,) or (N, s).
+
+    Points are passed as (N,) when d == 1.  Exceptions from phi propagate.
     """
     n, d = pts.shape
-    arg = pts[:, 0] if d == 1 else pts
-    try:
-        vals = np.asarray(phi(arg), dtype=np.float64)
-    except Exception:
-        vals = None
-    if vals is not None and vals.ndim >= 1 and vals.shape[0] == n and vals.ndim <= 2:
-        return vals
-    rows = [np.asarray(phi(a), dtype=np.float64) for a in arg]
-    return np.array(rows, dtype=np.float64)
+    vals = np.asarray(phi(pts[:, 0] if d == 1 else pts), dtype=np.float64)
+    if vals.ndim not in (1, 2) or vals.shape[0] != n:
+        raise ValueError(
+            f"phi returned shape {vals.shape} for {n} points; callables must be "
+            "vectorized: take all points at once and return (N,) or (N, s)"
+        )
+    return vals
 
 
 @dataclass(frozen=True)
@@ -99,17 +116,14 @@ class SelfSimilarMeasure:
 
     Cylinder masses are the Bernoulli products nu(K_w) = p_{w_1} ... p_{w_n},
     which realizes the stationary (self-similar) measure exactly on cells.
-    The ``natural`` flag is set when p is uniform.
     """
 
     ifs: IFS
     p: ProbabilityVector
-    natural: bool = False
 
     def __post_init__(self):
         if self.p.k != self.ifs.k:
             raise ValueError("probability vector length must equal the map count")
-        object.__setattr__(self, "natural", self.p.is_uniform)
 
     @classmethod
     def uniform(cls, ifs: IFS) -> "SelfSimilarMeasure":
@@ -136,40 +150,6 @@ class SelfSimilarMeasure:
         return default_anchor(self.ifs)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Which integration route to use and at what resolution."""
-
-    method: str = "qmc"
-    level_or_samples: int = 10
-    seed: int | None = None
-    tail: int = 40
-    anchor: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.method not in ("qmc", "mc"):
-            raise ValueError(f"method must be 'qmc' or 'mc', got {self.method!r}")
-        if self.level_or_samples < 1:
-            raise ValueError("level_or_samples must be >= 1")
-
-
-def _measure_mean(vals: np.ndarray, meas: SelfSimilarMeasure, m: int):
-    """Reduce node values to the measure-weighted average over level m.
-
-    The uniform case divides a pairwise sum by the node count, so constants
-    (with short mantissas) come out exactly.
-    """
-    if meas.natural:
-        n = meas.k**m
-        if vals.ndim == 1:
-            return float(pairwise_sum(vals)) / n
-        return pairwise_sum(vals, axis=0) / n
-    w = meas.weights(m)
-    if vals.ndim == 1:
-        return float(pairwise_sum(w * vals))
-    return pairwise_sum(w[:, None] * vals)
-
-
 def integrate_qmc(meas: SelfSimilarMeasure, phi, m: int, anchor=None):
     """sum_{|w|=m} nu(K_w) phi(f_w(anchor)).
 
@@ -181,7 +161,7 @@ def integrate_qmc(meas: SelfSimilarMeasure, phi, m: int, anchor=None):
     pts = attractor_points(meas.ifs, m, anchor)
     check_eval_budget(len(pts))
     vals = evaluate_on_points(phi, pts)
-    return _measure_mean(vals, meas, m)
+    return cell_means(vals, meas.p, m)[0]
 
 
 def _mc_window_points(ifs: IFS, symbols: np.ndarray, M: int, tail: int) -> np.ndarray:
@@ -233,7 +213,7 @@ def integrate_mc(
     k = meas.k
     check_eval_budget(M * k)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    if meas.natural:
+    if meas.p.is_uniform:
         symbols = rng.integers(1, k + 1, size=M + tail)
     else:
         symbols = rng.choice(np.arange(1, k + 1), size=M + tail, p=meas.p.as_array())
@@ -259,7 +239,7 @@ def cell_average(meas: SelfSimilarMeasure, phi, w: Word, sublevel: int, anchor=N
     fw = compose(meas.ifs, w)
     pts = fw(sub)
     vals = evaluate_on_points(phi, pts)
-    return _measure_mean(vals, meas, sublevel)
+    return cell_means(vals, meas.p, sublevel)[0]
 
 
 def stationary_mean(meas: SelfSimilarMeasure) -> np.ndarray:

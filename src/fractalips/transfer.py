@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import attractor_points
 from .quadrature import (
     SelfSimilarMeasure,
+    cell_means,
     check_eval_budget,
     evaluate_on_points,
     pairwise_sum,
@@ -90,20 +91,10 @@ def martingale_level(
     ``sublevel`` extra levels; all nodes are evaluated in one pass and
     regrouped per cell.
     """
-    k = meas.k
-    n = check_level_size(k, m + sublevel)
-    check_eval_budget(n)
+    check_eval_budget(check_level_size(meas.k, m + sublevel))
     pts = attractor_points(meas.ifs, m + sublevel, anchor)
     vals = evaluate_on_points(phi, pts)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    blocks = vals.reshape(k**m, k**sublevel, vals.shape[1])
-    if meas.natural:
-        coeffs = pairwise_sum(blocks, axis=1) / k**sublevel
-    else:
-        q = level_weights(meas.p, sublevel)
-        coeffs = np.einsum("wus,u->ws", blocks, q)
-    return PiecewiseConstantField(k, m, coeffs)
+    return PiecewiseConstantField(meas.k, m, cell_means(vals, meas.p, sublevel))
 
 
 def coarsen(
@@ -115,15 +106,10 @@ def coarsen(
     delta = field.level - target_level
     if delta == 0:
         return field
-    k = field.k
     if p is None:
-        p = ProbabilityVector.uniform(k)
-    blocks = field.values.reshape(k**target_level, k**delta, field.state_dim)
-    if p.is_uniform:
-        values = pairwise_sum(blocks, axis=1) / k**delta
-    else:
-        values = np.einsum("wus,u->ws", blocks, level_weights(p, delta))
-    return PiecewiseConstantField(k, target_level, values)
+        p = ProbabilityVector.uniform(field.k)
+    values = cell_means(field.values, p, delta)
+    return PiecewiseConstantField(field.k, target_level, values)
 
 
 def refine(

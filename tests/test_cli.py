@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fractalips.cli import main, parse_config, validate
@@ -85,6 +86,30 @@ map2 = ratio=0.5 translation=0.5
         assert cfg.ifs.dimension == 1
         assert cfg.ifs_label == "inline"
 
+    def test_natural_measure_uses_similarity_dimension(self, tmp_path):
+        # ratios 1/2 and 1/4: 2^-s + 4^-s = 1 gives p = (g, g^2), g the
+        # inverse golden ratio
+        path = tmp_path / "unequal.ini"
+        path.write_text(
+            """
+[ifs]
+dimension = 1
+maps = 2
+map1 = ratio=0.5 translation=0.0
+map2 = ratio=0.25 translation=0.75
+[measure]
+p = natural
+"""
+        )
+        g = (5**0.5 - 1) / 2
+        np.testing.assert_allclose(parse_config(path).p.as_array(), [g, g * g],
+                                   rtol=1e-12)
+
+    def test_natural_measure_is_uniform_for_equal_ratios(self, tmp_path):
+        for name in ("sg", "sg3", "pentagasket", "cantor"):
+            cfg = parse_config(write_config(tmp_path), preset_override=name)
+            assert cfg.p.as_array().tolist() == [1.0 / cfg.ifs.k] * cfg.ifs.k
+
     def test_missing_file_is_config_error(self, tmp_path):
         from fractalips import ConfigError
 
@@ -133,6 +158,13 @@ levels = 2,3,4
         cfg = parse_config(path)
         diags = validate(cfg, "modulus")
         assert any("common linear part" in d for d in diags)
+
+    def test_horizon_not_multiple_of_step_reported(self, tmp_path):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("dt = 0.01", "dt = 0.03")
+        Path(cfgp).write_text(text)
+        assert any("whole multiple" in d for d in validate(parse_config(cfgp)))
+        assert main(["simulate", "--config", cfgp]) == 2
 
     def test_bernoulli_kernel_range_diagnostic(self, tmp_path):
         cfg = parse_config(
@@ -249,14 +281,4 @@ class TestDeterminism:
                      "--output", str(tmp_path / "run2")]) == 0
         a = self._data_bytes(tmp_path / "run1")
         b = self._data_bytes(tmp_path / "run2")
-        assert a == b
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfgp = write_config(tmp_path, graph="bernoulli")
-        assert main(["simulate", "--config", cfgp,
-                     "--output", str(tmp_path / "serial"), "--threads", "1"]) == 0
-        assert main(["simulate", "--config", cfgp,
-                     "--output", str(tmp_path / "pooled"), "--threads", "4"]) == 0
-        a = self._data_bytes(tmp_path / "serial")
-        b = self._data_bytes(tmp_path / "pooled")
         assert a == b

@@ -32,6 +32,14 @@ class TestProjectKernel:
         km = project_kernel(sg_measure, kern, 2, 2)
         np.testing.assert_allclose(km.entries, 0.6, rtol=1e-14)
 
+    def test_unit_constant_kernel_is_exact_and_bernoulli_admissible(self, sg_measure):
+        # the projected unit kernel must not round above 1, or Bernoulli
+        # sampling rejects it
+        km = project_kernel(sg_measure, builtin_kernels(2)["constant"](1.0), 2, 2)
+        assert np.all(km.entries == 1.0)
+        g = sample_bernoulli(km, sg_measure, seed=3)
+        assert np.all(g.weights == sg_measure.weights(2)[None, :])
+
     def test_product_kernel_factorizes(self, sg_measure):
         # W(x, y) = a(x) b(y): Fubini on the tensorized nodes gives
         # entry(w, v) = avg(a | K_w) * avg(b | K_v)
@@ -196,6 +204,13 @@ class TestIntegrateIPS:
         coupling = constant_graph(3, 2, 1.0)
         with pytest.raises(ValueError):
             integrate_ips(model, coupling, g, T=0.1, dt=1e-2)
+
+    def test_horizon_not_multiple_of_step_rejected(self):
+        # T = 1 with dt = 0.3 would stop at t = 0.9
+        model = consensus_model()
+        g = PiecewiseConstantField(2, 1, np.array([0.25, 1.0]))
+        with pytest.raises(ValueError, match="whole multiple"):
+            integrate_ips(model, constant_graph(2, 1, 1.0), g, T=1.0, dt=0.3)
 
     def test_output_stride_keeps_final_time(self):
         model = consensus_model()

@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalips import (
     BudgetExceededError,
     ProbabilityVector,
-    QuadratureConfig,
     SelfSimilarMeasure,
     Word,
     cell_average,
+    cell_means,
     integrate_mc,
     integrate_qmc,
+    level_weights,
     pairwise_sum,
     stationarity_residual,
 )
 from fractalips.geometry import fixed_point_centroid
+from fractalips.quadrature import evaluate_on_points
 
 
 def mean_oracle(meas):
@@ -42,6 +48,50 @@ class TestPairwiseSum:
     def test_axis_reduction(self):
         x = np.arange(12.0).reshape(3, 4)
         np.testing.assert_allclose(pairwise_sum(x, axis=1), x.sum(axis=1))
+
+
+def random_probability(rng, k):
+    w = rng.uniform(0.05, 1.0, size=k)
+    return ProbabilityVector(tuple(w / w.sum()))
+
+
+class TestCellMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 4),
+        m=st.integers(0, 2),
+        sublevel=st.integers(0, 3),
+        state_dim=st.sampled_from([None, 1, 3]),
+        uniform=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_weighted_average(
+        self, k, m, sublevel, state_dim, uniform, seed
+    ):
+        rng = np.random.Generator(np.random.Philox(seed))
+        p = ProbabilityVector.uniform(k) if uniform else random_probability(rng, k)
+        shape = (k ** (m + sublevel),) + (() if state_dim is None else (state_dim,))
+        values = rng.normal(size=shape)
+        # dense averaging operator: row w holds nu(K_wu) / nu(K_w) over the
+        # descendants u of cell w
+        dense = np.kron(np.eye(k**m), level_weights(p, sublevel)[None, :])
+        got = cell_means(values, p, sublevel)
+        assert got.shape == (k**m,) + shape[1:]
+        np.testing.assert_allclose(got, dense @ values, rtol=1e-12, atol=1e-13)
+
+
+class TestEvaluateOnPoints:
+    def test_scalar_result_rejected(self):
+        # a callable written for one point sums all of them into one scalar
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="vectorized"):
+            evaluate_on_points(lambda x: float(np.sum(x)), pts)
+
+    def test_exceptions_propagate(self):
+        # no per-point retry: math.exp cannot take the whole (N, 2) array
+        pts = np.zeros((4, 2))
+        with pytest.raises(TypeError):
+            evaluate_on_points(lambda x: math.exp(-x[0]), pts)
 
 
 class TestIntegrateQMC:
@@ -198,13 +248,3 @@ class TestStationarityResidual:
 
     def test_single_level_is_zero(self, sg_measure):
         assert stationarity_residual(sg_measure, 1) == 0.0
-
-
-class TestQuadratureConfig:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(method="simpson")
-
-    def test_rejects_nonpositive_resolution(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(level_or_samples=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalips import (
     KernelMatrix,
@@ -127,6 +129,28 @@ class TestCoarsenRefine:
         np.testing.assert_allclose(
             g.values[:, 0], [0.75 * 1 + 0.25 * 2, 0.75 * 3 + 0.25 * 4]
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 4),
+        level=st.integers(0, 2),
+        delta=st.integers(0, 3),
+        uniform=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coarsen_undoes_refine(self, k, level, delta, uniform, seed):
+        # children copy the parent, and their masses sum to the parent mass,
+        # so coarsening a refined field returns it up to rounding
+        rng = np.random.Generator(np.random.Philox(seed))
+        if uniform:
+            p = ProbabilityVector.uniform(k)
+        else:
+            w = rng.uniform(0.05, 1.0, size=k)
+            p = ProbabilityVector(tuple(w / w.sum()))
+        f = PiecewiseConstantField(k, level, rng.normal(size=(k**level, 2)))
+        g = coarsen(refine(f, level + delta), level, p)
+        assert g.level == level
+        np.testing.assert_allclose(g.values, f.values, rtol=1e-13, atol=0.0)
 
     def test_coarsen_then_refine_roundtrip_on_constants(self):
         f = PiecewiseConstantField(3, 3, np.full(27, 7.0))
