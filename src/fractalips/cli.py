@@ -88,9 +88,6 @@ _SCHEMA = {
     "modulus": {"p", "max_ell"},
 }
 
-_UNIT_RANGE_KERNELS = {"expdist", "gaussian"}
-
-
 def _test_functions(d: int) -> dict:
     fns = {
         "one": lambda x: np.ones(len(x)),
@@ -316,10 +313,8 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
     if cfg.graph_kind not in ("deterministic", "bernoulli"):
         diags.append(f"unknown graph kind {cfg.graph_kind!r}")
     if cfg.graph_kind == "bernoulli":
-        in_unit = cfg.kernel_name in _UNIT_RANGE_KERNELS or (
-            cfg.kernel_name == "constant" and 0.0 <= cfg.kernel_value <= 1.0
-        )
-        if not in_unit:
+        known = cfg.kernel_name in builtin_kernels(cfg.ifs.dimension)
+        if not (known and cfg.kernel().unit_range):
             diags.append(
                 f"kernel {cfg.kernel_name!r} is not certified to take values in "
                 "[0, 1]; Bernoulli sampling will reject it"

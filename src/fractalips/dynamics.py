@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalAbortError
-from .geometry import attractor_points
+from .geometry import attractor_points, has_common_linear_part
 from .quadrature import (
     SelfSimilarMeasure,
     check_eval_budget,
@@ -132,8 +132,13 @@ def project_kernel(
     """Cell averages of the kernel over all K_w x K_v pairs at level m.
 
     Uses the tensorized sub-cylinder nodes of the product system (K x K is
-    the attractor of the paired maps (f_i, f_j)); rows are processed in
-    blocks to bound memory.
+    the attractor of the paired maps (f_i, f_j)).  When the kernel declares
+    ``translation_invariant = True`` (W depends on x - y only) and the maps
+    share a linear part, level-m cells are translates of each other and
+    W_wv depends only on the displacement between K_w and K_v: each
+    displacement class is evaluated once, on one representative pair, and
+    copied to its other pairs.  Otherwise every pair is evaluated, in row
+    blocks that bound memory.
     """
     k = meas.k
     n_cells = check_level_size(k, m)
@@ -141,29 +146,81 @@ def project_kernel(
     n_fine = n_cells * n_sub
     check_eval_budget(n_fine * n_fine)
     pts = attractor_points(meas.ifs, m + sublevel, anchor)
-    d = meas.ifs.dimension
     # sub-cylinder masses relative to the largest one, normalized once at
     # the end: uniform p gives weights of exactly 1, so a constant kernel
     # projects to exactly itself and stays admissible for Bernoulli sampling
     parr = meas.p.as_array()
     q = level_weights(parr / parr.max(), sublevel)
-    x = pts[:, 0] if d == 1 else pts
+    x = pts[:, 0] if meas.ifs.dimension == 1 else pts
+    cells = x.reshape(n_cells, n_sub, *x.shape[1:])
 
-    entries = np.empty((n_cells, n_cells), dtype=np.float64)
-    # keep each evaluated block under ~2^22 pairs
-    rows_per_chunk = max(1, (1 << 22) // (n_fine * n_sub))
-    for w0 in range(0, n_cells, rows_per_chunk):
-        w1 = min(n_cells, w0 + rows_per_chunk)
-        xs = x[w0 * n_sub : w1 * n_sub]
-        if d == 1:
-            block = np.asarray(kernel(xs[:, None], x[None, :]), dtype=np.float64)
-        else:
-            block = np.asarray(
-                kernel(xs[:, None, :], x[None, :, :]), dtype=np.float64
-            )
-        block = block.reshape(w1 - w0, n_sub, n_cells, n_sub)
-        entries[w0:w1] = np.einsum("aubv,u,v->ab", block, q, q)
+    invariant = getattr(kernel, "translation_invariant", False)
+    if invariant and has_common_linear_part(meas.ifs):
+        # x_w = f_w(anchor) = A^m anchor + t_w, so x_w - x_v = t_w - t_v
+        first, inverse = _displacement_classes(pts[::n_sub])
+        rows, cols = np.divmod(first, n_cells)
+        values = np.empty(len(first), dtype=np.float64)
+        # first is ascending, so each row's representatives are contiguous:
+        # one block per row
+        bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=n_cells))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sums = _block_sums(kernel, cells, q, rows[lo : lo + 1], cols[lo:hi])
+            values[lo:hi] = sums[0]
+        entries = values[inverse].reshape(n_cells, n_cells)
+    else:
+        entries = np.empty((n_cells, n_cells), dtype=np.float64)
+        # keep each evaluated block under ~2^22 pairs
+        rows_per_chunk = max(1, (1 << 22) // (n_fine * n_sub))
+        for w0 in range(0, n_cells, rows_per_chunk):
+            w1 = min(n_cells, w0 + rows_per_chunk)
+            entries[w0:w1] = _block_sums(kernel, cells, q, slice(w0, w1), slice(None))
     return KernelMatrix(k, m, entries / q.sum() ** 2)
+
+
+def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
+    """q-weighted kernel sums over the sub-cylinder nodes of K_w x K_v for
+    every w in ``rows`` and v in ``cols`` (index arrays or slices)."""
+    xs, ys = cells[rows], cells[cols]
+    n_sub = len(q)
+    flat = (-1,) + cells.shape[2:]
+    block = np.asarray(
+        kernel(xs.reshape(flat)[:, None], ys.reshape(flat)[None, :]), dtype=np.float64
+    )
+    block = block.reshape(len(xs), n_sub, len(ys), n_sub)
+    return np.einsum("aubv,u,v->ab", block, q, q)
+
+
+def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the ordered pairs (w, v) of the points t by t_w - t_v.
+
+    Returns, in ascending order, the flat index w * n + v of the first pair
+    of each class, and for every pair the number of its class.
+    Displacements are rounded to a grid of 2^-40 times the largest one: far
+    above the rounding of the coordinates, and below the gap between
+    distinct displacements of the lattice presets at every level the
+    enumeration cap admits (cantor at level 24 comes closest, with a gap of
+    7.8 grid steps).  Displacements closer than one step may share a class;
+    their entries then differ by at most the kernel's Lipschitz constant
+    times the step.
+    """
+    n = len(t)
+    disp = [(c[:, None] - c[None, :]).ravel() for c in t.T]
+    # |keys| <= 2^40, so the integer keys cannot overflow
+    scale = max(float(np.abs(a).max()) for a in disp) or 1.0
+    keys = [np.rint(a * (2.0**40 / scale)).astype(np.int64) for a in disp]
+    order = np.lexsort(keys)  # stable: each class starts with its first pair
+    new_class = np.zeros(n * n, dtype=bool)
+    new_class[0] = True
+    for key in keys:
+        sorted_key = key[order]
+        new_class[1:] |= sorted_key[1:] != sorted_key[:-1]
+    first = order[new_class]
+    # renumber the classes in the order of their first pair
+    renumber = np.empty(len(first), dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(len(first))
+    inverse = np.empty(n * n, dtype=np.int64)
+    inverse[order] = renumber[np.cumsum(new_class) - 1]
+    return np.sort(first), inverse
 
 
 def project_initial(
@@ -192,12 +249,14 @@ def sample_bernoulli(
 ) -> CouplingGraph:
     """Independent Bernoulli edges with success probabilities W_wv.
 
-    Requires all entries in [0, 1] (the admissible nonnegative-kernel case).
-    With ``symmetric`` the strict upper triangle is sampled and mirrored; the
+    Requires all entries in [0, 1] (the admissible nonnegative-kernel case),
+    up to a rounding slack of 1e-12: the uniform draws lie in [0, 1), so an
+    entry of 1 + eps is drawn like 1 and one of -eps like 0.  With
+    ``symmetric`` the strict upper triangle is sampled and mirrored; the
     diagonal is sampled once.  Deterministic per seed.
     """
     P = km.entries
-    if P.min() < 0.0 or P.max() > 1.0:
+    if P.min() < -1e-12 or P.max() > 1.0 + 1e-12:
         raise ValueError(
             "Bernoulli sampling requires kernel averages in [0, 1]; "
             f"got range [{P.min():.3g}, {P.max():.3g}]"
@@ -419,7 +478,7 @@ def builtin_models() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# kernel presets (all Lipschitz; range flags drive Bernoulli admissibility)
+# kernel presets (all Lipschitz)
 
 
 def _pair_distance(x, y, d: int):
@@ -428,8 +487,20 @@ def _pair_distance(x, y, d: int):
     return np.sqrt(np.sum((x - y) ** 2, axis=-1))
 
 
+def _declare(W, translation_invariant: bool, unit_range: bool):
+    W.translation_invariant = translation_invariant
+    W.unit_range = unit_range
+    return W
+
+
 def builtin_kernels(d: int) -> dict:
-    """Named kernels W(x, y); values in [0, 1] unless noted."""
+    """Named kernels W(x, y); ``constant`` is a factory of the value.
+
+    Each kernel declares two attributes: ``translation_invariant`` (W depends
+    on x - y only, which lets ``project_kernel`` evaluate one cell pair per
+    displacement) and ``unit_range`` (values lie in [0, 1], as Bernoulli
+    sampling requires).  Plain callables declare neither.
+    """
 
     def expdist(x, y):
         return np.exp(-_pair_distance(x, y, d))
@@ -444,6 +515,10 @@ def builtin_kernels(d: int) -> dict:
                 shape = shape[:-1]
             return np.full(shape, float(value))
 
-        return W
+        return _declare(W, True, 0.0 <= float(value) <= 1.0)
 
-    return {"expdist": expdist, "gaussian": gaussian, "constant": constant}
+    return {
+        "expdist": _declare(expdist, True, True),
+        "gaussian": _declare(gaussian, True, True),
+        "constant": constant,
+    }

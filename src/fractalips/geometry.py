@@ -8,6 +8,7 @@ cell-diameter bounds rather than interval arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -131,6 +132,15 @@ class IFS:
     def word(self, symbols) -> Word:
         return Word(self.k, tuple(symbols))
 
+    @functools.cached_property
+    def diameter_bound(self) -> float:
+        """``attractor_diameter_bound``, computed once per system."""
+        c = fixed_point_centroid(self)
+        R = max(
+            float(np.linalg.norm(m(c) - c)) / (1.0 - m.ratio) for m in self.maps
+        )
+        return 2.0 * R
+
 
 def fixed_point(s: Similitude) -> np.ndarray:
     """The unique x with s(x) = x, from (I - A) x = t."""
@@ -161,11 +171,7 @@ def attractor_diameter_bound(ifs: IFS) -> float:
     R = max_i |f_i(c) - c| / (1 - r_i), every f_i maps B(c, R) into itself,
     so the attractor lies in B(c, R) and diam(K) <= 2R.  Upper bound only.
     """
-    c = fixed_point_centroid(ifs)
-    R = max(
-        float(np.linalg.norm(m(c) - c)) / (1.0 - m.ratio) for m in ifs.maps
-    )
-    return 2.0 * R
+    return ifs.diameter_bound
 
 
 def cylinder_diameter_bound(ifs: IFS, w: Word, diam: float | None = None) -> float:
@@ -213,7 +219,10 @@ def natural_projection(ifs: IFS, w: Word, anchor=None) -> ProjectedPoint:
         raise ValueError("natural_projection needs a nonempty word")
     if anchor is None:
         anchor = default_anchor(ifs)
-    pt = compose(ifs, w)(np.asarray(anchor, dtype=np.float64))
+    # f_{w_1}(f_{w_2}(... f_{w_n}(anchor))): no composed map is built
+    pt = np.asarray(anchor, dtype=np.float64)
+    for s in reversed(w.symbols):
+        pt = ifs.maps[s - 1](pt)
     return ProjectedPoint(pt, cylinder_diameter_bound(ifs, w))
 
 

@@ -166,6 +166,16 @@ levels = 2,3,4
         assert any("whole multiple" in d for d in validate(parse_config(cfgp)))
         assert main(["simulate", "--config", cfgp]) == 2
 
+    def test_bernoulli_unit_constant_with_skewed_p(self, tmp_path):
+        # the projected unit kernel may round a few ulps past 1; sampling
+        # must still accept it
+        cfgp = write_config(tmp_path, levels="3", graph="bernoulli",
+                            kernel="constant", kernel_value="1.0")
+        text = Path(cfgp).read_text().replace("p = natural", "p = 0.6,0.2,0.2")
+        Path(cfgp).write_text(text)
+        assert main(["simulate", "--config", cfgp]) == 0
+        assert (tmp_path / "out" / "trajectory_m3_seed2.csv").exists()
+
     def test_bernoulli_kernel_range_diagnostic(self, tmp_path):
         cfg = parse_config(
             write_config(tmp_path, graph="bernoulli", kernel="constant",

@@ -1,13 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalips import (
+    IFS,
     CouplingGraph,
     KernelMatrix,
     ModelSpec,
     NumericalAbortError,
     PiecewiseConstantField,
+    ProbabilityVector,
+    SelfSimilarMeasure,
+    Similitude,
     assemble_deterministic,
+    attractor_points,
     builtin_kernels,
     builtin_models,
     consensus_model,
@@ -15,15 +24,46 @@ from fractalips import (
     kuramoto_inertia_model,
     kuramoto_model,
     project_initial,
+    preset,
     project_kernel,
     sample_bernoulli,
 )
 from fractalips.analysis import traj_error
+from fractalips.dynamics import _generic_coupling
+from fractalips.symbolic import level_weights
+
+# the inline IFS of the simulate benchmark: map1 is rotated by pi, so the maps
+# share no linear part
+ROTATED = IFS(
+    (
+        Similitude.rotation_2d(0.5, math.pi, [0.5, 0.4330127018922193]),
+        Similitude.homothety(0.5, [0.5, 0.0]),
+        Similitude.homothety(0.5, [0.25, 0.4330127018922193]),
+    )
+)
 
 
 def constant_graph(k, level, value):
     n = k**level
     return CouplingGraph(k, level, "deterministic", np.full((n, n), value / n))
+
+
+def dense_reference(meas, kernel, m, sublevel):
+    """The kernel projection without displacement classes: every node pair
+    in one block, contracted with the relative sub-cylinder weights."""
+    n_cells, n_sub = meas.k**m, meas.k**sublevel
+    pts = attractor_points(meas.ifs, m + sublevel)
+    x = pts[:, 0] if meas.ifs.dimension == 1 else pts
+    parr = meas.p.as_array()
+    q = level_weights(parr / parr.max(), sublevel)
+    block = np.asarray(kernel(x[:, None], x[None, :]), dtype=np.float64)
+    block = block.reshape(n_cells, n_sub, n_cells, n_sub)
+    return np.einsum("aubv,u,v->ab", block, q, q) / q.sum() ** 2
+
+
+def skewed_p(k):
+    w = np.arange(1.0, k + 1.0)
+    return ProbabilityVector(tuple(w / w.sum()))
 
 
 class TestProjectKernel:
@@ -68,6 +108,67 @@ class TestProjectKernel:
         km = project_kernel(interval2_measure, W, 2, 3)
         assert km.entries.shape == (4, 4)
         assert np.all(km.entries > 0) and np.all(km.entries <= 1)
+
+
+class TestDisplacementClasses:
+    @pytest.mark.parametrize("name, top", [
+        ("sg", 5), ("sg3", 2), ("cantor", 5), ("interval-3", 5),
+    ])
+    @pytest.mark.parametrize("kernel_name", ["expdist", "gaussian", "constant"])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_grouped_matches_dense_oracle(self, name, top, kernel_name, uniform):
+        ifs = preset(name)
+        kern = builtin_kernels(ifs.dimension)[kernel_name]
+        if kernel_name == "constant":
+            kern = kern(0.7)
+        assert kern.translation_invariant
+        undeclared = lambda x, y: kern(x, y)  # noqa: E731 - takes the dense path
+        p = ProbabilityVector.uniform(ifs.k) if uniform else skewed_p(ifs.k)
+        meas = SelfSimilarMeasure(ifs, p)
+        for m in range(1, top + 1):
+            grouped = project_kernel(meas, kern, m, 2).entries
+            dense = project_kernel(meas, undeclared, m, 2).entries
+            np.testing.assert_allclose(grouped, dense, rtol=1e-13, atol=0)
+
+    def test_one_pair_per_displacement_class(self, sg_measure):
+        kern = builtin_kernels(2)["expdist"]
+        evaluated = []
+
+        def counted(x, y):
+            out = kern(x, y)
+            evaluated.append(out.size)
+            return out
+
+        counted.translation_invariant = True
+        project_kernel(sg_measure, counted, 4, 2)
+        # the 6561 cell pairs of sg at level 4 have 721 distinct displacements
+        assert sum(evaluated) == 721 * 9 * 9
+
+    def test_undeclared_kernel_unchanged(self, sg_measure):
+        W = lambda x, y: np.exp(-np.sqrt(np.sum((x - y) ** 2, axis=-1)))  # noqa: E731
+        for m in (1, 2, 3):
+            np.testing.assert_array_equal(
+                project_kernel(sg_measure, W, m, 2).entries,
+                dense_reference(sg_measure, W, m, 2),
+            )
+
+    def test_maps_without_common_linear_part_unchanged(self):
+        kern = builtin_kernels(2)["expdist"]
+        for p in (ProbabilityVector.uniform(3), skewed_p(3)):
+            meas = SelfSimilarMeasure(ROTATED, p)
+            for m in (1, 2, 3):
+                np.testing.assert_array_equal(
+                    project_kernel(meas, kern, m, 2).entries,
+                    dense_reference(meas, kern, m, 2),
+                )
+
+    def test_catalog_declares_ranges(self):
+        kernels = builtin_kernels(2)
+        assert kernels["expdist"].unit_range and kernels["gaussian"].unit_range
+        assert kernels["constant"](1.0).unit_range
+        assert kernels["constant"](0.0).unit_range
+        assert not kernels["constant"](-0.1).unit_range
+        assert not kernels["constant"](1.5).unit_range
 
 
 class TestProjectInitial:
@@ -124,6 +225,18 @@ class TestSampleBernoulli:
             sample_bernoulli(
                 KernelMatrix(3, 1, np.full((3, 3), 1.5)), sg_measure, 0
             )
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9])
+    def test_rejects_beyond_rounding_slack(self, sg_measure, bad):
+        with pytest.raises(ValueError):
+            sample_bernoulli(KernelMatrix(3, 1, np.full((3, 3), bad)), sg_measure, 0)
+
+    def test_rounding_past_the_unit_interval_draws_like_its_end(self, sg_measure):
+        eps = 2.0**-52
+        for near, end in ((1.0 + eps, 1.0), (-eps, 0.0)):
+            a = sample_bernoulli(KernelMatrix(3, 2, np.full((9, 9), near)), sg_measure, 5)
+            b = sample_bernoulli(KernelMatrix(3, 2, np.full((9, 9), end)), sg_measure, 5)
+            np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_symmetric_sampling_mirrors_upper_triangle(self, sg_measure):
         km = KernelMatrix(3, 2, np.full((9, 9), 0.5))
@@ -295,9 +408,34 @@ class TestIntegrateIPS:
 
 
 class TestBuiltinModels:
+    # factory arguments for every catalog model; a model added to the catalog
+    # without an entry here fails the property test below
+    FACTORY_ARGS = {
+        "kuramoto": (1.3, 0.2),
+        "kuramoto_inertia": (-0.7, 0.4, 0.2),
+        "consensus": (),
+    }
+
     def test_catalog_names(self):
         cat = builtin_models()
         assert set(cat) == {"kuramoto", "kuramoto_inertia", "consensus"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(builtin_models())),
+        n=st.integers(1, 12),
+        signed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coupling_term_matches_interaction(self, name, n, signed, seed):
+        model = builtin_models()[name](*self.FACTORY_ARGS[name])
+        rng = np.random.Generator(np.random.Philox(seed))
+        G = rng.uniform(-1.0 if signed else 0.0, 1.0, size=(n, n)) / n
+        u = rng.uniform(-3.0, 3.0, size=(n, model.state_dim))
+        np.testing.assert_allclose(
+            model.coupling_term(G, u), _generic_coupling(model, G, u),
+            rtol=0, atol=1e-12,
+        )
 
     def test_kuramoto_zero_coupling_free_rotation(self):
         om = np.array([0.5, -0.25])
