@@ -19,14 +19,15 @@ from fractalips import (
     project_kernel,
     sample_bernoulli,
 )
-from fractalips.experiments import random_trig_field
+from fractalips.experiments import kuramoto_fields
 
 meas = SelfSimilarMeasure.uniform(preset("sg"))
 m = 4
 km = project_kernel(meas, builtin_kernels(2)["expdist"], m, 2)
 
-omega = project_initial(meas, random_trig_field((11, 1), 2), m, 2)
-phases = project_initial(meas, random_trig_field((11, 2), 2, offset=0.5), m, 2)
+omega_fn, phase_fn = kuramoto_fields(11, 2)
+omega = project_initial(meas, omega_fn, m, 2)
+phases = project_initial(meas, phase_fn, m, 2)
 
 
 def order_parameter(traj):

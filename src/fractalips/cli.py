@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +47,8 @@ from .dynamics import (
 )
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
 from .experiments import (
+    kuramoto_fields,
     kuramoto_refinement_errors,
-    random_trig_field,
     uniform_phase_sampler,
 )
 from .geometry import (
@@ -72,22 +72,6 @@ from .transfer import (
     transfer_to_interval,
 )
 
-# known config keys per section; validate() reports anything else
-_SCHEMA = {
-    "experiment": {"output_dir"},
-    "ifs": {"preset", "dimension", "maps"},  # plus map1..mapN, checked below
-    "measure": {"p"},
-    "function": {"name"},
-    "kernel": {"name", "value"},
-    "model": {"name", "coupling_strength", "damping", "omega", "omega_scale"},
-    "levels": {"levels", "ell_levels", "sublevel"},
-    "time": {"T", "dt", "output_stride"},
-    "quadrature": {"method", "level", "samples", "tail"},
-    "graph": {"kind", "symmetric"},
-    "seeds": {"seeds"},
-    "modulus": {"p", "max_ell"},
-}
-
 def _test_functions(d: int) -> dict:
     fns = {
         "one": lambda x: np.ones(len(x)),
@@ -104,37 +88,50 @@ def _test_functions(d: int) -> dict:
     return fns
 
 
+def _ini(key: str, default):
+    """A field set by the INI key ``section.name``, or else ``default``."""
+    return field(default=default, metadata={"ini": key})
+
+
+# the type of a field's default picks the ConfigParser getter of its value
+_GETTERS = {str: "get", int: "getint", float: "getfloat", bool: "getboolean",
+            tuple: "getints"}
+
+
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment settings."""
+    """Parsed and validated experiment settings.
+
+    Each ``_ini`` field declares one plain INI key, which ``parse_config``
+    reads and ``validate`` accepts.
+    """
 
     ifs: IFS
     ifs_label: str
     p: ProbabilityVector
-    function_name: str = "expdiff"
-    kernel_name: str = "expdist"
-    kernel_value: float = 1.0
-    model_name: str = "kuramoto"
-    coupling_strength: float = 1.0
-    damping: float = 1.0
-    omega_mode: str = "field"
-    omega_scale: float = 1.0
-    levels: tuple = (2, 3, 4, 5)
-    ell_levels: tuple = (2, 3, 4)
-    sublevel: int = 2
-    T: float = 1.0
-    dt: float = 1e-3
-    output_stride: int = 10
-    quad_method: str = "qmc"
-    quad_level: int = 10
-    quad_samples: int = 100000
-    quad_tail: int = 40
-    graph_kind: str = "deterministic"
-    graph_symmetric: bool = True
-    modulus_p: float = 2.0
-    modulus_max_ell: int = 9
-    seeds: tuple = (1,)
-    output_dir: str = "out"
+    function_name: str = _ini("function.name", "expdiff")
+    kernel_name: str = _ini("kernel.name", "expdist")
+    kernel_value: float = _ini("kernel.value", 1.0)
+    model_name: str = _ini("model.name", "kuramoto")
+    coupling_strength: float = _ini("model.coupling_strength", 1.0)
+    damping: float = _ini("model.damping", 1.0)
+    omega_mode: str = _ini("model.omega", "field")
+    omega_scale: float = _ini("model.omega_scale", 1.0)
+    levels: tuple = _ini("levels.levels", (2, 3, 4, 5))
+    ell_levels: tuple = _ini("levels.ell_levels", (2, 3, 4))
+    sublevel: int = _ini("levels.sublevel", 2)
+    T: float = _ini("time.T", 1.0)
+    dt: float = _ini("time.dt", 1e-3)
+    output_stride: int = _ini("time.output_stride", 10)
+    quad_level: int = _ini("quadrature.level", 10)
+    quad_samples: int = _ini("quadrature.samples", 100000)
+    quad_tail: int = _ini("quadrature.tail", 40)
+    graph_kind: str = _ini("graph.kind", "deterministic")
+    graph_symmetric: bool = _ini("graph.symmetric", True)
+    modulus_p: float = _ini("modulus.p", 2.0)
+    modulus_max_ell: int = _ini("modulus.max_ell", 9)
+    seeds: tuple = _ini("seeds.seeds", (1,))
+    output_dir: str = _ini("experiment.output_dir", "out")
     raw_items: dict = field(default_factory=dict)
 
     def measure(self) -> SelfSimilarMeasure:
@@ -159,6 +156,14 @@ class ExperimentConfig:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+_INI_FIELDS = tuple(f for f in fields(ExperimentConfig) if "ini" in f.metadata)
+# the declared keys plus those parse_config reads by hand; validate matches
+# the ifs.map<i> lines by their prefix
+_KNOWN_KEYS = {"ifs.preset", "ifs.dimension", "ifs.maps", "measure.p"} | {
+    f.metadata["ini"] for f in _INI_FIELDS
+}
 
 
 def _parse_map_line(text: str, dimension: int) -> Similitude:
@@ -194,7 +199,10 @@ def _collect_items(cp: configparser.ConfigParser) -> dict:
 
 def parse_config(path: str | Path, preset_override: str | None = None,
                  output_override: str | None = None) -> ExperimentConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"),
+        converters={"ints": lambda raw: tuple(int(v) for v in raw.split(","))},
+    )
     cp.optionxform = str  # keys are case-sensitive (T vs t)
     try:
         read = cp.read(path)
@@ -204,10 +212,7 @@ def parse_config(path: str | Path, preset_override: str | None = None,
         raise ConfigError(f"cannot read config file {path}")
     items = _collect_items(cp)
 
-    def get(section, key, fallback=None):
-        return cp.get(section, key, fallback=fallback)
-
-    ifs_label = preset_override or get("ifs", "preset")
+    ifs_label = preset_override or items.get("ifs.preset")
     if ifs_label:
         try:
             ifs = preset(ifs_label)
@@ -223,7 +228,7 @@ def parse_config(path: str | Path, preset_override: str | None = None,
             raise ConfigError(f"inline IFS needs dimension and maps: {exc}") from exc
         maps = []
         for i in range(1, count + 1):
-            raw = get("ifs", f"map{i}")
+            raw = items.get(f"ifs.map{i}")
             if raw is None:
                 raise ConfigError(f"missing map{i} in [ifs]")
             maps.append(_parse_map_line(raw, dimension))
@@ -233,7 +238,7 @@ def parse_config(path: str | Path, preset_override: str | None = None,
             raise ConfigError(str(exc)) from exc
         ifs_label = "inline"
 
-    praw = get("measure", "p", fallback="natural")
+    praw = items.get("measure.p", "natural")
     if praw == "natural":
         p = SelfSimilarMeasure.natural_measure(ifs).p
     else:
@@ -244,47 +249,19 @@ def parse_config(path: str | Path, preset_override: str | None = None,
         if p.k != ifs.k:
             raise ConfigError("probability vector length must match the map count")
 
-    def ints(section, key, fallback):
-        raw = get(section, key)
-        if raw is None:
-            return fallback
-        return tuple(int(v) for v in raw.split(","))
-
+    # keys left out keep their dataclass defaults
     try:
-        cfg = ExperimentConfig(
-            ifs=ifs,
-            ifs_label=ifs_label,
-            p=p,
-            function_name=get("function", "name", fallback="expdiff"),
-            kernel_name=get("kernel", "name", fallback="expdist"),
-            kernel_value=float(get("kernel", "value", fallback="1.0")),
-            model_name=get("model", "name", fallback="kuramoto"),
-            coupling_strength=float(get("model", "coupling_strength", fallback="1.0")),
-            damping=float(get("model", "damping", fallback="1.0")),
-            omega_mode=get("model", "omega", fallback="field"),
-            omega_scale=float(get("model", "omega_scale", fallback="1.0")),
-            levels=ints("levels", "levels", (2, 3, 4, 5)),
-            ell_levels=ints("levels", "ell_levels", (2, 3, 4)),
-            sublevel=int(get("levels", "sublevel", fallback="2")),
-            T=float(get("time", "T", fallback="1.0")),
-            dt=float(get("time", "dt", fallback="1e-3")),
-            output_stride=int(get("time", "output_stride", fallback="10")),
-            quad_method=get("quadrature", "method", fallback="qmc"),
-            quad_level=int(get("quadrature", "level", fallback="10")),
-            quad_samples=int(get("quadrature", "samples", fallback="100000")),
-            quad_tail=int(get("quadrature", "tail", fallback="40")),
-            graph_kind=get("graph", "kind", fallback="deterministic"),
-            graph_symmetric=cp.getboolean("graph", "symmetric", fallback=True),
-            modulus_p=float(get("modulus", "p", fallback="2")),
-            modulus_max_ell=int(get("modulus", "max_ell", fallback="9")),
-            seeds=ints("seeds", "seeds", (1,)),
-            output_dir=output_override
-            or get("experiment", "output_dir", fallback="out"),
-            raw_items=items,
-        )
+        values = {
+            f.name: getattr(cp, _GETTERS[type(f.default)])(*f.metadata["ini"].split("."))
+            for f in _INI_FIELDS
+            if f.metadata["ini"] in items
+        }
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in config: {exc}") from exc
-    return cfg
+    if output_override:
+        values["output_dir"] = output_override
+    return ExperimentConfig(ifs=ifs, ifs_label=ifs_label, p=p, raw_items=items,
+                            **values)
 
 
 def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
@@ -292,10 +269,9 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
     diags = []
     for key in cfg.raw_items:
         section, name = key.split(".", 1)
-        known = _SCHEMA.get(section)
-        if known is None:
+        if section not in {known.split(".")[0] for known in _KNOWN_KEYS}:
             diags.append(f"unknown section [{section}]")
-        elif name not in known and not (
+        elif key not in _KNOWN_KEYS and not (
             section == "ifs" and name.startswith("map")
         ):
             diags.append(f"unknown key {key}")
@@ -331,10 +307,16 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         diags.append(f"{subcommand} mode needs at least 3 levels to fit a rate")
     if subcommand == "vlasov" and len(cfg.ell_levels) < 2:
         diags.append("vlasov mode needs at least 2 refinement levels")
-    if cfg.quad_method not in ("qmc", "mc"):
-        diags.append(f"unknown quadrature method {cfg.quad_method!r}")
     if cfg.model_name not in builtin_models():
         diags.append(f"unknown model {cfg.model_name!r}")
+    if subcommand in ("rate", "vlasov") and cfg.model_name != "kuramoto":
+        diags.append(
+            f"{subcommand} mode runs the kuramoto model only, not {cfg.model_name!r}"
+        )
+    if cfg.omega_mode not in ("field", "zero"):
+        diags.append(f"model omega must be 'field' or 'zero', not {cfg.omega_mode!r}")
+    if cfg.output_stride < 1:
+        diags.append(f"output_stride must be >= 1, not {cfg.output_stride}")
     if cfg.dt <= 0 or cfg.T < 0:
         diags.append("time parameters must satisfy dt > 0 and T >= 0")
     else:
@@ -355,12 +337,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
+class _Lines(list):
+    """CSV rows already formatted, one string per row."""
+
+
+def _columns(template: str, *columns) -> _Lines:
+    """Rows of equal-size numpy columns, each formatted by one %-template:
+    ``%d`` for integers and ``%.17g`` for floats, as ``_fmt`` does."""
+    line = template + csv.excel.lineterminator
+    return _Lines(map(line.__mod__, zip(*(np.ravel(c).tolist() for c in columns))))
+
+
 def write_csv(path: Path, header, rows) -> None:
+    """Write ``rows``: tuples of values, or ``_Lines`` formatted already."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, _Lines):
+            fh.writelines(rows)
+        else:
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_manifest(out: Path, subcommand: str, cfg: ExperimentConfig,
@@ -374,9 +377,7 @@ def write_manifest(out: Path, subcommand: str, cfg: ExperimentConfig,
         "outputs": sorted(outputs),
         "wall_time_s": time.time() - started,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +453,9 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
 
     km = project_kernel(meas, cfg.kernel(), min(m, 4), cfg.sublevel)
     img = kernel_to_graphon(km, cfg.p)
-    n = km.entries.shape[0]
-    pixel_rows = [
-        (i, j, img.values[i, j]) for i in range(n) for j in range(n)
-    ]
-    write_csv(out / "graphon_pixels.csv", ("row", "col", "value"), pixel_rows)
+    i, j = np.indices(img.values.shape)
+    write_csv(out / "graphon_pixels.csv", ("row", "col", "value"),
+              _columns("%d,%d,%.17g", i, j, img.values))
     return ["transfer_step.csv", "graphon_pixels.csv"]
 
 
@@ -472,9 +471,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     kern = cfg.kernel()
     d = cfg.ifs.dimension
-    field_seed = cfg.seeds[0]
-    omega_fn = random_trig_field((field_seed, 1), d, amplitude=cfg.omega_scale)
-    phase_fn = random_trig_field((field_seed, 2), d, offset=0.5)
+    omega_fn, phase_fn = kuramoto_fields(cfg.seeds[0], d, cfg.omega_scale)
     graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else (None,)
     outputs = []
     for m in sorted(cfg.levels):
@@ -505,17 +502,13 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 
 def _write_trajectory(out: Path, stem: str, traj, cfg: ExperimentConfig) -> list[str]:
-    rows = []
-    for ti, t in enumerate(traj.times):
-        for ci in range(traj.values.shape[1]):
-            for comp in range(traj.state_dim):
-                rows.append((t, ci, comp, traj.values[ti, ci, comp]))
-    write_csv(out / f"{stem}.csv", ("t", "cell_index", "component", "value"), rows)
+    ti, cells, comps = np.indices(traj.values.shape)
+    write_csv(out / f"{stem}.csv", ("t", "cell_index", "component", "value"),
+              _columns("%.17g,%d,%d,%.17g", traj.times[ti], cells, comps,
+                       traj.values))
     meta = dict(traj.metadata)
     meta["config_hash"] = cfg.config_hash()
-    with open(out / f"{stem}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / f"{stem}.meta.json", meta)
     return [f"{stem}.csv", f"{stem}.meta.json"]
 
 
@@ -551,27 +544,19 @@ def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
         "config_hash": cfg.config_hash(),
         "seeds": list(cfg.seeds),
     }
-    with open(out / "rate.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "rate.json", report)
     return ["rate.csv", "rate.json"]
 
 
 def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     m = min(cfg.levels)
-    omega_mode = cfg.omega_mode
+    omega_fn, _ = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
 
     def builder(level):
         om = 0.0
-        if omega_mode == "field":
-            om = project_initial(
-                meas,
-                random_trig_field((cfg.seeds[0], 1), cfg.ifs.dimension,
-                                  amplitude=cfg.omega_scale),
-                level,
-                cfg.sublevel,
-            )
+        if cfg.omega_mode == "field":
+            om = project_initial(meas, omega_fn, level, cfg.sublevel)
         return kuramoto_model(cfg.coupling_strength, om)
 
     table = vlasov_self_convergence(
@@ -587,13 +572,13 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
         cfg.sublevel,
         cfg.output_stride,
     )
-    rows = []
-    for si, seed in enumerate(table.seeds):
-        for pi, (lo, hi) in enumerate(table.ell_pairs):
-            for ti, t in enumerate(table.times):
-                rows.append((seed, lo, hi, t, table.distances[si, pi, ti]))
+    si, pi, ti = np.indices(table.distances.shape)
+    pairs = np.array(table.ell_pairs)
     write_csv(out / "vlasov.csv",
-              ("seed", "ell_coarse", "ell_fine", "t", "distance"), rows)
+              ("seed", "ell_coarse", "ell_fine", "t", "distance"),
+              _columns("%d,%d,%d,%.17g,%.17g", np.array(table.seeds)[si],
+                       pairs[pi, 0], pairs[pi, 1], table.times[ti],
+                       table.distances))
     summary = []
     worst = table.distances.max(axis=2)  # (seeds, pairs)
     for pi, (lo, hi) in enumerate(table.ell_pairs):
@@ -641,9 +626,7 @@ def run_modulus(cfg: ExperimentConfig, out: Path) -> list[str]:
         "seeds": list(cfg.seeds),
         "function": cfg.function_name,
     }
-    with open(out / "modulus.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "modulus.json", report)
     return ["modulus.csv", "modulus.json"]
 
 

@@ -319,6 +319,8 @@ def integrate_ips(
         raise ValueError("dt must be positive")
     if T < 0:
         raise ValueError("T must be nonnegative")
+    if output_stride < 1:
+        raise ValueError(f"output_stride must be >= 1, not {output_stride}")
     n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
     if initial.k != coupling.k or initial.level != coupling.level:

@@ -47,6 +47,14 @@ def random_trig_field(seed, dimension: int, n_modes: int = 3,
     return f
 
 
+def kuramoto_fields(seed, dimension: int, omega_scale: float = 1.0):
+    """The seeded (frequency, initial phase) fields of the Kuramoto runs."""
+    return (
+        random_trig_field((seed, 1), dimension, amplitude=omega_scale),
+        random_trig_field((seed, 2), dimension, offset=0.5),
+    )
+
+
 def kuramoto_refinement_errors(
     meas: SelfSimilarMeasure,
     kernel,
@@ -66,9 +74,7 @@ def kuramoto_refinement_errors(
     """
     levels = sorted(int(m) for m in levels)
     finest = levels[-1] + 1
-    d = meas.ifs.dimension
-    omega_fn = random_trig_field((seed, 1), d)
-    phase_fn = random_trig_field((seed, 2), d, offset=0.5)
+    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension)
     omega_fine = project_initial(meas, omega_fn, finest, sublevel)
     phase_fine = project_initial(meas, phase_fn, finest, sublevel)
 
@@ -105,9 +111,7 @@ def bernoulli_gap_medians(
     """
     levels = sorted(int(m) for m in levels)
     seeds = tuple(int(s) for s in seeds)
-    d = meas.ifs.dimension
-    omega_fn = random_trig_field((field_seed, 1), d)
-    phase_fn = random_trig_field((field_seed, 2), d, offset=0.5)
+    omega_fn, phase_fn = kuramoto_fields(field_seed, meas.ifs.dimension)
     medians = []
     per_seed = np.empty((len(levels), len(seeds)))
     for li, m in enumerate(levels):

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fractalips.cli import main, parse_config, validate
+from fractalips import ConfigError
+from fractalips.cli import _columns, main, parse_config, validate, write_csv
 
 BASE_CONFIG = """
 [experiment]
@@ -121,6 +122,84 @@ p = natural
         assert cfg.ifs.k == 2
         assert cfg.ifs.dimension == 1
 
+    def test_every_declared_key_is_read(self, tmp_path):
+        path = tmp_path / "all.ini"
+        path.write_text(
+            """
+[experiment]
+output_dir = elsewhere
+[ifs]
+preset = cantor
+[function]
+name = gauss
+[kernel]
+name = constant
+value = 0.5
+[model]
+name = kuramoto_inertia
+coupling_strength = 2.5
+damping = 0.25
+omega = zero
+omega_scale = 3.0
+[levels]
+levels = 3,5
+ell_levels = 1,2
+sublevel = 1
+[time]
+T = 2.0
+dt = 0.5
+output_stride = 3
+[quadrature]
+level = 7
+samples = 123
+tail = 11
+[graph]
+kind = bernoulli
+symmetric = no
+[modulus]
+p = 1.5
+max_ell = 6
+[seeds]
+seeds = 4,5
+"""
+        )
+        cfg = parse_config(path)
+        assert (cfg.function_name, cfg.kernel_name, cfg.kernel_value) == (
+            "gauss", "constant", 0.5)
+        assert (cfg.model_name, cfg.coupling_strength, cfg.damping,
+                cfg.omega_mode, cfg.omega_scale) == (
+            "kuramoto_inertia", 2.5, 0.25, "zero", 3.0)
+        assert (cfg.levels, cfg.ell_levels, cfg.sublevel) == ((3, 5), (1, 2), 1)
+        assert (cfg.T, cfg.dt, cfg.output_stride) == (2.0, 0.5, 3)
+        assert (cfg.quad_level, cfg.quad_samples, cfg.quad_tail) == (7, 123, 11)
+        assert (cfg.graph_kind, cfg.graph_symmetric) == ("bernoulli", False)
+        assert (cfg.modulus_p, cfg.modulus_max_ell) == (1.5, 6)
+        assert (cfg.seeds, cfg.output_dir) == ((4, 5), "elsewhere")
+        assert validate(cfg) == []
+
+    def test_absent_keys_take_the_defaults(self, tmp_path):
+        path = tmp_path / "bare.ini"
+        path.write_text("[ifs]\npreset = sg\n")
+        cfg = parse_config(path)
+        assert (cfg.function_name, cfg.kernel_name, cfg.kernel_value) == (
+            "expdiff", "expdist", 1.0)
+        assert (cfg.levels, cfg.ell_levels, cfg.sublevel) == ((2, 3, 4, 5), (2, 3, 4), 2)
+        assert (cfg.T, cfg.dt, cfg.output_stride, cfg.seeds) == (1.0, 1e-3, 10, (1,))
+        assert (cfg.graph_symmetric, cfg.modulus_p, cfg.output_dir) == (True, 2.0, "out")
+
+    @pytest.mark.parametrize("line", ["output_stride = ten", "T = soon"])
+    def test_bad_value_is_config_error(self, tmp_path, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[ifs]\npreset = sg\n[time]\n{line}\n")
+        with pytest.raises(ConfigError, match="bad numeric value"):
+            parse_config(path)
+
+    def test_bad_boolean_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[ifs]\npreset = sg\n[graph]\nsymmetric = maybe\n")
+        with pytest.raises(ConfigError, match="Not a boolean: maybe"):
+            parse_config(path)
+
     def test_hash_tracks_semantic_fields_only(self, tmp_path):
         a = parse_config(write_config(tmp_path, name="a.ini", out="out_a"))
         b = parse_config(write_config(tmp_path, name="b.ini", out="out_b"))
@@ -137,6 +216,41 @@ class TestValidate:
         cfg = parse_config(write_config(tmp_path, model_extra="wibble = 3"))
         diags = validate(cfg)
         assert any("wibble" in d for d in diags)
+
+    def test_quadrature_method_is_an_unknown_key(self, tmp_path):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("level = 6", "method = qmc\nlevel = 6")
+        Path(cfgp).write_text(text)
+        assert "unknown key quadrature.method" in validate(parse_config(cfgp))
+        assert main(["integrate", "--config", cfgp]) == 2
+
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_output_stride_below_one_reported(self, tmp_path, stride):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("output_stride = 5",
+                                              f"output_stride = {stride}")
+        Path(cfgp).write_text(text)
+        assert any("output_stride" in d for d in validate(parse_config(cfgp)))
+        assert main(["simulate", "--config", cfgp]) == 2
+
+    def test_omega_must_be_field_or_zero(self, tmp_path):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("omega = field", "omega = feild")
+        Path(cfgp).write_text(text)
+        assert any("'feild'" in d for d in validate(parse_config(cfgp)))
+        assert main(["simulate", "--config", cfgp]) == 2
+        Path(cfgp).write_text(text.replace("omega = feild", "omega = zero"))
+        assert validate(parse_config(cfgp)) == []
+
+    @pytest.mark.parametrize("subcommand", ["rate", "vlasov"])
+    def test_kuramoto_only_subcommands_reject_other_models(self, tmp_path, subcommand):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("name = kuramoto", "name = consensus")
+        Path(cfgp).write_text(text)
+        cfg = parse_config(cfgp)
+        assert any("kuramoto model only" in d for d in validate(cfg, subcommand))
+        assert validate(cfg, "simulate") == []
+        assert main([subcommand, "--config", cfgp]) == 2
 
     def test_cap_violation(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, levels="2,3,20"))
@@ -266,6 +380,21 @@ class TestRunSubcommands:
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "100")
         cfgp = write_config(tmp_path)
         assert main(["project", "--config", cfgp]) == 3
+
+
+class TestWriteCsv:
+    def test_columns_match_the_row_writer(self, tmp_path):
+        # awkward floats: signed zero, subnormal, huge, non-finite, 17 digits
+        values = np.array([[0.1, -0.0, 5e-324, 1.7976931348623157e308],
+                           [np.nan, -np.inf, 1.0 / 3.0, 2.0]])
+        times = np.array([0.0, 1e-3 * 3])
+        ti, ci = np.indices(values.shape)
+        rows = [(times[i], j, values[i, j]) for i in range(2) for j in range(4)]
+        table = _columns("%.17g,%d,%.17g", times[ti], ci, values)
+        assert len(table) == len(rows)
+        write_csv(tmp_path / "rows.csv", ("t", "cell", "value"), rows)
+        write_csv(tmp_path / "cols.csv", ("t", "cell", "value"), table)
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestDeterminism:

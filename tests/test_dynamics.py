@@ -325,6 +325,14 @@ class TestIntegrateIPS:
         with pytest.raises(ValueError, match="whole multiple"):
             integrate_ips(model, constant_graph(2, 1, 1.0), g, T=1.0, dt=0.3)
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_output_stride_below_one_rejected(self, stride):
+        model = consensus_model()
+        g = PiecewiseConstantField(2, 1, np.array([0.25, 1.0]))
+        with pytest.raises(ValueError, match="output_stride"):
+            integrate_ips(model, constant_graph(2, 1, 1.0), g, T=0.1, dt=1e-2,
+                          output_stride=stride)
+
     def test_output_stride_keeps_final_time(self):
         model = consensus_model()
         g = PiecewiseConstantField(2, 1, np.array([0.0, 1.0]))
