@@ -33,12 +33,14 @@ from .dynamics import (
     builtin_kernels,
     builtin_models,
     consensus_model,
+    graph_product,
     integrate_ips,
     kuramoto_inertia_model,
     kuramoto_model,
     project_initial,
     project_kernel,
     sample_bernoulli,
+    stack_graphs,
 )
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
 from .geometry import (

@@ -437,34 +437,35 @@ def vlasov_self_convergence(
     }
     couplings = {ell: assemble_deterministic(kms[ell], meas) for ell in ells}
 
-    times = None
-    all_rows = []
-    for seed in seeds:
-        trajs = {}
-        for ell in ells:
+    # trajs[ell][i]: seed i's trajectory at level m + ell; all seeds of one
+    # level are one ensemble on the shared graph
+    trajs = {}
+    for ell in ells:
+        n_fine = k**ell
+        inits = []
+        for seed in seeds:
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=(seed, ell)))
             )
-            n_fine = k**ell
             blocks = [
                 np.asarray(init_sampler(rng, ci, n_fine), dtype=np.float64).reshape(
                     n_fine, -1
                 )
                 for ci in range(k**m)
             ]
-            init = PiecewiseConstantField(k, m + ell, np.vstack(blocks))
-            model = model_builder(m + ell)
-            if model.state_dim != 1:
-                raise ValueError(
-                    "the self-convergence table currently handles scalar states"
-                )
-            trajs[ell] = integrate_ips(
-                model, couplings[ell], init, T, dt, output_stride
+            inits.append(PiecewiseConstantField(k, m + ell, np.vstack(blocks)))
+        model = model_builder(m + ell)
+        if model.state_dim != 1:
+            raise ValueError(
+                "the self-convergence table currently handles scalar states"
             )
-        times = trajs[ells[0]].times
+        trajs[ell] = integrate_ips(model, couplings[ell], inits, T, dt, output_stride)
+    times = trajs[ells[0]][0].times
+    all_rows = []
+    for si in range(len(seeds)):
         row = []
         for lo, hi in zip(ells[:-1], ells[1:]):
-            tl, th = trajs[lo], trajs[hi]
+            tl, th = trajs[lo][si], trajs[hi][si]
             per_time = np.empty(len(times))
             for ti in range(len(times)):
                 acc = np.empty(k**m)

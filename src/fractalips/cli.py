@@ -33,7 +33,6 @@ from .analysis import (
     vlasov_self_convergence,
 )
 from .dynamics import (
-    assemble_deterministic,
     builtin_kernels,
     builtin_models,
     consensus_model,
@@ -42,7 +41,7 @@ from .dynamics import (
     kuramoto_model,
     project_initial,
     project_kernel,
-    sample_bernoulli,
+    stack_graphs,
     step_count,
 )
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
@@ -167,14 +166,17 @@ _KNOWN_KEYS = {"ifs.preset", "ifs.dimension", "ifs.maps", "measure.p"} | {
 
 
 def _parse_map_line(text: str, dimension: int) -> Similitude:
-    parts = dict(tok.split("=", 1) for tok in text.split())
+    tokens = [tok.split("=", 1) for tok in text.split()]
+    if any(len(tok) != 2 for tok in tokens):
+        raise ConfigError(f"map definition tokens must be key=value: {text!r}")
+    parts = dict(tokens)
     if "translation" not in parts or "ratio" not in parts:
         raise ConfigError(f"map definition needs ratio= and translation=: {text!r}")
-    ratio = float(parts["ratio"])
-    trans = np.array([float(v) for v in parts["translation"].split(",")])
-    if trans.shape != (dimension,):
-        raise ConfigError(f"translation has wrong dimension in {text!r}")
     try:
+        ratio = float(parts["ratio"])
+        trans = np.array([float(v) for v in parts["translation"].split(",")])
+        if trans.shape != (dimension,):
+            raise ConfigError(f"translation has wrong dimension in {text!r}")
         if "matrix" in parts:
             mat = np.array([float(v) for v in parts["matrix"].split(",")])
             if mat.size != dimension * dimension:
@@ -210,7 +212,10 @@ def parse_config(path: str | Path, preset_override: str | None = None,
         raise ConfigError(f"malformed config: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    items = _collect_items(cp)
+    try:
+        items = _collect_items(cp)
+    except configparser.Error as exc:  # e.g. a lone % in a value
+        raise ConfigError(f"malformed config: {exc}") from exc
 
     ifs_label = preset_override or items.get("ifs.preset")
     if ifs_label:
@@ -489,13 +494,9 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
                 meas.k, m, np.hstack([init.values, np.zeros_like(init.values)])
             )
         model = _build_model(cfg, omega)
-        for seed in graph_seeds:
-            graph = (
-                assemble_deterministic(km, meas)
-                if seed is None
-                else sample_bernoulli(km, meas, seed, cfg.graph_symmetric)
-            )
-            traj = integrate_ips(model, graph, init, cfg.T, cfg.dt, cfg.output_stride)
+        graphs = stack_graphs(km, meas, graph_seeds, cfg.graph_symmetric)
+        trajs = integrate_ips(model, graphs, init, cfg.T, cfg.dt, cfg.output_stride)
+        for seed, traj in zip(graph_seeds, trajs):
             stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
             outputs += _write_trajectory(out, stem, traj, cfg)
     return outputs
@@ -524,6 +525,7 @@ def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
         seed=cfg.seeds[0],
         sublevel=cfg.sublevel,
         output_stride=cfg.output_stride,
+        omega_scale=cfg.omega_scale if cfg.omega_mode == "field" else 0.0,
     )
     lam = max(m.ratio for m in cfg.ifs.maps)
     fit = rate_fit(errors, lam, levels=levels)

@@ -31,11 +31,16 @@ from .transfer import KernelMatrix, PiecewiseConstantField, martingale_level
 class ModelSpec:
     """Intrinsic drift plus pairwise interaction.
 
-    ``drift(t, u, params) -> (N, s)`` and ``interaction(u, v) -> (..., s)``
-    (must broadcast).  ``coupling_term(weights, u)``, when given, computes
-    sum_v G_wv D(u_w, u_v) directly and is used as a fast path; it must agree
-    with ``interaction``.  ``params`` holds optional per-cell constants such
-    as oscillator frequencies (they obey d(lambda)/dt = 0).
+    The integrator evaluates every member of an ensemble at once, so u is
+    (E, n, s): E members, n cells, state dimension s.
+    ``drift(t, u, params)`` returns an array that broadcasts to u's shape,
+    and ``interaction(u, v) -> (..., s)`` must broadcast.
+    ``coupling_term(G, u)``, when given, computes sum_v G_wv D(u_w, u_v) for
+    every member directly, as an (E, n, s) array, and is used as a fast
+    path; it must agree with ``interaction``.  G is either one (n, n) graph
+    that every member shares or an (E, n, n) stack with one graph per member
+    (``graph_product`` handles both).  ``params`` holds optional per-cell
+    constants such as oscillator frequencies (they obey d(lambda)/dt = 0).
 
     The declared interaction bound is spot-checked on a small state grid at
     construction; models with coupling strength k declare a bound of |k|.
@@ -75,25 +80,47 @@ class CouplingGraph:
     """The level-m coupling weights, already scaled by the cell masses.
 
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
-    xi_wv * nu(K_v) with xi in {0, 1}.
+    xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
+    shared by every member of an ensemble, or an (E, n, n) stack with one
+    graph per member; the ``kind`` and ``seed`` of a stack are tuples with
+    one entry per member.
     """
 
     k: int
     level: int
-    kind: str
+    kind: str | tuple
     weights: np.ndarray
-    seed: int | None = None
-    symmetric: bool = False
+    seed: int | None | tuple = None
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "bernoulli"):
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
         w = np.asarray(self.weights, dtype=np.float64)
         n = self.k**self.level
-        if w.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} weight matrix, got {w.shape}")
+        if w.ndim not in (2, 3) or w.shape[-2:] != (n, n):
+            raise ValueError(
+                f"expected a {n}x{n} weight matrix or a stack of them, got {w.shape}"
+            )
+        if w.ndim == 3 and not (
+            isinstance(self.kind, tuple)
+            and isinstance(self.seed, tuple)
+            and len(self.kind) == len(self.seed) == len(w)
+        ):
+            raise ValueError("a stack of graphs needs a tuple of one kind and one seed per graph")
+        for kind in self.kind if w.ndim == 3 else (self.kind,):
+            if kind not in ("deterministic", "bernoulli"):
+                raise ValueError(f"unknown coupling kind {kind!r}")
+        # the layouts graph_product reads fastest (OpenBLAS, one thread): a
+        # shared graph with its transpose C-contiguous, for the GEMM of all
+        # members' rows; a stack C-contiguous, for each member's two rows at
+        # n = 243.  Copies only when the layout differs.
+        w = np.ascontiguousarray(w) if w.ndim == 3 else np.ascontiguousarray(w.T).T
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    def member(self, i: int) -> tuple:
+        """The kind and seed of ensemble member i's graph."""
+        if self.weights.ndim == 2:
+            return self.kind, self.seed
+        return self.kind[i], self.seed[i]
 
 
 @dataclass(frozen=True)
@@ -236,8 +263,10 @@ def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> Coupli
     The diagonal is kept; the coupling sum runs over all level-m words.
     """
     masses = meas.weights(km.level)
+    # Fortran order is the layout CouplingGraph keeps for one graph: no copy
     return CouplingGraph(
-        km.k, km.level, "deterministic", km.entries * masses[None, :]
+        km.k, km.level, "deterministic",
+        np.multiply(km.entries, masses[None, :], order="F"),
     )
 
 
@@ -269,14 +298,49 @@ def sample_bernoulli(
         xi = upper + upper.T + np.diag(np.diag(xi))
     masses = meas.weights(km.level)
     return CouplingGraph(
-        km.k, km.level, "bernoulli", xi * masses[None, :], seed=seed,
-        symmetric=symmetric,
+        km.k, km.level, "bernoulli", np.multiply(xi, masses[None, :], order="F"),
+        seed=seed,
     )
 
 
+def stack_graphs(
+    km: KernelMatrix, meas: SelfSimilarMeasure, seeds, symmetric: bool = True
+) -> CouplingGraph:
+    """One graph per ensemble member, stacked into one (E, n, n) coupling.
+
+    Member i gets the deterministic graph of ``assemble_deterministic`` when
+    ``seeds[i]`` is None and the Bernoulli draw of ``sample_bernoulli`` with
+    that seed otherwise.  The stack is filled one graph at a time, so no
+    second copy of the member graphs is ever held.
+    """
+    seeds = tuple(seeds)
+    n = km.entries.shape[0]
+    weights = np.empty((len(seeds), n, n))
+    for i, seed in enumerate(seeds):
+        weights[i] = (
+            assemble_deterministic(km, meas)
+            if seed is None
+            else sample_bernoulli(km, meas, seed, symmetric)
+        ).weights
+    kinds = tuple("deterministic" if seed is None else "bernoulli" for seed in seeds)
+    return CouplingGraph(km.k, km.level, kinds, weights, seeds)
+
+
+def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_v G_wv x_v along the last axis of x: (E, c, n) -> (E, c, n).
+
+    A shared (n, n) graph multiplies the c rows of all E members in one GEMM,
+    which reads G once; an (E, n, n) stack multiplies each member's rows by
+    its own graph in one batched matmul.
+    """
+    if G.ndim == 2:
+        return (x.reshape(-1, x.shape[-1]) @ G.swapaxes(-1, -2)).reshape(x.shape)
+    return x @ G.swapaxes(-1, -2)
+
+
 def _generic_coupling(model: ModelSpec, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    dvals = np.asarray(model.interaction(u[:, None, :], u[None, :, :]))
-    return np.einsum("wv,wvs->ws", weights, dvals)
+    dvals = np.asarray(model.interaction(u[..., :, None, :], u[..., None, :, :]))
+    return np.einsum("...wv,...wvs->...ws", weights, dvals)
 
 
 def _rhs(model: ModelSpec, weights: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
@@ -304,16 +368,24 @@ def step_count(T: float, dt: float) -> int:
 def integrate_ips(
     model: ModelSpec,
     coupling: CouplingGraph,
-    initial: PiecewiseConstantField,
+    initial,
     T: float,
     dt: float,
     output_stride: int = 1,
-) -> Trajectory:
-    """Classical RK4 on the coupled cell system up to time T.
+):
+    """Classical RK4 on the coupled cell system up to time T, for every
+    member of an ensemble at once.
+
+    The members share the model and the time grid.  They differ in their
+    graphs when ``coupling`` holds an (E, n, n) stack, and in their initial
+    data when ``initial`` is a sequence of E fields; one graph or one field
+    serves every member.  Each RK4 stage evaluates all members together.
+    Returns one Trajectory per member, in order, when either input is
+    stacked, and the Trajectory otherwise.
 
     The state is recorded at t = 0 and every ``output_stride`` steps (plus
-    the final step).  Aborts with a diagnostic if the state leaves the
-    finite range.
+    the final step).  Aborts with a diagnostic naming the member if a state
+    leaves the finite range.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -323,32 +395,51 @@ def integrate_ips(
         raise ValueError(f"output_stride must be >= 1, not {output_stride}")
     n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
-    if initial.k != coupling.k or initial.level != coupling.level:
-        raise ValueError("initial field and coupling graph levels differ")
-    if initial.state_dim != model.state_dim:
-        raise ValueError("initial field state dimension does not match the model")
+    weights = coupling.weights
+    single = isinstance(initial, PiecewiseConstantField)
+    fields = (initial,) if single else tuple(initial)
+    n_graphs = len(weights) if weights.ndim == 3 else 1
+    members = max(n_graphs, len(fields))
+    if {n_graphs, len(fields)} - {1, members}:
+        raise ValueError(
+            f"{n_graphs} graphs and {len(fields)} initial fields do not form one ensemble"
+        )
+    for f in fields:
+        if f.k != coupling.k or f.level != coupling.level:
+            raise ValueError("initial field and coupling graph levels differ")
+        if f.state_dim != model.state_dim:
+            raise ValueError("initial field state dimension does not match the model")
     if model.params is not None and model.params.shape[0] not in (1, n):
         raise ValueError("per-cell parameter count does not match the level")
 
-    u = initial.values.astype(np.float64).copy()
-    times = [0.0]
-    states = [u.copy()]
+    recorded = [
+        s for s in range(1, n_steps + 1) if s % output_stride == 0 or s == n_steps
+    ]
+    states = np.empty((members, 1 + len(recorded), n, model.state_dim))
+    u = np.empty((members, n, model.state_dim))
+    u[...] = np.stack([f.values for f in fields])
+    states[:, 0] = u
+    out = 1
     for step in range(n_steps):
         t = step * dt
-        k1 = _rhs(model, coupling.weights, t, u)
-        k2 = _rhs(model, coupling.weights, t + dt / 2, u + (dt / 2) * k1)
-        k3 = _rhs(model, coupling.weights, t + dt / 2, u + (dt / 2) * k2)
-        k4 = _rhs(model, coupling.weights, t + dt, u + dt * k3)
+        k1 = _rhs(model, weights, t, u)
+        k2 = _rhs(model, weights, t + dt / 2, u + (dt / 2) * k1)
+        k3 = _rhs(model, weights, t + dt / 2, u + (dt / 2) * k2)
+        k4 = _rhs(model, weights, t + dt, u + dt * k3)
         u = u + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(u)):
-            bad = int(np.count_nonzero(~np.isfinite(u).all(axis=1)))
+            bad = ~np.isfinite(u).all(axis=2)
+            where = ", ".join(
+                f"member {e} ({np.count_nonzero(bad[e])} of {n} cells)"
+                for e in np.flatnonzero(bad.any(axis=1))
+            )
             raise NumericalAbortError(
-                f"non-finite state after step {step + 1} (t = {t + dt:.6g}); "
-                f"{bad} of {n} cells affected"
+                f"non-finite state after step {step + 1} (t = {t + dt:.6g}) in {where}"
             )
         if (step + 1) % output_stride == 0 or step + 1 == n_steps:
-            times.append((step + 1) * dt)
-            states.append(u.copy())
+            states[:, out] = u
+            out += 1
+    times = np.array([0, *recorded]) * dt
     meta = {
         "model": model.name,
         "level": coupling.level,
@@ -356,14 +447,29 @@ def integrate_ips(
         "dt": dt,
         "T": T,
         "output_stride": output_stride,
-        "coupling": coupling.kind,
-        "seed": coupling.seed,
     }
-    return Trajectory(coupling.k, coupling.level, np.array(times), np.array(states), meta)
+    trajs = []
+    for i in range(members):
+        kind, seed = coupling.member(i)
+        meta_i = dict(meta, coupling=kind, seed=seed)
+        trajs.append(Trajectory(coupling.k, coupling.level, times, states[i], meta_i))
+    return trajs if weights.ndim == 3 or not single else trajs[0]
 
 
 # ---------------------------------------------------------------------------
 # built-in model library
+
+
+def _phase_coupling(G: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """sum_v G_wv sin(2 pi (phase_v - phase_w)) for every member.
+
+    sin(b - a) = sin b cos a - cos b sin a turns the sum into products of G
+    with the sines and the cosines, which one ``graph_product`` computes.
+    """
+    ph = 2.0 * np.pi * phase[..., None, :]
+    sc = np.concatenate((np.sin(ph), np.cos(ph)), axis=-2)
+    g = graph_product(G, sc)
+    return sc[..., 1, :] * g[..., 0, :] - sc[..., 0, :] * g[..., 1, :]
 
 
 def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
@@ -379,18 +485,13 @@ def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
         omega = omega[:, None]
 
     def drift(t, u, params):
-        return np.broadcast_to(params, u.shape)
+        return params
 
     def interaction(u, v):
         return K * np.sin(2.0 * np.pi * (v - u))
 
     def coupling_term(G, u):
-        # sin(b - a) = sin b cos a - cos b sin a turns the coupling sum into
-        # two matrix-vector products
-        ph = 2.0 * np.pi * u[:, 0]
-        s, c = np.sin(ph), np.cos(ph)
-        out = K * (c * (G @ s) - s * (G @ c))
-        return out[:, None]
+        return (K * _phase_coupling(G, u[..., 0]))[..., None]
 
     return ModelSpec(
         name="kuramoto",
@@ -417,8 +518,8 @@ def kuramoto_inertia_model(
 
     def drift(t, u, params):
         out = np.empty_like(u)
-        out[:, 0] = u[:, 1]
-        out[:, 1] = -gamma * u[:, 1] + params[:, 0]
+        out[..., 0] = u[..., 1]
+        out[..., 1] = -gamma * u[..., 1] + params[:, 0]
         return out
 
     def interaction(u, v):
@@ -427,10 +528,8 @@ def kuramoto_inertia_model(
         return out
 
     def coupling_term(G, u):
-        ph = 2.0 * np.pi * u[:, 0]
-        s, c = np.sin(ph), np.cos(ph)
         out = np.zeros_like(u)
-        out[:, 1] = K * (c * (G @ s) - s * (G @ c))
+        out[..., 1] = K * _phase_coupling(G, u[..., 0])
         return out
 
     return ModelSpec(
@@ -457,8 +556,9 @@ def consensus_model(interaction_fn=None, bound: float = 4.0) -> ModelSpec:
     coupling_term = None
     if interaction_fn is None:
         def coupling_term(G, u):  # noqa: F811 - identity fast path
-            rowsums = G.sum(axis=1)
-            return G @ u - rowsums[:, None] * u
+            x = u[..., 0]
+            gx = graph_product(G, x[..., None, :])[..., 0, :]
+            return (gx - G.sum(axis=-1) * x)[..., None]
 
     return ModelSpec(
         name="consensus",

@@ -16,7 +16,7 @@ from .dynamics import (
     kuramoto_model,
     project_initial,
     project_kernel,
-    sample_bernoulli,
+    stack_graphs,
 )
 from .quadrature import SelfSimilarMeasure
 from .transfer import coarsen
@@ -65,16 +65,18 @@ def kuramoto_refinement_errors(
     seed: int = 0,
     sublevel: int = 2,
     output_stride: int = 10,
+    omega_scale: float = 1.0,
 ):
     """The continuum-limit self-convergence series e_m = ||u^m - u^(m+1)||.
 
     Frequencies and initial phases come from seeded random Lipschitz fields
     projected once at the finest level and coarsened to every coarser level,
-    so all systems discretize one and the same pair of data functions.
+    so all systems discretize one and the same pair of data functions.  The
+    frequency field has amplitude ``omega_scale``; 0 makes it exactly zero.
     """
     levels = sorted(int(m) for m in levels)
     finest = levels[-1] + 1
-    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension)
+    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
     omega_fine = project_initial(meas, omega_fn, finest, sublevel)
     phase_fine = project_initial(meas, phase_fn, finest, sublevel)
 
@@ -116,14 +118,12 @@ def bernoulli_gap_medians(
     per_seed = np.empty((len(levels), len(seeds)))
     for li, m in enumerate(levels):
         km = project_kernel(meas, kernel, m, sublevel)
-        coupling = assemble_deterministic(km, meas)
+        # member 0 is the deterministic system, members 1.. its Bernoulli draws
+        graphs = stack_graphs(km, meas, (None, *seeds))
         model = kuramoto_model(coupling_strength, project_initial(meas, omega_fn, m, sublevel))
         init = project_initial(meas, phase_fn, m, sublevel)
-        base = integrate_ips(model, coupling, init, T, dt, output_stride)
-        for si, seed in enumerate(seeds):
-            graph = sample_bernoulli(km, meas, seed)
-            t = integrate_ips(model, graph, init, T, dt, output_stride)
-            per_seed[li, si] = traj_error(base, t, meas).max_error
+        base, *draws = integrate_ips(model, graphs, init, T, dt, output_stride)
+        per_seed[li] = [traj_error(base, t, meas).max_error for t in draws]
         medians.append(float(np.median(per_seed[li])))
     return np.array(levels), np.array(medians), per_seed
 

@@ -200,6 +200,26 @@ seeds = 4,5
         with pytest.raises(ConfigError, match="Not a boolean: maybe"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "line", ["ratio=abc translation=0.0", "ratio=0.5 translation=0.0 junk"]
+    )
+    def test_bad_map_line_is_config_error(self, tmp_path, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            f"[ifs]\ndimension = 1\nmaps = 2\nmap1 = {line}\n"
+            "map2 = ratio=0.5 translation=0.5\n"
+        )
+        with pytest.raises(ConfigError, match="map definition"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
+    def test_lone_percent_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\noutput_dir = out100%\n[ifs]\npreset = sg\n")
+        with pytest.raises(ConfigError, match="malformed config"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
     def test_hash_tracks_semantic_fields_only(self, tmp_path):
         a = parse_config(write_config(tmp_path, name="a.ini", out="out_a"))
         b = parse_config(write_config(tmp_path, name="b.ini", out="out_b"))
@@ -329,6 +349,27 @@ class TestRunSubcommands:
         assert all(e > 0 for e in errs)
         alphas = {l.split(",")[3] for l in lines[1:]}
         assert len(alphas) == 1
+
+    def test_rate_reads_the_frequency_settings(self, tmp_path):
+        # omega = zero and omega_scale = 0 both make the frequencies exactly
+        # zero; a strong frequency field over a longer horizon gives other
+        # errors (at scale 1, or up to T = 0.1, the largest error is the one
+        # at t = 0, which the frequencies do not touch)
+        base = Path(write_config(tmp_path, model_extra="omega_scale = 5")).read_text()
+        base = base.replace("T = 0.1", "T = 1.0")
+
+        def rate_errors(name, text):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text)
+            out = tmp_path / name
+            assert main(["rate", "--config", str(path), "--output", str(out)]) == 0
+            return json.loads((out / "rate.json").read_text())["errors"]
+
+        field = rate_errors("field", base)
+        zero = rate_errors("zero", base.replace("omega = field", "omega = zero"))
+        unscaled = rate_errors("unscaled", base.replace("omega_scale = 5", "omega_scale = 0"))
+        assert zero == unscaled
+        assert zero != field
 
     def test_simulate_trajectory_schema_and_sidecar(self, tmp_path):
         cfgp = write_config(tmp_path, levels="2")

@@ -27,6 +27,7 @@ from fractalips import (
     preset,
     project_kernel,
     sample_bernoulli,
+    stack_graphs,
 )
 from fractalips.analysis import traj_error
 from fractalips.dynamics import _generic_coupling
@@ -211,6 +212,31 @@ class TestAssemble:
         np.testing.assert_allclose(g.weights, -0.4 / 3.0, rtol=1e-12)
 
 
+class TestStackGraphs:
+    def test_members_are_the_single_graphs(self, sg_measure):
+        km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 2, 2)
+        stack = stack_graphs(km, sg_measure, (None, 3, 8), symmetric=False)
+        assert stack.weights.shape == (3, 9, 9)
+        assert stack.kind == ("deterministic", "bernoulli", "bernoulli")
+        assert stack.seed == (None, 3, 8)
+        np.testing.assert_array_equal(
+            stack.weights[0], assemble_deterministic(km, sg_measure).weights
+        )
+        for i, seed in ((1, 3), (2, 8)):
+            single = sample_bernoulli(km, sg_measure, seed, symmetric=False)
+            np.testing.assert_array_equal(stack.weights[i], single.weights)
+            assert stack.member(i) == ("bernoulli", seed)
+
+    def test_stack_needs_a_kind_and_a_seed_per_graph(self):
+        w = np.zeros((2, 3, 3))
+        with pytest.raises(ValueError, match="one kind and one seed per graph"):
+            CouplingGraph(3, 1, ("bernoulli",) * 2, w, (1,))
+        with pytest.raises(ValueError, match="one kind and one seed per graph"):
+            CouplingGraph(3, 1, "bernoulli", w, (1, 2))
+        with pytest.raises(ValueError, match="unknown coupling kind"):
+            CouplingGraph(3, 1, ("bernoulli", "dense"), w, (1, 2))
+
+
 class TestSampleBernoulli:
     def test_degenerate_probabilities(self, sg_measure):
         ones = sample_bernoulli(KernelMatrix(3, 2, np.ones((9, 9))), sg_measure, 1)
@@ -307,9 +333,37 @@ class TestIntegrateIPS:
             spot_check=False,
         )
         g = PiecewiseConstantField(2, 1, np.array([50.0, 50.0]))
+        calm = PiecewiseConstantField(2, 1, np.zeros(2))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalAbortError):
+            with pytest.raises(NumericalAbortError, match=r"in member 0 \(2 of 2 cells\)$"):
                 integrate_ips(model, constant_graph(2, 1, 0.0), g, T=10.0, dt=0.5)
+            # in an ensemble the message names the member that blew up
+            with pytest.raises(NumericalAbortError, match=r"in member 1 \(2 of 2 cells\)$"):
+                integrate_ips(
+                    model, constant_graph(2, 1, 0.0), [calm, g, calm], T=10.0, dt=0.5
+                )
+
+    def test_one_field_or_graph_serves_every_member(self, sg_measure):
+        km = KernelMatrix(3, 1, np.full((3, 3), 0.5))
+        graphs = stack_graphs(km, sg_measure, (1, 2))
+        g = PiecewiseConstantField(3, 1, np.array([0.1, 0.5, 0.9]))
+        model = kuramoto_model(1.0, 0.0)
+        trajs = integrate_ips(model, graphs, g, T=0.1, dt=1e-2)
+        assert [t.metadata["seed"] for t in trajs] == [1, 2]
+        assert [t.metadata["coupling"] for t in trajs] == ["bernoulli"] * 2
+        # an ensemble of one is still a list when an input is stacked
+        (one,) = integrate_ips(model, constant_graph(3, 1, 1.0), [g], T=0.1, dt=1e-2)
+        assert one.values.shape == (11, 3, 1)
+
+    def test_ensemble_sizes_must_agree(self, sg_measure):
+        km = KernelMatrix(3, 1, np.full((3, 3), 0.5))
+        g = PiecewiseConstantField(3, 1, np.zeros(3))
+        model = kuramoto_model(1.0, 0.0)
+        with pytest.raises(ValueError, match="2 graphs and 3 initial fields"):
+            integrate_ips(model, stack_graphs(km, sg_measure, (1, 2)), [g] * 3,
+                          T=0.1, dt=1e-2)
+        with pytest.raises(ValueError, match="1 graphs and 0 initial fields"):
+            integrate_ips(model, constant_graph(3, 1, 1.0), [], T=0.1, dt=1e-2)
 
     def test_dimension_mismatch_rejected(self, sg_measure):
         model = kuramoto_model(1.0, 0.0)
@@ -432,18 +486,61 @@ class TestBuiltinModels:
     @given(
         name=st.sampled_from(sorted(builtin_models())),
         n=st.integers(1, 12),
+        members=st.integers(1, 4),
+        shared=st.booleans(),
         signed=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_coupling_term_matches_interaction(self, name, n, signed, seed):
+    def test_coupling_term_matches_interaction(
+        self, name, n, members, shared, signed, seed
+    ):
+        # the fast path on all members at once, against the interaction path
+        # one member at a time
         model = builtin_models()[name](*self.FACTORY_ARGS[name])
         rng = np.random.Generator(np.random.Philox(seed))
-        G = rng.uniform(-1.0 if signed else 0.0, 1.0, size=(n, n)) / n
-        u = rng.uniform(-3.0, 3.0, size=(n, model.state_dim))
+        shape = (n, n) if shared else (members, n, n)
+        G = rng.uniform(-1.0 if signed else 0.0, 1.0, size=shape) / n
+        u = rng.uniform(-3.0, 3.0, size=(members, n, model.state_dim))
+        expect = [_generic_coupling(model, G if shared else G[e], u[e]) for e in range(members)]
         np.testing.assert_allclose(
-            model.coupling_term(G, u), _generic_coupling(model, G, u),
-            rtol=0, atol=1e-12,
+            model.coupling_term(G, u), np.stack(expect), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("name", sorted(builtin_models()) + ["interaction only"])
+    def test_ensemble_matches_single_runs(self, sg_measure, name, shared):
+        # consensus with a non-identity D has no coupling_term: the ensemble
+        # then goes through the interaction path
+        if name == "interaction only":
+            model = consensus_model(np.tanh, bound=1.0)
+            assert model.coupling_term is None
+        else:
+            model = builtin_models()[name](*self.FACTORY_ARGS[name])
+        rng = np.random.Generator(np.random.Philox(11))
+        members, n = 3, 9
+        fields = [
+            PiecewiseConstantField(3, 2, rng.uniform(0.0, 1.0, (n, model.state_dim)))
+            for _ in range(members)
+        ]
+        km = KernelMatrix(3, 2, rng.random((n, n)))
+        if shared:
+            graphs = [assemble_deterministic(km, sg_measure)] * members
+            coupling = graphs[0]
+        else:
+            seeds = (None, 4, 5)
+            graphs = [
+                assemble_deterministic(km, sg_measure) if seed is None
+                else sample_bernoulli(km, sg_measure, seed, symmetric=False)
+                for seed in seeds
+            ]
+            coupling = stack_graphs(km, sg_measure, seeds, symmetric=False)
+        ensemble = integrate_ips(model, coupling, fields, T=0.5, dt=1e-2, output_stride=7)
+        assert len(ensemble) == members
+        for traj, graph, init in zip(ensemble, graphs, fields):
+            single = integrate_ips(model, graph, init, T=0.5, dt=1e-2, output_stride=7)
+            np.testing.assert_array_equal(traj.times, single.times)
+            np.testing.assert_allclose(traj.values, single.values, rtol=0, atol=1e-13)
+            assert traj.metadata == single.metadata
 
     def test_kuramoto_zero_coupling_free_rotation(self):
         om = np.array([0.5, -0.25])
