@@ -171,7 +171,11 @@ def project_kernel(
     n_cells = check_level_size(k, m)
     n_sub = k**sublevel
     n_fine = n_cells * n_sub
-    check_eval_budget(n_fine * n_fine)
+    invariant = getattr(kernel, "translation_invariant", False)
+    grouped = invariant and has_common_linear_part(meas.ifs)
+    # the budget charges the evaluations made: grouping compares all
+    # n_cells^2 anchor pairs, then evaluates n_sub^2 pairs per class
+    check_eval_budget(n_cells * n_cells if grouped else n_fine * n_fine)
     pts = attractor_points(meas.ifs, m + sublevel, anchor)
     # sub-cylinder masses relative to the largest one, normalized once at
     # the end: uniform p gives weights of exactly 1, so a constant kernel
@@ -181,10 +185,10 @@ def project_kernel(
     x = pts[:, 0] if meas.ifs.dimension == 1 else pts
     cells = x.reshape(n_cells, n_sub, *x.shape[1:])
 
-    invariant = getattr(kernel, "translation_invariant", False)
-    if invariant and has_common_linear_part(meas.ifs):
+    if grouped:
         # x_w = f_w(anchor) = A^m anchor + t_w, so x_w - x_v = t_w - t_v
         first, inverse = _displacement_classes(pts[::n_sub])
+        check_eval_budget(len(first) * n_sub * n_sub)
         rows, cols = np.divmod(first, n_cells)
         values = np.empty(len(first), dtype=np.float64)
         # first is ascending, so each row's representatives are contiguous:
@@ -466,8 +470,10 @@ def _phase_coupling(G: np.ndarray, phase: np.ndarray) -> np.ndarray:
     sin(b - a) = sin b cos a - cos b sin a turns the sum into products of G
     with the sines and the cosines, which one ``graph_product`` computes.
     """
-    ph = 2.0 * np.pi * phase[..., None, :]
-    sc = np.concatenate((np.sin(ph), np.cos(ph)), axis=-2)
+    ph = 2.0 * np.pi * phase
+    sc = np.empty(phase.shape[:-1] + (2, phase.shape[-1]))
+    np.sin(ph, out=sc[..., 0, :])
+    np.cos(ph, out=sc[..., 1, :])
     g = graph_product(G, sc)
     return sc[..., 1, :] * g[..., 0, :] - sc[..., 0, :] * g[..., 1, :]
 

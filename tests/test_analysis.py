@@ -26,7 +26,8 @@ from fractalips import (
     translation_vector,
     vlasov_self_convergence,
 )
-from fractalips.quadrature import stationary_mean
+from fractalips.analysis import wasserstein_distance
+from fractalips.quadrature import pairwise_sum, stationary_mean
 
 
 def make_traj(k, level, times, values, **meta):
@@ -313,10 +314,10 @@ class TestBLDistanceProxy:
             brute_force_w1(a_atoms, a_w, b_atoms, b_w), abs=1e-9
         )
 
-    def test_vector_states_exact_assignment(self):
+    def test_vector_states_rejected(self):
         a = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.full(2, 0.5))
-        b = EmpiricalMeasure(np.array([[0.0, 1.0], [1.0, 1.0]]), np.full(2, 0.5))
-        assert bl_distance_proxy(a, b) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="scalar states"):
+            bl_distance_proxy(a, a)
 
     def test_vector_states_unequal_counts_rejected(self):
         a = EmpiricalMeasure(np.zeros((2, 2)), np.full(2, 0.5))
@@ -343,6 +344,35 @@ class TestBLDistanceProxy:
         d12 = bl_distance_proxy(ems[1], ems[2])
         assert d01 == pytest.approx(d10, abs=1e-12)
         assert d02 <= d01 + d12 + 1e-12
+
+
+class TestWassersteinDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=12),
+        v=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=9),
+        weighted=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_scipy(self, u, v, weighted, data):
+        from scipy.stats import wasserstein_distance as scipy_w1
+
+        uw = vw = None
+        if weighted:
+            weight = st.floats(0.01, 10, allow_nan=False)
+            uw = data.draw(st.lists(weight, min_size=len(u), max_size=len(u)))
+            vw = data.draw(st.lists(weight, min_size=len(v), max_size=len(v)))
+        assert wasserstein_distance(u, v, uw, vw) == scipy_w1(u, v, uw, vw)
+
+    @pytest.mark.parametrize("u, v, uw, vw", [
+        ([], [1.0], None, None),
+        ([0.0, 1.0], [1.0], [1.0], None),
+        ([0.0, 1.0], [1.0], [1.0, -0.5], None),
+        ([0.0, 1.0], [1.0], None, [0.0]),
+    ])
+    def test_invalid_distributions_rejected(self, u, v, uw, vw):
+        with pytest.raises(ValueError):
+            wasserstein_distance(u, v, uw, vw)
 
 
 class TestFieldNorm:
@@ -455,6 +485,55 @@ class TestVlasovSelfConvergence:
         worst = table.distances.max(axis=2)
         med = np.median(worst, axis=0)
         assert med[1] < med[0]
+
+    @pytest.mark.parametrize("name, m", [("sg", 1), ("cantor", 2)])
+    def test_table_matches_per_cell_scipy_loop(self, name, m, monkeypatch):
+        # oracle: scipy's W1 for every (seed, pair, time, coarse cell) on the
+        # trajectories the table was computed from
+        from scipy.stats import wasserstein_distance as scipy_w1
+
+        from fractalips import analysis, builtin_kernels, preset
+
+        meas = SelfSimilarMeasure.uniform(preset(name))
+        integrate = analysis.integrate_ips
+        runs = []  # one list of per-seed trajectories per ell, in order
+
+        def recording(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(analysis, "integrate_ips", recording)
+        ells, seeds = (1, 2, 3), (4, 5)
+        table = vlasov_self_convergence(
+            meas,
+            lambda level: kuramoto_model(1.0, 0.0),
+            builtin_kernels(meas.ifs.dimension)["expdist"],
+            lambda rng, ci, n: rng.random((n, 1)),
+            m=m,
+            ells=ells,
+            T=0.2,
+            dt=0.01,
+            seeds=seeds,
+            sublevel=2,
+            output_stride=5,
+        )
+        trajs = dict(zip(ells, runs))
+        k, masses = meas.k, meas.weights(m)
+        expected = np.empty(table.distances.shape)
+        for si in range(len(seeds)):
+            for pi, (lo, hi) in enumerate(table.ell_pairs):
+                tl, th = trajs[lo][si].values, trajs[hi][si].values
+                for ti in range(len(table.times)):
+                    acc = [
+                        scipy_w1(
+                            tl[ti, ci * k**lo : (ci + 1) * k**lo, 0],
+                            th[ti, ci * k**hi : (ci + 1) * k**hi, 0],
+                        )
+                        for ci in range(k**m)
+                    ]
+                    expected[si, pi, ti] = pairwise_sum(masses * np.array(acc))
+        assert np.all(expected > 0)
+        np.testing.assert_allclose(table.distances, expected, rtol=1e-13, atol=0)
 
 
 class TestStationaryMean:

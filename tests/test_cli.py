@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fractalips
 from fractalips import ConfigError
 from fractalips.cli import _columns, main, parse_config, validate, write_csv
 
@@ -462,3 +466,17 @@ class TestDeterminism:
         a = self._data_bytes(tmp_path / "run1")
         b = self._data_bytes(tmp_path / "run2")
         assert a == b
+
+
+def test_import_loads_no_scipy():
+    # the package and its CLI start on numpy and the stdlib alone
+    src = str(Path(fractalips.__file__).resolve().parent.parent)
+    code = (
+        "import fractalips, fractalips.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fractalips import (
     IFS,
+    BudgetExceededError,
     CouplingGraph,
     KernelMatrix,
     ModelSpec,
@@ -144,6 +145,22 @@ class TestDisplacementClasses:
         project_kernel(sg_measure, counted, 4, 2)
         # the 6561 cell pairs of sg at level 4 have 721 distinct displacements
         assert sum(evaluated) == 721 * 9 * 9
+
+    def test_budget_charges_the_evaluations_made(self, sg_measure, monkeypatch):
+        # sg at level 4, sublevel 2: grouping compares 81^2 = 6,561 anchor
+        # pairs and evaluates 721 classes of 9 x 9 node pairs (58,401);
+        # every pair would be 729^2 = 531,441 evaluations
+        kern = builtin_kernels(2)["expdist"]
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "100000")
+        project_kernel(sg_measure, kern, 4, 2)
+        with pytest.raises(BudgetExceededError):
+            project_kernel(sg_measure, lambda x, y: kern(x, y), 4, 2)
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "58400")
+        with pytest.raises(BudgetExceededError):
+            project_kernel(sg_measure, kern, 4, 2)
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "6560")
+        with pytest.raises(BudgetExceededError):
+            project_kernel(sg_measure, kern, 4, 2)
 
     def test_undeclared_kernel_unchanged(self, sg_measure):
         W = lambda x, y: np.exp(-np.sqrt(np.sum((x - y) ** 2, axis=-1)))  # noqa: E731
