@@ -37,6 +37,7 @@ from .dynamics import (
     integrate_ips,
     kuramoto_inertia_model,
     kuramoto_model,
+    pairwise_coupling,
     project_initial,
     project_kernel,
     sample_bernoulli,

@@ -200,11 +200,10 @@ class ModulusReport:
     lam: float
     fitted_alpha: float
     lip_norm: float
-    omega_shifted: np.ndarray | None = None  # tau = lambda^(l+1) scaling
 
 
 def lipschitz_norm_estimate(
-    levels, omega, lam: float, p_exponent: float = 2.0, omega_shifted=None
+    levels, omega, lam: float, p_exponent: float = 2.0
 ) -> ModulusReport:
     """Least-squares decay exponent of log omega against m log lambda, and
     the generalized Lipschitz norm sup_m lambda^(-alpha m) omega(m) at the
@@ -227,7 +226,6 @@ def lipschitz_norm_estimate(
         lam=lam,
         fitted_alpha=alpha,
         lip_norm=lip,
-        omega_shifted=None if omega_shifted is None else np.asarray(omega_shifted),
     )
 
 

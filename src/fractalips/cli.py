@@ -464,7 +464,11 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
     return ["transfer_step.csv", "graphon_pixels.csv"]
 
 
-def _build_model(cfg: ExperimentConfig, omega):
+def _build_model(cfg: ExperimentConfig, meas, omega_fn, m: int):
+    """The configured model at level m, with its frequencies projected there."""
+    omega = 0.0
+    if cfg.omega_mode == "field":
+        omega = project_initial(meas, omega_fn, m, cfg.sublevel)
     if cfg.model_name == "kuramoto":
         return kuramoto_model(cfg.coupling_strength, omega)
     if cfg.model_name == "kuramoto_inertia":
@@ -483,17 +487,12 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
         # the kernel, frequencies and phases depend on the level only; the
         # graph seeds share them
         km = project_kernel(meas, kern, m, cfg.sublevel)
-        omega = (
-            project_initial(meas, omega_fn, m, cfg.sublevel)
-            if cfg.omega_mode == "field"
-            else 0.0
+        model = _build_model(cfg, meas, omega_fn, m)
+        # the phases fill the first state component; the others start at 0
+        phases = project_initial(meas, phase_fn, m, cfg.sublevel).values
+        init = PiecewiseConstantField(
+            meas.k, m, np.pad(phases, ((0, 0), (0, model.state_dim - 1)))
         )
-        init = project_initial(meas, phase_fn, m, cfg.sublevel)
-        if cfg.model_name == "kuramoto_inertia":
-            init = PiecewiseConstantField(
-                meas.k, m, np.hstack([init.values, np.zeros_like(init.values)])
-            )
-        model = _build_model(cfg, omega)
         graphs = stack_graphs(km, meas, graph_seeds, cfg.graph_symmetric)
         trajs = integrate_ips(model, graphs, init, cfg.T, cfg.dt, cfg.output_stride)
         for seed, traj in zip(graph_seeds, trajs):
@@ -554,16 +553,9 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     m = min(cfg.levels)
     omega_fn, _ = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
-
-    def builder(level):
-        om = 0.0
-        if cfg.omega_mode == "field":
-            om = project_initial(meas, omega_fn, level, cfg.sublevel)
-        return kuramoto_model(cfg.coupling_strength, om)
-
     table = vlasov_self_convergence(
         meas,
-        builder,
+        lambda level: _build_model(cfg, meas, omega_fn, level),
         cfg.kernel(),
         uniform_phase_sampler,
         m,
@@ -606,8 +598,7 @@ def run_modulus(cfg: ExperimentConfig, out: Path) -> list[str]:
     omega_main = omega[: len(levels)]
     omega_shifted = omega[1 : len(levels) + 1]
     lam = cfg.ifs.maps[0].ratio
-    rep = lipschitz_norm_estimate(np.array(levels), omega_main, lam,
-                                  cfg.modulus_p, omega_shifted)
+    rep = lipschitz_norm_estimate(np.array(levels), omega_main, lam, cfg.modulus_p)
     rows = [
         (m, om, oms, rep.fitted_alpha)
         for m, om, oms in zip(levels, omega_main, omega_shifted)

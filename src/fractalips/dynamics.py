@@ -29,50 +29,30 @@ from .transfer import KernelMatrix, PiecewiseConstantField, martingale_level
 
 @dataclass
 class ModelSpec:
-    """Intrinsic drift plus pairwise interaction.
+    """Intrinsic drift plus the coupling sum.
 
     The integrator evaluates every member of an ensemble at once, so u is
     (E, n, s): E members, n cells, state dimension s.
-    ``drift(t, u, params)`` returns an array that broadcasts to u's shape,
-    and ``interaction(u, v) -> (..., s)`` must broadcast.
-    ``coupling_term(G, u)``, when given, computes sum_v G_wv D(u_w, u_v) for
-    every member directly, as an (E, n, s) array, and is used as a fast
-    path; it must agree with ``interaction``.  G is either one (n, n) graph
-    that every member shares or an (E, n, n) stack with one graph per member
-    (``graph_product`` handles both).  ``params`` holds optional per-cell
-    constants such as oscillator frequencies (they obey d(lambda)/dt = 0).
-
-    The declared interaction bound is spot-checked on a small state grid at
-    construction; models with coupling strength k declare a bound of |k|.
+    ``drift(t, u, params)`` returns an array that broadcasts to u's shape.
+    ``coupling_term(G, u)`` returns sum_v G_wv D(u_w, u_v) for every member
+    as an (E, n, s) array.  G is either one (n, n) graph that every member
+    shares or an (E, n, n) stack with one graph per member (``graph_product``
+    handles both).  ``pairwise_coupling`` builds it from a broadcasting D.
+    ``params`` holds optional per-cell constants such as oscillator
+    frequencies (they obey d(lambda)/dt = 0).
     """
 
     name: str
     state_dim: int
     drift: Callable
-    interaction: Callable
-    interaction_bound: float = 1.0
+    coupling_term: Callable
     params: np.ndarray | None = None
-    coupling_term: Callable | None = None
-    spot_check: bool = True
 
     def __post_init__(self):
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
         if self.params is not None:
             self.params = np.atleast_2d(np.asarray(self.params, dtype=np.float64))
-        if self.spot_check:
-            self._spot_check_interaction()
-
-    def _spot_check_interaction(self):
-        grid = np.linspace(-1.2, 1.2, 5)
-        u = np.stack([grid] * self.state_dim, axis=-1)  # (5, s)
-        d = np.asarray(self.interaction(u[:, None, :], u[None, :, :]))
-        mag = np.abs(d).max()
-        if mag > self.interaction_bound * (1.0 + 1e-9):
-            raise ValueError(
-                f"sampled |D| = {mag:.3g} exceeds the declared bound "
-                f"{self.interaction_bound:.3g}"
-            )
 
 
 @dataclass(frozen=True)
@@ -148,9 +128,6 @@ class Trajectory:
     @property
     def state_dim(self) -> int:
         return self.values.shape[2]
-
-    def field_at(self, i: int) -> PiecewiseConstantField:
-        return PiecewiseConstantField(self.k, self.level, self.values[i])
 
 
 def project_kernel(
@@ -342,18 +319,32 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ G.swapaxes(-1, -2)
 
 
-def _generic_coupling(model: ModelSpec, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    dvals = np.asarray(model.interaction(u[..., :, None, :], u[..., None, :, :]))
-    return np.einsum("...wv,...wvs->...ws", weights, dvals)
+def pairwise_coupling(interaction: Callable, bound: float, state_dim: int = 1) -> Callable:
+    """The ``coupling_term`` of a pairwise interaction D: sum_v G_wv D(u_w, u_v).
+
+    ``interaction(u, v) -> (..., s)`` must broadcast; it is evaluated on all
+    n^2 cell pairs of every member.  |D| <= ``bound`` is spot-checked once,
+    here, on a small grid of states of dimension ``state_dim``; models with
+    coupling strength k declare a bound of |k|.
+    """
+    grid = np.linspace(-1.2, 1.2, 5)
+    u = np.stack([grid] * state_dim, axis=-1)  # (5, s)
+    mag = np.abs(np.asarray(interaction(u[:, None, :], u[None, :, :]))).max()
+    if mag > bound * (1.0 + 1e-9):
+        raise ValueError(
+            f"sampled |D| = {mag:.3g} exceeds the declared bound {bound:.3g}"
+        )
+
+    def coupling_term(G, u):
+        dvals = np.asarray(interaction(u[..., :, None, :], u[..., None, :, :]))
+        return np.einsum("...wv,...wvs->...ws", G, dvals)
+
+    return coupling_term
 
 
 def _rhs(model: ModelSpec, weights: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
     out = np.asarray(model.drift(t, u, model.params), dtype=np.float64)
-    if model.coupling_term is not None:
-        out = out + model.coupling_term(weights, u)
-    else:
-        out = out + _generic_coupling(model, weights, u)
-    return out
+    return out + model.coupling_term(weights, u)
 
 
 def step_count(T: float, dt: float) -> int:
@@ -478,6 +469,14 @@ def _phase_coupling(G: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return sc[..., 1, :] * g[..., 0, :] - sc[..., 0, :] * g[..., 1, :]
 
 
+def _frequencies(frequencies) -> np.ndarray:
+    """Frequencies given as a field, an array or a constant, as (n, 1)."""
+    if isinstance(frequencies, PiecewiseConstantField):
+        frequencies = frequencies.values
+    omega = np.atleast_1d(np.asarray(frequencies, dtype=np.float64))
+    return omega[:, None] if omega.ndim == 1 else omega
+
+
 def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
     """Phase oscillators: du_w = omega_w + K sum_v G_wv sin(2 pi (u_v - u_w)).
 
@@ -485,16 +484,9 @@ def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
     ``frequencies`` may be a field, an array, or a constant.
     """
     K = float(coupling_strength)
-    omega = frequencies.values if isinstance(frequencies, PiecewiseConstantField) else frequencies
-    omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    if omega.ndim == 1:
-        omega = omega[:, None]
 
     def drift(t, u, params):
         return params
-
-    def interaction(u, v):
-        return K * np.sin(2.0 * np.pi * (v - u))
 
     def coupling_term(G, u):
         return (K * _phase_coupling(G, u[..., 0]))[..., None]
@@ -503,10 +495,8 @@ def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
         name="kuramoto",
         state_dim=1,
         drift=drift,
-        interaction=interaction,
-        interaction_bound=max(abs(K), 1e-12),
-        params=omega,
         coupling_term=coupling_term,
+        params=_frequencies(frequencies),
     )
 
 
@@ -517,20 +507,11 @@ def kuramoto_inertia_model(
     velocity equation."""
     K = float(coupling_strength)
     gamma = float(damping)
-    omega = frequencies.values if isinstance(frequencies, PiecewiseConstantField) else frequencies
-    omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    if omega.ndim == 1:
-        omega = omega[:, None]
 
     def drift(t, u, params):
         out = np.empty_like(u)
         out[..., 0] = u[..., 1]
         out[..., 1] = -gamma * u[..., 1] + params[:, 0]
-        return out
-
-    def interaction(u, v):
-        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-        out[..., 1] = K * np.sin(2.0 * np.pi * (v[..., 0] - u[..., 0]))
         return out
 
     def coupling_term(G, u):
@@ -542,38 +523,26 @@ def kuramoto_inertia_model(
         name="kuramoto_inertia",
         state_dim=2,
         drift=drift,
-        interaction=interaction,
-        interaction_bound=max(abs(K), 1e-12),
-        params=omega,
         coupling_term=coupling_term,
+        params=_frequencies(frequencies),
     )
 
 
 def consensus_model(interaction_fn=None, bound: float = 4.0) -> ModelSpec:
-    """Opinion pooling: du_w = sum_v G_wv D(u_v - u_w); default D = identity."""
-    h = interaction_fn if interaction_fn is not None else (lambda z: z)
+    """Opinion pooling: du_w = sum_v G_wv D(u_v - u_w); default D = identity,
+    summed by ``graph_product``; any other D by ``pairwise_coupling``."""
+    if interaction_fn is None:
+        def coupling_term(G, u):
+            x = u[..., 0]
+            gx = graph_product(G, x[..., None, :])[..., 0, :]
+            return (gx - G.sum(axis=-1) * x)[..., None]
+    else:
+        coupling_term = pairwise_coupling(lambda u, v: interaction_fn(v - u), bound)
 
     def drift(t, u, params):
         return np.zeros_like(u)
 
-    def interaction(u, v):
-        return h(v - u)
-
-    coupling_term = None
-    if interaction_fn is None:
-        def coupling_term(G, u):  # noqa: F811 - identity fast path
-            x = u[..., 0]
-            gx = graph_product(G, x[..., None, :])[..., 0, :]
-            return (gx - G.sum(axis=-1) * x)[..., None]
-
-    return ModelSpec(
-        name="consensus",
-        state_dim=1,
-        drift=drift,
-        interaction=interaction,
-        interaction_bound=bound,
-        coupling_term=coupling_term,
-    )
+    return ModelSpec(name="consensus", state_dim=1, drift=drift, coupling_term=coupling_term)
 
 
 def builtin_models() -> dict:

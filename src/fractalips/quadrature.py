@@ -158,8 +158,8 @@ def integrate_qmc(meas: SelfSimilarMeasure, phi, m: int, anchor=None):
     of order ratio**m * |anchor - mean(nu)| for affine integrands, so the
     fixed-point centroid is a good anchor for moment computations.
     """
+    check_eval_budget(check_level_size(meas.k, m))
     pts = attractor_points(meas.ifs, m, anchor)
-    check_eval_budget(len(pts))
     vals = evaluate_on_points(phi, pts)
     return cell_means(vals, meas.p, m)[0]
 
@@ -234,8 +234,8 @@ def cell_average(meas: SelfSimilarMeasure, phi, w: Word, sublevel: int, anchor=N
     check_level_size(meas.k, len(w) + sublevel)
     if anchor is None:
         anchor = meas.anchor()
+    check_eval_budget(meas.k**sublevel)
     sub = attractor_points(meas.ifs, sublevel, anchor)
-    check_eval_budget(len(sub))
     fw = compose(meas.ifs, w)
     pts = fw(sub)
     vals = evaluate_on_points(phi, pts)

@@ -91,11 +91,6 @@ class Word:
             raise ValueError("the empty word has no parent")
         return Word(self.k, self.symbols[:-1])
 
-    def concat(self, other: "Word") -> "Word":
-        if other.k != self.k:
-            raise ValueError("alphabet sizes differ")
-        return Word(self.k, self.symbols + other.symbols)
-
 
 def enumerate_level(k: int, m: int, cap: int | None = None) -> list[Word]:
     """All words of length m in lexicographic order (exactly k**m of them).

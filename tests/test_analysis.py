@@ -400,10 +400,7 @@ class TestVlasovSelfConvergence:
                 name="frozen",
                 state_dim=1,
                 drift=lambda t, u, p: np.zeros_like(u),
-                interaction=lambda u, v: np.zeros(
-                    np.broadcast_shapes(u.shape, v.shape)
-                ),
-                spot_check=False,
+                coupling_term=lambda G, u: np.zeros_like(u),
             )
 
         def init_sampler(rng, cell_index, n):
@@ -436,10 +433,7 @@ class TestVlasovSelfConvergence:
                 name="frozen",
                 state_dim=1,
                 drift=lambda t, u, p: np.zeros_like(u),
-                interaction=lambda u, v: np.zeros(
-                    np.broadcast_shapes(u.shape, v.shape)
-                ),
-                spot_check=False,
+                coupling_term=lambda G, u: np.zeros_like(u),
             )
 
         table = vlasov_self_convergence(

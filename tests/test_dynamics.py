@@ -24,6 +24,7 @@ from fractalips import (
     integrate_ips,
     kuramoto_inertia_model,
     kuramoto_model,
+    pairwise_coupling,
     project_initial,
     preset,
     project_kernel,
@@ -31,7 +32,6 @@ from fractalips import (
     stack_graphs,
 )
 from fractalips.analysis import traj_error
-from fractalips.dynamics import _generic_coupling
 from fractalips.symbolic import level_weights
 
 # the inline IFS of the simulate benchmark: map1 is rotated by pi, so the maps
@@ -48,6 +48,22 @@ ROTATED = IFS(
 def constant_graph(k, level, value):
     n = k**level
     return CouplingGraph(k, level, "deterministic", np.full((n, n), value / n))
+
+
+def kuramoto_interaction(K):
+    """The Kuramoto D(u, v) = K sin(2 pi (v - u))."""
+    return lambda u, v: K * np.sin(2.0 * np.pi * (v - u))
+
+
+def inertia_interaction(K):
+    """The second-order Kuramoto D: the phase coupling drives the velocity."""
+
+    def D(u, v):
+        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+        out[..., 1] = K * np.sin(2.0 * np.pi * (v[..., 0] - u[..., 0]))
+        return out
+
+    return D
 
 
 def dense_reference(meas, kernel, m, sublevel):
@@ -314,8 +330,7 @@ class TestIntegrateIPS:
             name="decay",
             state_dim=1,
             drift=lambda t, u, p: -u,
-            interaction=lambda u, v: np.zeros(np.broadcast_shapes(u.shape, v.shape)),
-            interaction_bound=1.0,
+            coupling_term=lambda G, u: np.zeros_like(u),
         )
         g = PiecewiseConstantField(2, 1, np.array([3.0, 3.0]))
         coupling = constant_graph(2, 1, 0.0)
@@ -346,8 +361,7 @@ class TestIntegrateIPS:
             name="blowup",
             state_dim=1,
             drift=lambda t, u, p: u**3,
-            interaction=lambda u, v: np.zeros(np.broadcast_shapes(u.shape, v.shape)),
-            spot_check=False,
+            coupling_term=lambda G, u: np.zeros_like(u),
         )
         g = PiecewiseConstantField(2, 1, np.array([50.0, 50.0]))
         calm = PiecewiseConstantField(2, 1, np.zeros(2))
@@ -479,8 +493,7 @@ class TestIntegrateIPS:
         om = rng.normal(size=9)
         fast = kuramoto_model(1.3, om)
         slow = kuramoto_model(1.3, om)
-        slow.coupling_term = None
-        slow.interaction_bound = 1.3
+        slow.coupling_term = pairwise_coupling(kuramoto_interaction(1.3), 1.3)
         ta = integrate_ips(fast, coupling, g, T=0.5, dt=1e-2)
         tb = integrate_ips(slow, coupling, g, T=0.5, dt=1e-2)
         np.testing.assert_allclose(ta.values, tb.values, atol=1e-12)
@@ -493,6 +506,14 @@ class TestBuiltinModels:
         "kuramoto": (1.3, 0.2),
         "kuramoto_inertia": (-0.7, 0.4, 0.2),
         "consensus": (),
+    }
+
+    # each catalog model's D(u, v), written out, with its bound and state
+    # dimension: the pairwise oracle its coupling_term replaces
+    INTERACTIONS = {
+        "kuramoto": (kuramoto_interaction(1.3), 1.3, 1),
+        "kuramoto_inertia": (inertia_interaction(-0.7), 0.7, 2),
+        "consensus": (lambda u, v: v - u, 4.0, 1),
     }
 
     def test_catalog_names(self):
@@ -511,14 +532,15 @@ class TestBuiltinModels:
     def test_coupling_term_matches_interaction(
         self, name, n, members, shared, signed, seed
     ):
-        # the fast path on all members at once, against the interaction path
-        # one member at a time
+        # the fast path on all members at once, against pairwise_coupling of
+        # the model's D one member at a time
         model = builtin_models()[name](*self.FACTORY_ARGS[name])
+        oracle = pairwise_coupling(*self.INTERACTIONS[name])
         rng = np.random.Generator(np.random.Philox(seed))
         shape = (n, n) if shared else (members, n, n)
         G = rng.uniform(-1.0 if signed else 0.0, 1.0, size=shape) / n
         u = rng.uniform(-3.0, 3.0, size=(members, n, model.state_dim))
-        expect = [_generic_coupling(model, G if shared else G[e], u[e]) for e in range(members)]
+        expect = [oracle(G if shared else G[e], u[e]) for e in range(members)]
         np.testing.assert_allclose(
             model.coupling_term(G, u), np.stack(expect), rtol=0, atol=1e-12
         )
@@ -526,11 +548,10 @@ class TestBuiltinModels:
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("name", sorted(builtin_models()) + ["interaction only"])
     def test_ensemble_matches_single_runs(self, sg_measure, name, shared):
-        # consensus with a non-identity D has no coupling_term: the ensemble
-        # then goes through the interaction path
+        # consensus with a non-identity D, given only by its interaction,
+        # sums through pairwise_coupling
         if name == "interaction only":
             model = consensus_model(np.tanh, bound=1.0)
-            assert model.coupling_term is None
         else:
             model = builtin_models()[name](*self.FACTORY_ARGS[name])
         rng = np.random.Generator(np.random.Philox(11))
@@ -586,20 +607,17 @@ class TestBuiltinModels:
         g = PiecewiseConstantField(3, 1, init)
         fast = kuramoto_inertia_model(0.8, 1.0, 0.3)
         slow = kuramoto_inertia_model(0.8, 1.0, 0.3)
-        slow.coupling_term = None
+        slow.coupling_term = pairwise_coupling(inertia_interaction(0.8), 0.8, 2)
         ta = integrate_ips(fast, coupling, g, T=1.0, dt=1e-2)
         tb = integrate_ips(slow, coupling, g, T=1.0, dt=1e-2)
         np.testing.assert_allclose(ta.values, tb.values, atol=1e-12)
 
     def test_spot_check_rejects_out_of_bound_interaction(self):
-        with pytest.raises(ValueError):
-            ModelSpec(
-                name="toohot",
-                state_dim=1,
-                drift=lambda t, u, p: 0.0 * u,
-                interaction=lambda u, v: 5.0 * np.tanh(v - u),
-                interaction_bound=1.0,
-            )
+        with pytest.raises(ValueError, match="exceeds the declared bound"):
+            pairwise_coupling(lambda u, v: 5.0 * np.tanh(v - u), 1.0)
+        # consensus checks every D but its identity fast path
+        with pytest.raises(ValueError, match="exceeds the declared bound"):
+            consensus_model(lambda z: 5.0 * np.tanh(z), bound=1.0)
 
 
 class TestBernoulliConcentration:

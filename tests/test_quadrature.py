@@ -18,6 +18,7 @@ from fractalips import (
     pairwise_sum,
     stationarity_residual,
 )
+from fractalips import quadrature
 from fractalips.geometry import fixed_point_centroid
 from fractalips.quadrature import evaluate_on_points
 
@@ -236,6 +237,21 @@ class TestCellAverage:
             )
         ref = integrate_qmc(sg_measure, phi, m + sub, anchor=anchor)
         assert total == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("route", ["integrate_qmc", "cell_average"])
+def test_budget_refuses_before_enumerating_nodes(sg_measure, monkeypatch, route):
+    # a refused budget must not first allocate the nodes it refuses
+    def enumerated(*args, **kwargs):
+        raise AssertionError("attractor_points called before the budget check")
+
+    monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "10")
+    monkeypatch.setattr(quadrature, "attractor_points", enumerated)
+    with pytest.raises(BudgetExceededError):
+        if route == "integrate_qmc":
+            integrate_qmc(sg_measure, lambda x: x[:, 0], 3)
+        else:
+            cell_average(sg_measure, lambda x: x[:, 0], Word(3, (1,)), 3)
 
 
 class TestStationarityResidual:
