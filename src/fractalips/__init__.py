@@ -8,17 +8,13 @@ desk scale.
 """
 
 from .analysis import (
-    EmpiricalMeasure,
     ModulusReport,
     RateFit,
     TrajectoryError,
     VlasovConvergenceTable,
-    bl_distance_proxy,
     field_lp_norm,
     lipschitz_norm_estimate,
-    local_empirical_measure,
     lp_projection_bound,
-    modulus_of_continuity,
     modulus_profile,
     projection_error,
     rate_fit,
@@ -50,7 +46,6 @@ from .geometry import (
     AttractorCell,
     Similitude,
     attractor_cell,
-    attractor_diameter_bound,
     attractor_points,
     canonical_interval_ifs,
     compose,

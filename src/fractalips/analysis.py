@@ -32,7 +32,7 @@ from .quadrature import (
     evaluate_on_points,
     pairwise_sum,
 )
-from .symbolic import Word, check_level_size
+from .symbolic import check_level_size
 from .transfer import PiecewiseConstantField
 
 
@@ -173,23 +173,6 @@ def modulus_profile(
     return np.array(levels), np.array(omega)
 
 
-def modulus_of_continuity(
-    meas: SelfSimilarMeasure,
-    phi,
-    m: int,
-    p_exponent: float = 2.0,
-    max_ell: int | None = None,
-    sublevel: int = 2,
-    anchor=None,
-) -> float:
-    """The level-m L^p modulus of continuity (finite truncation of the sup
-    over translation scales)."""
-    _, omega = modulus_profile(
-        meas, phi, [m], p_exponent, max_ell, sublevel, anchor
-    )
-    return float(omega[0])
-
-
 @dataclass(frozen=True)
 class ModulusReport:
     """Fitted decay of the modulus: omega_p(phi, m) ~ C lambda^(alpha m)."""
@@ -310,57 +293,12 @@ def rate_fit(
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted atoms forming a probability measure on state space."""
-
-    atoms: np.ndarray  # (n, s)
-    weights: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.atoms, dtype=np.float64))
-        if a.ndim != 2:
-            raise ValueError("atoms must be (n, s)")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (a.shape[0],):
-            raise ValueError("weights must match the atom count")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        a.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def state_dim(self) -> int:
-        return self.atoms.shape[1]
-
-
-def local_empirical_measure(
-    traj: Trajectory, w: Word, t: float
-) -> EmpiricalMeasure:
-    """Equal-mass atoms at the states of all fine-level descendants of the
-    coarse cell K_w at time t (weights k^-l, a probability measure)."""
-    if w.k != traj.k:
-        raise ValueError("alphabet sizes differ")
-    ell = traj.level - len(w)
-    if ell < 0:
-        raise ValueError("word is longer than the trajectory level")
-    ti = np.flatnonzero(np.isclose(traj.times, t, rtol=0.0, atol=1e-12))
-    if len(ti) != 1:
-        raise ValueError(f"time {t} is not on the trajectory grid")
-    n = traj.k**ell
-    start = w.index * n
-    atoms = traj.values[ti[0], start : start + n]
-    return EmpiricalMeasure(atoms, np.full(n, 1.0 / n))
-
-
 def _sorted_with_cdf(values, weights):
     """The values sorted, and cdf[i] = the mass of the i smallest of them
     (cdf[0] = 0, cdf[-1] = 1)."""
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("only scalar states are supported")
     if len(values) == 0:
         raise ValueError("a distribution needs at least one value")
     order = np.argsort(values)
@@ -396,15 +334,6 @@ def wasserstein_distance(u_values, v_values, u_weights=None, v_weights=None) -> 
         - v_cdf[v_sorted.searchsorted(left, "right")]
     )
     return float(np.dot(cdf_gap, np.diff(pooled)))
-
-
-def bl_distance_proxy(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """1-Wasserstein distance, an upper bound for the bounded-Lipschitz
-    distance (test functions with Lipschitz constant <= 1), between two
-    measures on scalar states (arbitrary weights)."""
-    if a.state_dim != 1 or b.state_dim != 1:
-        raise ValueError("only scalar states are supported")
-    return wasserstein_distance(a.atoms[:, 0], b.atoms[:, 0], a.weights, b.weights)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,7 @@ from .analysis import (
 from .dynamics import (
     builtin_kernels,
     builtin_models,
-    consensus_model,
     integrate_ips,
-    kuramoto_inertia_model,
-    kuramoto_model,
     project_initial,
     project_kernel,
     stack_graphs,
@@ -469,11 +466,7 @@ def _build_model(cfg: ExperimentConfig, meas, omega_fn, m: int):
     omega = 0.0
     if cfg.omega_mode == "field":
         omega = project_initial(meas, omega_fn, m, cfg.sublevel)
-    if cfg.model_name == "kuramoto":
-        return kuramoto_model(cfg.coupling_strength, omega)
-    if cfg.model_name == "kuramoto_inertia":
-        return kuramoto_inertia_model(cfg.coupling_strength, cfg.damping, omega)
-    return consensus_model()
+    return builtin_models()[cfg.model_name](cfg.coupling_strength, cfg.damping, omega)
 
 
 def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
@@ -497,17 +490,29 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
         trajs = integrate_ips(model, graphs, init, cfg.T, cfg.dt, cfg.output_stride)
         for seed, traj in zip(graph_seeds, trajs):
             stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
-            outputs += _write_trajectory(out, stem, traj, cfg)
+            outputs += _write_trajectory(out, stem, traj, model, seed, cfg)
     return outputs
 
 
-def _write_trajectory(out: Path, stem: str, traj, cfg: ExperimentConfig) -> list[str]:
+def _write_trajectory(out: Path, stem: str, traj, model, seed,
+                      cfg: ExperimentConfig) -> list[str]:
+    """The trajectory's CSV and its sidecar: the run that made it, with the
+    graph's seed (None for the deterministic graph)."""
     ti, cells, comps = np.indices(traj.values.shape)
     write_csv(out / f"{stem}.csv", ("t", "cell_index", "component", "value"),
               _columns("%.17g,%d,%d,%.17g", traj.times[ti], cells, comps,
                        traj.values))
-    meta = dict(traj.metadata)
-    meta["config_hash"] = cfg.config_hash()
+    meta = {
+        "model": model.name,
+        "level": traj.level,
+        "k": traj.k,
+        "dt": cfg.dt,
+        "T": cfg.T,
+        "output_stride": cfg.output_stride,
+        "coupling": "deterministic" if seed is None else "bernoulli",
+        "seed": seed,
+        "config_hash": cfg.config_hash(),
+    }
     _write_json(out / f"{stem}.meta.json", meta)
     return [f"{stem}.csv", f"{stem}.meta.json"]
 

@@ -12,7 +12,7 @@ fixed-step RK4; the spatial error under study dominates the time error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,15 +62,12 @@ class CouplingGraph:
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member; the ``kind`` and ``seed`` of a stack are tuples with
-    one entry per member.
+    graph per member.
     """
 
     k: int
     level: int
-    kind: str | tuple
     weights: np.ndarray
-    seed: int | None | tuple = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -79,15 +76,6 @@ class CouplingGraph:
             raise ValueError(
                 f"expected a {n}x{n} weight matrix or a stack of them, got {w.shape}"
             )
-        if w.ndim == 3 and not (
-            isinstance(self.kind, tuple)
-            and isinstance(self.seed, tuple)
-            and len(self.kind) == len(self.seed) == len(w)
-        ):
-            raise ValueError("a stack of graphs needs a tuple of one kind and one seed per graph")
-        for kind in self.kind if w.ndim == 3 else (self.kind,):
-            if kind not in ("deterministic", "bernoulli"):
-                raise ValueError(f"unknown coupling kind {kind!r}")
         # the layouts graph_product reads fastest (OpenBLAS, one thread): a
         # shared graph with its transpose C-contiguous, for the GEMM of all
         # members' rows; a stack C-contiguous, for each member's two rows at
@@ -95,12 +83,6 @@ class CouplingGraph:
         w = np.ascontiguousarray(w) if w.ndim == 3 else np.ascontiguousarray(w.T).T
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def member(self, i: int) -> tuple:
-        """The kind and seed of ensemble member i's graph."""
-        if self.weights.ndim == 2:
-            return self.kind, self.seed
-        return self.kind[i], self.seed[i]
 
 
 @dataclass(frozen=True)
@@ -111,7 +93,6 @@ class Trajectory:
     level: int
     times: np.ndarray
     values: np.ndarray  # (n_times, k**level, state_dim)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
@@ -246,8 +227,7 @@ def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> Coupli
     masses = meas.weights(km.level)
     # Fortran order is the layout CouplingGraph keeps for one graph: no copy
     return CouplingGraph(
-        km.k, km.level, "deterministic",
-        np.multiply(km.entries, masses[None, :], order="F"),
+        km.k, km.level, np.multiply(km.entries, masses[None, :], order="F")
     )
 
 
@@ -278,10 +258,7 @@ def sample_bernoulli(
         upper = np.triu(xi, k=1)
         xi = upper + upper.T + np.diag(np.diag(xi))
     masses = meas.weights(km.level)
-    return CouplingGraph(
-        km.k, km.level, "bernoulli", np.multiply(xi, masses[None, :], order="F"),
-        seed=seed,
-    )
+    return CouplingGraph(km.k, km.level, np.multiply(xi, masses[None, :], order="F"))
 
 
 def stack_graphs(
@@ -303,8 +280,7 @@ def stack_graphs(
             if seed is None
             else sample_bernoulli(km, meas, seed, symmetric)
         ).weights
-    kinds = tuple("deterministic" if seed is None else "bernoulli" for seed in seeds)
-    return CouplingGraph(km.k, km.level, kinds, weights, seeds)
+    return CouplingGraph(km.k, km.level, weights)
 
 
 def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -435,19 +411,7 @@ def integrate_ips(
             states[:, out] = u
             out += 1
     times = np.array([0, *recorded]) * dt
-    meta = {
-        "model": model.name,
-        "level": coupling.level,
-        "k": coupling.k,
-        "dt": dt,
-        "T": T,
-        "output_stride": output_stride,
-    }
-    trajs = []
-    for i in range(members):
-        kind, seed = coupling.member(i)
-        meta_i = dict(meta, coupling=kind, seed=seed)
-        trajs.append(Trajectory(coupling.k, coupling.level, times, states[i], meta_i))
+    trajs = [Trajectory(coupling.k, coupling.level, times, v) for v in states]
     return trajs if weights.ndim == 3 or not single else trajs[0]
 
 
@@ -546,11 +510,16 @@ def consensus_model(interaction_fn=None, bound: float = 4.0) -> ModelSpec:
 
 
 def builtin_models() -> dict:
-    """Catalog of model factories keyed by name."""
+    """Catalog of model factories keyed by name.
+
+    Every factory takes ``(coupling_strength, damping, frequencies)`` and
+    ignores what its model does not use; consensus uses none of them.  The
+    catalog is built on every call, from the factories the module holds then.
+    """
     return {
-        "kuramoto": kuramoto_model,
+        "kuramoto": lambda K, damping, omega: kuramoto_model(K, omega),
         "kuramoto_inertia": kuramoto_inertia_model,
-        "consensus": consensus_model,
+        "consensus": lambda K, damping, omega: consensus_model(),
     }
 
 

@@ -42,7 +42,7 @@ class Similitude:
             raise ValueError(f"contraction ratio must lie in (0, 1), got {r}")
         # similitude condition: A^T A = ratio^2 I
         gram = A.T @ A
-        if not np.allclose(gram, r * r * np.eye(A.shape[0]), atol=1e-10):
+        if not np.allclose(gram, r * r * np.eye(A.shape[0]), rtol=0, atol=1e-10):
             raise ValueError("linear part is not ratio * orthogonal within 1e-10")
         A.setflags(write=False)
         t.setflags(write=False)
@@ -94,15 +94,9 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class IFS:
-    """A finite family of contracting similitudes on R^d.
-
-    ``overlap_assumption_asserted`` records the user's assertion that the
-    natural projection is injective off a Bernoulli-null set (fat fractals
-    like the golden gasket violate it; cylinder-measure formulas then fail).
-    """
+    """A finite family of contracting similitudes on R^d."""
 
     maps: tuple[Similitude, ...]
-    overlap_assumption_asserted: bool = True
 
     def __post_init__(self):
         maps = tuple(self.maps)
@@ -129,12 +123,15 @@ class IFS:
     def ratios(self) -> tuple[float, ...]:
         return tuple(m.ratio for m in self.maps)
 
-    def word(self, symbols) -> Word:
-        return Word(self.k, tuple(symbols))
-
     @functools.cached_property
     def diameter_bound(self) -> float:
-        """``attractor_diameter_bound``, computed once per system."""
+        """A rigorous upper bound for diam(K) via an invariant ball.
+
+        With c the centroid of the fixed points and
+        R = max_i |f_i(c) - c| / (1 - r_i), every f_i maps B(c, R) into
+        itself, so the attractor lies in B(c, R) and diam(K) <= 2R.  Upper
+        bound only; computed once per system.
+        """
         c = fixed_point_centroid(self)
         R = max(
             float(np.linalg.norm(m(c) - c)) / (1.0 - m.ratio) for m in self.maps
@@ -164,20 +161,10 @@ def fixed_point_centroid(ifs: IFS) -> np.ndarray:
     return fps.mean(axis=0)
 
 
-def attractor_diameter_bound(ifs: IFS) -> float:
-    """A rigorous upper bound for diam(K) via an invariant ball.
-
-    With c the centroid of the fixed points and
-    R = max_i |f_i(c) - c| / (1 - r_i), every f_i maps B(c, R) into itself,
-    so the attractor lies in B(c, R) and diam(K) <= 2R.  Upper bound only.
-    """
-    return ifs.diameter_bound
-
-
 def cylinder_diameter_bound(ifs: IFS, w: Word, diam: float | None = None) -> float:
     """prod(r_{w_j}) * diam-bound(K): an upper bound for diam(K_w)."""
     if diam is None:
-        diam = attractor_diameter_bound(ifs)
+        diam = ifs.diameter_bound
     scale = 1.0
     for s in w.symbols:
         scale *= ifs.maps[s - 1].ratio
@@ -244,7 +231,7 @@ def canonical_interval_ifs(k: int) -> IFS:
 
 def has_common_linear_part(ifs: IFS, tol: float = 1e-12) -> bool:
     A0 = ifs.maps[0].matrix
-    return all(np.allclose(m.matrix, A0, atol=tol) for m in ifs.maps[1:])
+    return all(np.allclose(m.matrix, A0, rtol=0, atol=tol) for m in ifs.maps[1:])
 
 
 def common_contraction_ratio(ifs: IFS) -> float:

@@ -175,7 +175,7 @@ def _mc_window_points(ifs: IFS, symbols: np.ndarray, M: int, tail: int) -> np.nd
     fps = np.array([fixed_point(f) for f in ifs.maps])  # (k, d)
     ts = np.array([f.translation for f in ifs.maps])  # (k, d)
     if has_common_linear_part(ifs) and np.allclose(
-        ifs.maps[0].matrix, ifs.maps[0].ratio * np.eye(d), atol=1e-14
+        ifs.maps[0].matrix, ifs.maps[0].ratio * np.eye(d), rtol=0, atol=1e-14
     ):
         # homothety fast path: f_w is r^tail * x + T with T a geometric
         # convolution of the window translations

@@ -67,7 +67,6 @@ class KernelMatrix:
     k: int
     level: int
     entries: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
@@ -76,8 +75,6 @@ class KernelMatrix:
             raise ValueError(f"expected a {n}x{n} matrix, got {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("kernel entries must be finite")
-        if self.symmetric and not np.allclose(e, e.T, atol=1e-12):
-            raise ValueError("matrix declared symmetric is not")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 

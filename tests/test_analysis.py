@@ -6,18 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalips import (
-    EmpiricalMeasure,
     PiecewiseConstantField,
     SelfSimilarMeasure,
     Trajectory,
-    Word,
-    bl_distance_proxy,
     field_lp_norm,
     kuramoto_model,
     lipschitz_norm_estimate,
-    local_empirical_measure,
     lp_projection_bound,
-    modulus_of_continuity,
     modulus_profile,
     projection_error,
     rate_fit,
@@ -30,8 +25,8 @@ from fractalips.analysis import wasserstein_distance
 from fractalips.quadrature import pairwise_sum, stationary_mean
 
 
-def make_traj(k, level, times, values, **meta):
-    return Trajectory(k, level, np.asarray(times, float), np.asarray(values, float), meta)
+def make_traj(k, level, times, values):
+    return Trajectory(k, level, np.asarray(times, float), np.asarray(values, float))
 
 
 def brute_force_w1(atoms_a, weights_a, atoms_b, weights_b):
@@ -128,8 +123,9 @@ class TestProjectionError:
 
 class TestModulus:
     def test_constant_function_zero(self, sg_measure):
-        assert modulus_of_continuity(sg_measure, lambda x: np.full(len(x), 1.0),
-                                     3, max_ell=5) == 0.0
+        _, omega = modulus_profile(sg_measure, lambda x: np.full(len(x), 1.0),
+                                   [3], max_ell=5)
+        assert omega[0] == 0.0
 
     def test_linear_function_exact_scaling(self, sg, sg_measure):
         # |phi(x + tau) - phi(x)| = |c . tau| pointwise: the matched-pair
@@ -142,8 +138,8 @@ class TestModulus:
         ]
         tmax = max(abs(float(t @ c)) for t in taus)
         for m in (2, 3, 4):
-            got = modulus_of_continuity(sg_measure, phi, m, p_exponent=2.0,
-                                        max_ell=m + 3, sublevel=2)
+            got = modulus_profile(sg_measure, phi, [m], p_exponent=2.0,
+                                  max_ell=m + 3, sublevel=2)[1][0]
             expect = (1.0 / 3.0) ** 0.5 * 0.5**m * tmax
             assert got == pytest.approx(expect, rel=1e-10)
             assert got <= np.linalg.norm(c) * 0.5**m * max(
@@ -172,7 +168,7 @@ class TestModulus:
         )
         meas = SelfSimilarMeasure.uniform(ifs)
         with pytest.raises(ValueError):
-            modulus_of_continuity(meas, lambda x: x[:, 0], 2, max_ell=4)
+            modulus_profile(meas, lambda x: x[:, 0], [2], max_ell=4)
 
     def test_fitted_alpha_for_linear_function(self, sg_measure):
         phi = lambda x: x @ np.array([1.0, -0.5])
@@ -251,54 +247,18 @@ class TestRateFit:
         assert fit.fitted_alpha == pytest.approx(1.0, rel=1e-12)
 
 
-class TestEmpiricalMeasure:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.6]))
-
-    def test_point_mass_from_identical_states(self):
-        times = np.array([0.0])
-        vals = np.full((1, 9, 1), 0.7)
-        traj = make_traj(3, 2, times, vals)
-        em = local_empirical_measure(traj, Word(3, (2,)), 0.0)
-        assert em.atoms.shape == (3, 1)
-        assert np.all(em.atoms == 0.7)
-        assert em.weights.sum() == pytest.approx(1.0)
-
-    def test_atom_count_and_block_selection(self):
-        times = np.array([0.0])
-        vals = np.arange(27.0).reshape(1, 27, 1)
-        traj = make_traj(3, 3, times, vals)
-        em = local_empirical_measure(traj, Word(3, (2,)), 0.0)
-        np.testing.assert_array_equal(em.atoms[:, 0], np.arange(9.0, 18.0))
-        np.testing.assert_allclose(em.weights, 1.0 / 9.0)
-
-    def test_off_grid_time_rejected(self):
-        traj = make_traj(3, 2, [0.0, 0.5], np.zeros((2, 9, 1)))
-        with pytest.raises(ValueError):
-            local_empirical_measure(traj, Word(3, (1,)), 0.3)
-
-    def test_word_longer_than_level_rejected(self):
-        traj = make_traj(3, 1, [0.0], np.zeros((1, 3, 1)))
-        with pytest.raises(ValueError):
-            local_empirical_measure(traj, Word(3, (1, 2)), 0.0)
-
-
 class TestBLDistanceProxy:
-    def delta(self, x):
-        return EmpiricalMeasure(np.array([[float(x)]]), np.array([1.0]))
+    """W1 on the line, the Vlasov table's proxy for the bounded-Lipschitz
+    distance (test functions with Lipschitz constant <= 1)."""
 
     def test_identical_measures_zero(self):
-        em = EmpiricalMeasure(np.array([[0.1], [0.9]]), np.array([0.5, 0.5]))
-        assert bl_distance_proxy(em, em) == 0.0
+        assert wasserstein_distance([0.1, 0.9], [0.1, 0.9]) == 0.0
 
     def test_point_masses_at_unit_distance(self):
-        assert bl_distance_proxy(self.delta(0.0), self.delta(1.0)) == 1.0
+        assert wasserstein_distance([0.0], [1.0]) == 1.0
 
     def test_two_atom_shift_against_brute_force(self):
-        a = EmpiricalMeasure(np.array([[0.0], [0.5]]), np.array([0.5, 0.5]))
-        b = EmpiricalMeasure(np.array([[0.25], [0.75]]), np.array([0.5, 0.5]))
-        got = bl_distance_proxy(a, b)
+        got = wasserstein_distance([0.0, 0.5], [0.25, 0.75])
         assert got == pytest.approx(0.25, abs=1e-12)
         assert got == pytest.approx(
             brute_force_w1([0.0, 0.5], [0.5, 0.5], [0.25, 0.75], [0.5, 0.5]),
@@ -308,22 +268,18 @@ class TestBLDistanceProxy:
     def test_weighted_case_against_lp_oracle(self):
         a_atoms, a_w = [0.0, 1.0, 2.0], [0.2, 0.5, 0.3]
         b_atoms, b_w = [0.5, 1.5], [0.6, 0.4]
-        a = EmpiricalMeasure(np.array(a_atoms)[:, None], np.array(a_w))
-        b = EmpiricalMeasure(np.array(b_atoms)[:, None], np.array(b_w))
-        assert bl_distance_proxy(a, b) == pytest.approx(
+        assert wasserstein_distance(a_atoms, b_atoms, a_w, b_w) == pytest.approx(
             brute_force_w1(a_atoms, a_w, b_atoms, b_w), abs=1e-9
         )
 
     def test_vector_states_rejected(self):
-        a = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.full(2, 0.5))
+        a = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="scalar states"):
-            bl_distance_proxy(a, a)
+            wasserstein_distance(a, a)
 
     def test_vector_states_unequal_counts_rejected(self):
-        a = EmpiricalMeasure(np.zeros((2, 2)), np.full(2, 0.5))
-        b = EmpiricalMeasure(np.zeros((3, 2)), np.full(3, 1.0 / 3.0))
         with pytest.raises(ValueError):
-            bl_distance_proxy(a, b)
+            wasserstein_distance(np.zeros((2, 2)), np.zeros((3, 2)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -334,14 +290,11 @@ class TestBLDistanceProxy:
         )
     )
     def test_metric_axioms_on_random_triples(self, data):
-        ems = [
-            EmpiricalMeasure(np.array(data[i : i + 2])[:, None], np.full(2, 0.5))
-            for i in range(0, 6, 2)
-        ]
-        d01 = bl_distance_proxy(ems[0], ems[1])
-        d10 = bl_distance_proxy(ems[1], ems[0])
-        d02 = bl_distance_proxy(ems[0], ems[2])
-        d12 = bl_distance_proxy(ems[1], ems[2])
+        pts = [data[i : i + 2] for i in range(0, 6, 2)]
+        d01 = wasserstein_distance(pts[0], pts[1])
+        d10 = wasserstein_distance(pts[1], pts[0])
+        d02 = wasserstein_distance(pts[0], pts[2])
+        d12 = wasserstein_distance(pts[1], pts[2])
         assert d01 == pytest.approx(d10, abs=1e-12)
         assert d02 <= d01 + d12 + 1e-12
 

@@ -384,16 +384,23 @@ class TestRunSubcommands:
         lines = csvp.read_text().splitlines()
         assert lines[0] == "t,cell_index,component,value"
         meta = json.loads((out / "trajectory_m2.meta.json").read_text())
-        assert meta["model"] == "kuramoto"
-        assert meta["level"] == 2
-        assert "config_hash" in meta
+        assert meta == self.sidecar(cfgp, "deterministic", None)
+
+    @staticmethod
+    def sidecar(cfgp, coupling, seed):
+        """The .meta.json a level-2 run of ``write_config``'s model writes."""
+        return {"model": "kuramoto", "level": 2, "k": 3, "dt": 0.01, "T": 0.1,
+                "output_stride": 5, "coupling": coupling, "seed": seed,
+                "config_hash": parse_config(cfgp).config_hash()}
 
     def test_simulate_bernoulli_writes_per_seed(self, tmp_path):
         cfgp = write_config(tmp_path, levels="2", graph="bernoulli")
         assert main(["simulate", "--config", cfgp]) == 0
         out = tmp_path / "out"
-        assert (out / "trajectory_m2_seed1.csv").exists()
-        assert (out / "trajectory_m2_seed2.csv").exists()
+        for seed in (1, 2):
+            assert (out / f"trajectory_m2_seed{seed}.csv").exists()
+            meta = json.loads((out / f"trajectory_m2_seed{seed}.meta.json").read_text())
+            assert meta == self.sidecar(cfgp, "bernoulli", seed)
 
     def test_vlasov_outputs(self, tmp_path):
         cfgp = write_config(tmp_path)

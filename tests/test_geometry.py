@@ -5,7 +5,6 @@ from fractalips import (
     IFS,
     Similitude,
     Word,
-    attractor_diameter_bound,
     attractor_points,
     canonical_interval_ifs,
     compose,
@@ -26,6 +25,11 @@ class TestSimilitude:
     def test_rejects_non_similitude_matrix(self):
         with pytest.raises(ValueError):
             Similitude(0.5, np.array([[0.5, 0.2], [0.0, 0.5]]), np.zeros(2))
+
+    def test_rejects_ratio_off_the_operator_norm(self):
+        # 2e-6 off in ratio^2, far above the absolute 1e-10 allowed
+        with pytest.raises(ValueError):
+            Similitude(0.500001, 0.5 * np.eye(2), np.zeros(2))
 
     def test_rotation_matrix_is_similitude(self):
         s = Similitude.rotation_2d(0.7, 0.3, np.array([1.0, 2.0]))
@@ -100,7 +104,7 @@ class TestNaturalProjection:
     def test_constant_word_converges_to_fixed_point(self, sg):
         pt, bound = natural_projection(sg, Word(3, (1,) * 40), anchor=[1.0, 0.0])
         assert np.linalg.norm(pt) <= bound
-        assert bound <= 2.0**-40 * attractor_diameter_bound(sg) + 1e-30
+        assert bound <= 2.0**-40 * sg.diameter_bound + 1e-30
 
     def test_eventually_constant_word(self, sg):
         # (3, 1, 1, ...) -> f_3(v_1) = (1/2, 0); oracle: evaluate the map
@@ -187,6 +191,12 @@ class TestTranslationVector:
         with pytest.raises(ValueError):
             translation_vector(ifs, 1, 2)
 
+    def test_near_equal_ratios_share_no_linear_part(self):
+        # linear parts 2e-6 apart: far above the absolute tolerance 1e-12
+        ifs = IFS((Similitude.homothety(0.5, [0.0]),
+                   Similitude.homothety(0.500002, [0.5])))
+        assert not has_common_linear_part(ifs)
+
     def test_cell_translate_identity_on_samples(self, sg):
         # z in K_i implies z + tau_ij lands on the matching sample of K_j
         pts = attractor_points(sg, 6, anchor=[0.0, 0.0])
@@ -241,13 +251,13 @@ class TestAttractorCell:
 class TestDiameterBound:
     def test_interval_bound_is_exact(self):
         ifs = canonical_interval_ifs(2)
-        assert attractor_diameter_bound(ifs) == pytest.approx(1.0)
+        assert ifs.diameter_bound == pytest.approx(1.0)
 
     def test_sg_bound_dominates_true_diameter(self, sg):
-        assert attractor_diameter_bound(sg) >= 1.0
+        assert sg.diameter_bound >= 1.0
 
     def test_equal_ratio_cylinder_scaling(self, sg):
-        d = attractor_diameter_bound(sg)
+        d = sg.diameter_bound
         w = Word(3, (1, 2, 3, 1))
         assert cylinder_diameter_bound(sg, w) == pytest.approx(d * 0.5**4)
 

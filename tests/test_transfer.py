@@ -236,7 +236,7 @@ class TestKernelToGraphon:
     def test_symmetric_matrix_symmetric_image(self):
         rng = np.random.Generator(np.random.Philox(12))
         a = rng.normal(size=(9, 9))
-        km = KernelMatrix(3, 2, (a + a.T) / 2, symmetric=True)
+        km = KernelMatrix(3, 2, (a + a.T) / 2)
         img = kernel_to_graphon(km)
         np.testing.assert_array_equal(img.values, img.values.T)
 
@@ -265,9 +265,3 @@ class TestKernelMatrix:
             KernelMatrix(3, 1, np.zeros((3, 4)))
         with pytest.raises(ValueError):
             KernelMatrix(3, 2, e)
-
-    def test_symmetry_declaration_checked(self):
-        e = np.zeros((3, 3))
-        e[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            KernelMatrix(3, 1, e, symmetric=True)

@@ -1,0 +1,176 @@
+"""Check that a commit and the working tree write the same CLI artifacts.
+
+Usage, from the root of the repository::
+
+    python3 tools/artifact_diff.py --parent HEAD
+
+The parent commit's committed files are exported to a temporary directory
+(``export`` of ``tools/bench_pairs.py``). Every subcommand that writes
+artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
+then runs on every config below, once with the parent's ``src`` and once
+with the working tree's, each in a fresh process with BLAS pinned to one
+thread. The configs are ten small ones written here (three models, each on
+a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli graph,
+and a Cantor set with a non-uniform measure) and the ``refine``,
+``meanfield`` and ``simulate`` configs of ``perfbench/workloads.py`` at
+their default seeds.
+
+Each run's exit code and the bytes of every file it writes are compared;
+``manifest.json`` is compared without its ``wall_time_s``. The script prints
+one line per run, naming what differs, and a summary, and exits 1 if any
+exit code or artifact differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export
+
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+from workloads import WORKLOADS  # noqa: E402
+
+SUBCOMMANDS = ("integrate", "project", "transfer", "simulate", "rate", "vlasov", "modulus")
+
+SMALL_CONFIG = """\
+[ifs]
+preset = {preset}
+
+[measure]
+p = {p}
+
+[kernel]
+name = {kernel}
+
+[model]
+name = {model}
+coupling_strength = 1.0
+damping = 0.5
+omega = {omega}
+
+[levels]
+levels = 2,3,4
+ell_levels = 1,2
+sublevel = 2
+
+[time]
+T = 0.1
+dt = 0.01
+output_stride = 5
+
+[quadrature]
+level = 6
+samples = 5000
+tail = 30
+
+[modulus]
+max_ell = 6
+
+[graph]
+kind = {kind}
+symmetric = {symmetric}
+
+[seeds]
+seeds = 1,2
+"""
+
+GRAPHS = {
+    "deterministic": ("deterministic", "true"),
+    "bernoulli": ("bernoulli", "true"),
+    "bernoulli_asym": ("bernoulli", "false"),
+}
+
+
+def configs() -> dict:
+    """Config text by name."""
+    out = {}
+    for model in ("kuramoto", "kuramoto_inertia", "consensus"):
+        for graph, (kind, symmetric) in GRAPHS.items():
+            out[f"{model}_{graph}"] = SMALL_CONFIG.format(
+                preset="sg", p="natural", kernel="expdist", model=model,
+                omega="field", kind=kind, symmetric=symmetric,
+            )
+    out["cantor_gaussian"] = SMALL_CONFIG.format(
+        preset="cantor", p="0.7,0.3", kernel="gaussian", model="kuramoto",
+        omega="zero", kind="deterministic", symmetric="true",
+    )
+    for name in ("refine", "meanfield", "simulate"):
+        workload = WORKLOADS[name]
+        out[f"workload_{name}"] = workload.config(workload.default_seed)
+    return out
+
+
+def run(src: Path, subcommand: str, config: Path, out: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractalips.cli", subcommand, "--config", str(config),
+         "--output", str(out)],
+        cwd=out.parent, env=env, capture_output=True,
+    )
+    return proc.returncode
+
+
+def artifacts(directory: Path) -> dict:
+    """File name -> bytes; the manifest without its wall time."""
+    if not directory.is_dir():
+        return {}
+    out = {}
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("wall_time_s", None)
+            data = json.dumps(manifest, sort_keys=True).encode()
+        out[path.name] = data
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        checkout = tmp / "checkout"
+        checkout.mkdir()
+        sha = export(args.parent, checkout)
+        sides = {"parent": checkout / "src", "change": ROOT / "src"}
+        runs = compared = differing = code_changes = 0
+        for name, text in configs().items():
+            config = tmp / f"{name}.ini"
+            config.write_text(text)
+            for subcommand in SUBCOMMANDS:
+                codes, files = {}, {}
+                for side, src in sides.items():
+                    out = tmp / side / name / subcommand
+                    out.parent.mkdir(parents=True, exist_ok=True)
+                    codes[side] = run(src, subcommand, config, out)
+                    files[side] = artifacts(out)
+                runs += 1
+                problems = []
+                if codes["parent"] != codes["change"]:
+                    code_changes += 1
+                    problems.append(f"exit code {codes['parent']} -> {codes['change']}")
+                for fname in sorted(files["parent"].keys() | files["change"].keys()):
+                    compared += 1
+                    if files["parent"].get(fname) != files["change"].get(fname):
+                        differing += 1
+                        problems.append(f"{fname} differs")
+                print(f"{name} {subcommand}: exit {codes['change']}, "
+                      f"{len(files['change'])} files"
+                      + ("" if not problems else " -- " + "; ".join(problems)),
+                      flush=True)
+    print(f"parent {sha}: {runs} runs, {code_changes} exit codes differ; "
+          f"{compared} artifacts compared, {differing} differ")
+    return 1 if differing or code_changes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
