@@ -14,8 +14,8 @@ from fractalips import (
     builtin_kernels,
     integrate_ips,
     kuramoto_model,
+    martingale_level,
     preset,
-    project_initial,
     project_kernel,
     sample_bernoulli,
 )
@@ -26,8 +26,8 @@ m = 4
 km = project_kernel(meas, builtin_kernels(2)["expdist"], m, 2)
 
 omega_fn, phase_fn = kuramoto_fields(11, 2)
-omega = project_initial(meas, omega_fn, m, 2)
-phases = project_initial(meas, phase_fn, m, 2)
+omega = martingale_level(meas, omega_fn, m, 2)
+phases = martingale_level(meas, phase_fn, m, 2)
 
 
 def order_parameter(traj):

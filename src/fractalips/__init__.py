@@ -34,7 +34,6 @@ from .dynamics import (
     kuramoto_inertia_model,
     kuramoto_model,
     pairwise_coupling,
-    project_initial,
     project_kernel,
     sample_bernoulli,
     stack_graphs,
@@ -43,9 +42,7 @@ from .errors import BudgetExceededError, ConfigError, NumericalAbortError
 from .geometry import (
     IFS,
     AffineMap,
-    AttractorCell,
     Similitude,
-    attractor_cell,
     attractor_points,
     canonical_interval_ifs,
     compose,

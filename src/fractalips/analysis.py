@@ -28,11 +28,9 @@ from .geometry import (
 from .quadrature import (
     SelfSimilarMeasure,
     cell_means,
-    check_eval_budget,
     evaluate_on_points,
     pairwise_sum,
 )
-from .symbolic import check_level_size
 from .transfer import PiecewiseConstantField
 
 
@@ -88,7 +86,6 @@ def projection_error(
     m: int,
     p_exponent: float = 2.0,
     sublevel: int = 3,
-    anchor=None,
 ) -> float:
     """|| phi - phi^m ||_{L^p(K, nu)} with phi^m the level-m cell averages.
 
@@ -99,8 +96,7 @@ def projection_error(
     if sublevel < 2:
         raise ValueError("sublevel must be >= 2")
     k = meas.k
-    check_eval_budget(check_level_size(k, m + sublevel))
-    pts = attractor_points(meas.ifs, m + sublevel, anchor)
+    pts = attractor_points(meas.ifs, m + sublevel)
     vals = evaluate_on_points(phi, pts)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -112,13 +108,12 @@ def projection_error(
 
 
 def _modulus_single_level(
-    meas: SelfSimilarMeasure, phi, ell: int, p_exponent: float, sublevel: int, anchor
+    meas: SelfSimilarMeasure, phi, ell: int, p_exponent: float, sublevel: int
 ) -> float:
     """max over ordered sibling pairs of the matched-pair L^p difference at
     translation scale A^ell tau_ij."""
     k = meas.k
-    check_eval_budget(check_level_size(k, ell + 1 + sublevel))
-    pts = attractor_points(meas.ifs, ell + 1 + sublevel, anchor)
+    pts = attractor_points(meas.ifs, ell + 1 + sublevel)
     vals = evaluate_on_points(phi, pts)
     if vals.ndim > 1:
         raise ValueError("the modulus is defined for scalar-valued functions")
@@ -146,7 +141,6 @@ def modulus_profile(
     p_exponent: float = 2.0,
     max_ell: int | None = None,
     sublevel: int = 2,
-    anchor=None,
 ):
     """omega_p(phi, m) for each requested m, sharing per-level work.
 
@@ -164,7 +158,7 @@ def modulus_profile(
         )
     common_contraction_ratio(meas.ifs)
     singles = {
-        ell: _modulus_single_level(meas, phi, ell, p_exponent, sublevel, anchor)
+        ell: _modulus_single_level(meas, phi, ell, p_exponent, sublevel)
         for ell in range(levels[0], max_ell + 1)
     }
     omega = []
@@ -177,17 +171,11 @@ def modulus_profile(
 class ModulusReport:
     """Fitted decay of the modulus: omega_p(phi, m) ~ C lambda^(alpha m)."""
 
-    levels: np.ndarray
-    omega: np.ndarray
-    p: float
-    lam: float
     fitted_alpha: float
     lip_norm: float
 
 
-def lipschitz_norm_estimate(
-    levels, omega, lam: float, p_exponent: float = 2.0
-) -> ModulusReport:
+def lipschitz_norm_estimate(levels, omega, lam: float) -> ModulusReport:
     """Least-squares decay exponent of log omega against m log lambda, and
     the generalized Lipschitz norm sup_m lambda^(-alpha m) omega(m) at the
     fitted alpha."""
@@ -202,14 +190,7 @@ def lipschitz_norm_estimate(
     y = np.log(omega[keep])
     alpha = float(np.polyfit(x, y, 1)[0])
     lip = float(np.max(omega[keep] * lam ** (-alpha * levels[keep])))
-    return ModulusReport(
-        levels=levels,
-        omega=omega,
-        p=p_exponent,
-        lam=lam,
-        fitted_alpha=alpha,
-        lip_norm=lip,
-    )
+    return ModulusReport(fitted_alpha=alpha, lip_norm=lip)
 
 
 def lp_projection_bound(
@@ -377,8 +358,9 @@ def vlasov_self_convergence(
         raise ValueError("need at least one seed")
     k = meas.k
     coarse_masses = meas.weights(m)
+    # finest first, so a level the budget refuses fails before any work
     kms = {
-        ell: project_kernel(meas, kernel, m + ell, sublevel) for ell in ells
+        ell: project_kernel(meas, kernel, m + ell, sublevel) for ell in reversed(ells)
     }
     couplings = {ell: assemble_deterministic(kms[ell], meas) for ell in ells}
 

@@ -36,7 +36,6 @@ from .dynamics import (
     builtin_kernels,
     builtin_models,
     integrate_ips,
-    project_initial,
     project_kernel,
     stack_graphs,
     step_count,
@@ -465,7 +464,7 @@ def _build_model(cfg: ExperimentConfig, meas, omega_fn, m: int):
     """The configured model at level m, with its frequencies projected there."""
     omega = 0.0
     if cfg.omega_mode == "field":
-        omega = project_initial(meas, omega_fn, m, cfg.sublevel)
+        omega = martingale_level(meas, omega_fn, m, cfg.sublevel)
     return builtin_models()[cfg.model_name](cfg.coupling_strength, cfg.damping, omega)
 
 
@@ -482,7 +481,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
         km = project_kernel(meas, kern, m, cfg.sublevel)
         model = _build_model(cfg, meas, omega_fn, m)
         # the phases fill the first state component; the others start at 0
-        phases = project_initial(meas, phase_fn, m, cfg.sublevel).values
+        phases = martingale_level(meas, phase_fn, m, cfg.sublevel).values
         init = PiecewiseConstantField(
             meas.k, m, np.pad(phases, ((0, 0), (0, model.state_dim - 1)))
         )
@@ -589,10 +588,6 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def run_modulus(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
-    if not has_common_linear_part(cfg.ifs):
-        raise ConfigError(
-            "modulus mode requires an IFS whose maps share a common linear part"
-        )
     phi = cfg.test_function()
     levels = sorted(cfg.levels)
     # compute one extra level so the lambda^(l+1) scaling column is exact
@@ -603,7 +598,7 @@ def run_modulus(cfg: ExperimentConfig, out: Path) -> list[str]:
     omega_main = omega[: len(levels)]
     omega_shifted = omega[1 : len(levels) + 1]
     lam = cfg.ifs.maps[0].ratio
-    rep = lipschitz_norm_estimate(np.array(levels), omega_main, lam, cfg.modulus_p)
+    rep = lipschitz_norm_estimate(np.array(levels), omega_main, lam)
     rows = [
         (m, om, oms, rep.fitted_alpha)
         for m, om, oms in zip(levels, omega_main, omega_shifted)

@@ -19,12 +19,9 @@ import numpy as np
 
 from .errors import NumericalAbortError
 from .geometry import attractor_points, has_common_linear_part
-from .quadrature import (
-    SelfSimilarMeasure,
-    check_eval_budget,
-)
-from .symbolic import check_level_size, level_weights
-from .transfer import KernelMatrix, PiecewiseConstantField, martingale_level
+from .quadrature import SelfSimilarMeasure
+from .symbolic import check_eval_budget, check_level_size, level_weights
+from .transfer import KernelMatrix, PiecewiseConstantField
 
 
 @dataclass
@@ -112,7 +109,7 @@ class Trajectory:
 
 
 def project_kernel(
-    meas: SelfSimilarMeasure, kernel, m: int, sublevel: int, anchor=None
+    meas: SelfSimilarMeasure, kernel, m: int, sublevel: int
 ) -> KernelMatrix:
     """Cell averages of the kernel over all K_w x K_v pairs at level m.
 
@@ -134,7 +131,7 @@ def project_kernel(
     # the budget charges the evaluations made: grouping compares all
     # n_cells^2 anchor pairs, then evaluates n_sub^2 pairs per class
     check_eval_budget(n_cells * n_cells if grouped else n_fine * n_fine)
-    pts = attractor_points(meas.ifs, m + sublevel, anchor)
+    pts = attractor_points(meas.ifs, m + sublevel)
     # sub-cylinder masses relative to the largest one, normalized once at
     # the end: uniform p gives weights of exactly 1, so a constant kernel
     # projects to exactly itself and stays admissible for Bernoulli sampling
@@ -210,13 +207,6 @@ def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(n * n, dtype=np.int64)
     inverse[order] = renumber[np.cumsum(new_class) - 1]
     return np.sort(first), inverse
-
-
-def project_initial(
-    meas: SelfSimilarMeasure, g, m: int, sublevel: int, anchor=None
-) -> PiecewiseConstantField:
-    """Cell averages of the initial datum (the Galerkin initial condition)."""
-    return martingale_level(meas, g, m, sublevel, anchor)
 
 
 def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> CouplingGraph:
@@ -492,16 +482,14 @@ def kuramoto_inertia_model(
     )
 
 
-def consensus_model(interaction_fn=None, bound: float = 4.0) -> ModelSpec:
-    """Opinion pooling: du_w = sum_v G_wv D(u_v - u_w); default D = identity,
-    summed by ``graph_product``; any other D by ``pairwise_coupling``."""
-    if interaction_fn is None:
-        def coupling_term(G, u):
-            x = u[..., 0]
-            gx = graph_product(G, x[..., None, :])[..., 0, :]
-            return (gx - G.sum(axis=-1) * x)[..., None]
-    else:
-        coupling_term = pairwise_coupling(lambda u, v: interaction_fn(v - u), bound)
+def consensus_model() -> ModelSpec:
+    """Opinion pooling: du_w = sum_v G_wv (u_v - u_w), summed by
+    ``graph_product``."""
+
+    def coupling_term(G, u):
+        x = u[..., 0]
+        gx = graph_product(G, x[..., None, :])[..., 0, :]
+        return (gx - G.sum(axis=-1) * x)[..., None]
 
     def drift(t, u, params):
         return np.zeros_like(u)

@@ -14,23 +14,23 @@ from .dynamics import (
     assemble_deterministic,
     integrate_ips,
     kuramoto_model,
-    project_initial,
     project_kernel,
     stack_graphs,
 )
 from .quadrature import SelfSimilarMeasure
-from .transfer import coarsen
+from .transfer import coarsen, martingale_level
 
 
-def random_trig_field(seed, dimension: int, n_modes: int = 3,
-                      amplitude: float = 1.0, offset: float = 0.0):
-    """A seeded random Lipschitz function: a short sum of plane waves.
+def random_trig_field(seed, dimension: int, amplitude: float = 1.0,
+                      offset: float = 0.0):
+    """A seeded random Lipschitz function: a sum of three plane waves.
 
     Sampling the field once (rather than white noise per cell) keeps its
     level-m projections consistent under coarsening, which is what the
     refinement benchmarks require.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    n_modes = 3
     amps = rng.uniform(-1.0, 1.0, size=n_modes) * (amplitude / n_modes)
     freqs = rng.uniform(0.5, 2.0, size=(n_modes, dimension))
     shifts = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
@@ -77,8 +77,8 @@ def kuramoto_refinement_errors(
     levels = sorted(int(m) for m in levels)
     finest = levels[-1] + 1
     omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
-    omega_fine = project_initial(meas, omega_fn, finest, sublevel)
-    phase_fine = project_initial(meas, phase_fn, finest, sublevel)
+    omega_fine = martingale_level(meas, omega_fn, finest, sublevel)
+    phase_fine = martingale_level(meas, phase_fn, finest, sublevel)
 
     needed = sorted(set(levels) | {m + 1 for m in levels})
     trajs = {}
@@ -120,8 +120,9 @@ def bernoulli_gap_medians(
         km = project_kernel(meas, kernel, m, sublevel)
         # member 0 is the deterministic system, members 1.. its Bernoulli draws
         graphs = stack_graphs(km, meas, (None, *seeds))
-        model = kuramoto_model(coupling_strength, project_initial(meas, omega_fn, m, sublevel))
-        init = project_initial(meas, phase_fn, m, sublevel)
+        omega = martingale_level(meas, omega_fn, m, sublevel)
+        model = kuramoto_model(coupling_strength, omega)
+        init = martingale_level(meas, phase_fn, m, sublevel)
         base, *draws = integrate_ips(model, graphs, init, T, dt, output_stride)
         per_seed[li] = [traj_error(base, t, meas).max_error for t in draws]
         medians.append(float(np.median(per_seed[li])))

@@ -16,7 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symbolic import Word, check_level_size, similarity_dimension_from_ratios
+from .symbolic import (
+    Word,
+    check_eval_budget,
+    check_level_size,
+    similarity_dimension_from_ratios,
+)
 
 
 @dataclass(frozen=True)
@@ -161,34 +166,18 @@ def fixed_point_centroid(ifs: IFS) -> np.ndarray:
     return fps.mean(axis=0)
 
 
-def cylinder_diameter_bound(ifs: IFS, w: Word, diam: float | None = None) -> float:
+def cylinder_diameter_bound(ifs: IFS, w: Word) -> float:
     """prod(r_{w_j}) * diam-bound(K): an upper bound for diam(K_w)."""
-    if diam is None:
-        diam = ifs.diameter_bound
     scale = 1.0
     for s in w.symbols:
         scale *= ifs.maps[s - 1].ratio
-    return scale * diam
+    return scale * ifs.diameter_bound
 
 
 def default_anchor(ifs: IFS) -> np.ndarray:
     """Fixed point of the first map; anchor choice only moves the result
     within the exponentially small cylinder."""
     return fixed_point(ifs.maps[0])
-
-
-@dataclass(frozen=True)
-class AttractorCell:
-    """A level-m cell: its word address, the composed map, and a diameter
-    bound that shrinks geometrically with the level for equal-ratio systems."""
-
-    word: Word
-    map: AffineMap
-    diameter_bound: float
-
-
-def attractor_cell(ifs: IFS, w: Word, diam: float | None = None) -> AttractorCell:
-    return AttractorCell(w, compose(ifs, w), cylinder_diameter_bound(ifs, w, diam))
 
 
 class ProjectedPoint(NamedTuple):
@@ -229,9 +218,9 @@ def canonical_interval_ifs(k: int) -> IFS:
     )
 
 
-def has_common_linear_part(ifs: IFS, tol: float = 1e-12) -> bool:
+def has_common_linear_part(ifs: IFS) -> bool:
     A0 = ifs.maps[0].matrix
-    return all(np.allclose(m.matrix, A0, rtol=0, atol=tol) for m in ifs.maps[1:])
+    return all(np.allclose(m.matrix, A0, rtol=0, atol=1e-12) for m in ifs.maps[1:])
 
 
 def common_contraction_ratio(ifs: IFS) -> float:
@@ -260,14 +249,16 @@ def translation_vector(ifs: IFS, i: int, j: int) -> np.ndarray:
     return ifs.maps[j - 1].translation - ifs.maps[i - 1].translation
 
 
-def attractor_points(ifs: IFS, m: int, anchor=None, cap: int | None = None) -> np.ndarray:
+def attractor_points(ifs: IFS, m: int, anchor=None) -> np.ndarray:
     """(k**m, d) array of x_w = f_w(anchor), w in lexicographic order.
 
     Level m+1 points are the level-m points pushed through each map, stacked
     in symbol order, which reproduces the lexicographic (first-symbol-major)
-    ordering.
+    ordering.  The k**m nodes are checked against the enumeration cap and
+    charged to the evaluation budget before any is made, so callers that
+    evaluate a function on them need no charge of their own.
     """
-    check_level_size(ifs.k, m, cap)
+    check_eval_budget(check_level_size(ifs.k, m))
     if anchor is None:
         anchor = default_anchor(ifs)
     pts = np.asarray(anchor, dtype=np.float64).reshape(1, ifs.dimension)

@@ -12,45 +12,25 @@ shape (N, d), or (N,) when d = 1, and return (N,) scalars or (N, s) vectors.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .geometry import (
     IFS,
     attractor_points,
     compose,
-    default_anchor,
     fixed_point,
     has_common_linear_part,
     natural_probability_weights,
 )
-from .symbolic import ProbabilityVector, Word, check_level_size, level_weights
-
-# Budget on pointwise function evaluations (env override for large runs).
-DEFAULT_EVAL_BUDGET = 1 << 27
-EVAL_BUDGET_ENV = "FRACTALIPS_MAX_EVALS"
-
-
-def eval_budget() -> int:
-    raw = os.environ.get(EVAL_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_EVAL_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{EVAL_BUDGET_ENV}={raw!r} is not an integer") from exc
-
-
-def check_eval_budget(n: int) -> None:
-    budget = eval_budget()
-    if n > budget:
-        raise BudgetExceededError(
-            f"{n} function evaluations exceed the budget {budget} "
-            f"(override with {EVAL_BUDGET_ENV})"
-        )
+from .symbolic import (
+    ProbabilityVector,
+    Word,
+    check_eval_budget,
+    check_level_size,
+    level_weights,
+)
 
 
 def pairwise_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -138,16 +118,8 @@ class SelfSimilarMeasure:
     def k(self) -> int:
         return self.ifs.k
 
-    def weights(self, m: int, cap: int | None = None) -> np.ndarray:
-        return level_weights(self.p, m, cap)
-
-    def cylinder_mass(self, w: Word):
-        from .symbolic import cylinder_measure
-
-        return cylinder_measure(self.p, w)
-
-    def anchor(self) -> np.ndarray:
-        return default_anchor(self.ifs)
+    def weights(self, m: int) -> np.ndarray:
+        return level_weights(self.p, m)
 
 
 def integrate_qmc(meas: SelfSimilarMeasure, phi, m: int, anchor=None):
@@ -158,7 +130,6 @@ def integrate_qmc(meas: SelfSimilarMeasure, phi, m: int, anchor=None):
     of order ratio**m * |anchor - mean(nu)| for affine integrands, so the
     fixed-point centroid is a good anchor for moment computations.
     """
-    check_eval_budget(check_level_size(meas.k, m))
     pts = attractor_points(meas.ifs, m, anchor)
     vals = evaluate_on_points(phi, pts)
     return cell_means(vals, meas.p, m)[0]
@@ -232,9 +203,6 @@ def cell_average(meas: SelfSimilarMeasure, phi, w: Word, sublevel: int, anchor=N
     measure: the sub-cylinder weights already sum to one.
     """
     check_level_size(meas.k, len(w) + sublevel)
-    if anchor is None:
-        anchor = meas.anchor()
-    check_eval_budget(meas.k**sublevel)
     sub = attractor_points(meas.ifs, sublevel, anchor)
     fw = compose(meas.ifs, w)
     pts = fw(sub)

@@ -12,6 +12,7 @@ Symbols are 1-based in the public interface; the integer encoding is 0-based.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,18 +23,38 @@ from .errors import BudgetExceededError
 
 # Cap on k**m for any full-level enumeration, to prevent memory exhaustion.
 DEFAULT_ENUMERATION_CAP = 1 << 24
+# Budget on pointwise function evaluations (env override for large runs).
+DEFAULT_EVAL_BUDGET = 1 << 27
+EVAL_BUDGET_ENV = "FRACTALIPS_MAX_EVALS"
 
 
-def check_level_size(k: int, m: int, cap: int | None = None) -> int:
+def check_level_size(k: int, m: int) -> int:
     """Return k**m after checking it against the enumeration cap."""
-    if cap is None:
-        cap = DEFAULT_ENUMERATION_CAP
     n = k**m
-    if n > cap:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"level size k^m = {k}^{m} = {n} exceeds the cap {cap}"
+            f"level size k^m = {k}^{m} = {n} exceeds the cap {DEFAULT_ENUMERATION_CAP}"
         )
     return n
+
+
+def eval_budget() -> int:
+    raw = os.environ.get(EVAL_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_EVAL_BUDGET
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{EVAL_BUDGET_ENV}={raw!r} is not an integer") from exc
+
+
+def check_eval_budget(n: int) -> None:
+    budget = eval_budget()
+    if n > budget:
+        raise BudgetExceededError(
+            f"{n} function evaluations exceed the budget {budget} "
+            f"(override with {EVAL_BUDGET_ENV})"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,7 @@ class Word:
         return Word(self.k, self.symbols[:-1])
 
 
-def enumerate_level(k: int, m: int, cap: int | None = None) -> list[Word]:
+def enumerate_level(k: int, m: int) -> list[Word]:
     """All words of length m in lexicographic order (exactly k**m of them).
 
     This ordering is the canonical index map shared by every coefficient
@@ -102,16 +123,16 @@ def enumerate_level(k: int, m: int, cap: int | None = None) -> list[Word]:
         raise ValueError(f"alphabet size must be >= 2, got {k}")
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
-    n = check_level_size(k, m, cap)
+    n = check_level_size(k, m)
     return [Word.from_index(k, m, i) for i in range(n)]
 
 
-def level_symbol_array(k: int, m: int, cap: int | None = None) -> np.ndarray:
+def level_symbol_array(k: int, m: int) -> np.ndarray:
     """(k**m, m) array of 1-based symbols, row i = word with index i.
 
     Vectorized companion of :func:`enumerate_level` for bulk arithmetic.
     """
-    n = check_level_size(k, m, cap)
+    n = check_level_size(k, m)
     if m == 0:
         return np.zeros((1, 0), dtype=np.int64)
     place = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -203,7 +224,7 @@ def cylinder_measure(p, w: Word):
     return out
 
 
-def level_weights(p, m: int, cap: int | None = None) -> np.ndarray:
+def level_weights(p, m: int) -> np.ndarray:
     """All k**m cylinder measures at level m, in lexicographic order.
 
     Built as an m-fold Kronecker power, so the first symbol is the most
@@ -213,7 +234,7 @@ def level_weights(p, m: int, cap: int | None = None) -> np.ndarray:
         arr = p.as_array()
     else:
         arr = np.asarray([float(x) for x in p], dtype=np.float64)
-    check_level_size(len(arr), m, cap)
+    check_level_size(len(arr), m)
     out = np.ones(1, dtype=np.float64)
     for _ in range(m):
         out = np.kron(out, arr)

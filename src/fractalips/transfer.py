@@ -17,11 +17,10 @@ from .geometry import attractor_points
 from .quadrature import (
     SelfSimilarMeasure,
     cell_means,
-    check_eval_budget,
     evaluate_on_points,
     pairwise_sum,
 )
-from .symbolic import ProbabilityVector, Word, check_level_size, level_weights
+from .symbolic import ProbabilityVector, check_level_size, level_weights
 
 
 def _as_2d(values: np.ndarray) -> np.ndarray:
@@ -54,11 +53,6 @@ class PiecewiseConstantField:
     def state_dim(self) -> int:
         return self.values.shape[1]
 
-    def coefficient(self, w: Word) -> np.ndarray:
-        if w.k != self.k or len(w) != self.level:
-            raise ValueError("word does not address this field's level")
-        return self.values[w.index]
-
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -88,7 +82,6 @@ def martingale_level(
     ``sublevel`` extra levels; all nodes are evaluated in one pass and
     regrouped per cell.
     """
-    check_eval_budget(check_level_size(meas.k, m + sublevel))
     pts = attractor_points(meas.ifs, m + sublevel, anchor)
     vals = evaluate_on_points(phi, pts)
     return PiecewiseConstantField(meas.k, m, cell_means(vals, meas.p, sublevel))
@@ -109,9 +102,7 @@ def coarsen(
     return PiecewiseConstantField(field.k, target_level, values)
 
 
-def refine(
-    field: PiecewiseConstantField, target_level: int, cap: int | None = None
-) -> PiecewiseConstantField:
+def refine(field: PiecewiseConstantField, target_level: int) -> PiecewiseConstantField:
     """Copy each coefficient to all its descendants at the target level.
 
     Exactly L^p-norm preserving for the natural measure (children split the
@@ -119,7 +110,7 @@ def refine(
     """
     if target_level < field.level:
         raise ValueError("target level must be >= the field level")
-    check_level_size(field.k, target_level, cap)
+    check_level_size(field.k, target_level)
     delta = target_level - field.level
     if delta == 0:
         return field

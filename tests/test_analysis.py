@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalips import (
+    BudgetExceededError,
     PiecewiseConstantField,
     SelfSimilarMeasure,
     Trajectory,
@@ -14,6 +15,7 @@ from fractalips import (
     lipschitz_norm_estimate,
     lp_projection_bound,
     modulus_profile,
+    project_kernel,
     projection_error,
     rate_fit,
     refine,
@@ -405,6 +407,35 @@ class TestVlasovSelfConvergence:
         first = np.broadcast_to(table.distances[:, :, :1], table.distances.shape)
         assert np.all(table.distances > 0)
         np.testing.assert_allclose(table.distances, first, rtol=1e-12)
+
+    def test_budget_refuses_finest_level_before_any_projection(
+        self, sg_measure, monkeypatch
+    ):
+        # levels 2 and 3 with sublevel 2 make 81^2 = 6,561 and 243^2 = 59,049
+        # evaluations of an undeclared kernel; only level 3 is over budget
+        from fractalips import analysis
+
+        projected = []
+
+        def recorded(*args, **kwargs):
+            projected.append(project_kernel(*args, **kwargs))
+            return projected[-1]
+
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "10000")
+        monkeypatch.setattr(analysis, "project_kernel", recorded)
+        with pytest.raises(BudgetExceededError, match="59049"):
+            vlasov_self_convergence(
+                sg_measure,
+                lambda level: kuramoto_model(1.0, 0.0),
+                lambda x, y: np.exp(-np.abs(x - y).sum(axis=-1)),
+                lambda rng, ci, n: rng.random((n, 1)),
+                m=1,
+                ells=(1, 2),
+                T=0.1,
+                dt=0.01,
+                seeds=(1,),
+            )
+        assert projected == []
 
     def test_kuramoto_distances_decrease_with_refinement(self, sg_measure):
         from fractalips import builtin_kernels

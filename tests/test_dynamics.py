@@ -24,14 +24,15 @@ from fractalips import (
     integrate_ips,
     kuramoto_inertia_model,
     kuramoto_model,
+    martingale_level,
     pairwise_coupling,
-    project_initial,
     preset,
     project_kernel,
     sample_bernoulli,
     stack_graphs,
 )
 from fractalips.analysis import traj_error
+from fractalips.geometry import default_anchor
 from fractalips.symbolic import level_weights
 
 # the inline IFS of the simulate benchmark: map1 is rotated by pi, so the maps
@@ -107,7 +108,7 @@ class TestProjectKernel:
         b = lambda y: 1.0 + 0.5 * y[..., 1]
         W = lambda x, y: a(x) * b(y)
         km = project_kernel(sg_measure, W, 1, 3)
-        anchor = sg_measure.anchor()
+        anchor = default_anchor(sg_measure.ifs)
         for wi in range(3):
             for vi in range(3):
                 aw = cell_average(sg_measure, lambda x: a(x[:, None, :])[:, 0],
@@ -221,7 +222,7 @@ class TestDisplacementClasses:
 
 class TestProjectInitial:
     def test_constant(self, sg_measure):
-        f = project_initial(sg_measure, lambda x: np.full(len(x), 2.5), 2, 3)
+        f = martingale_level(sg_measure, lambda x: np.full(len(x), 2.5), 2, 3)
         np.testing.assert_array_equal(f.values[:, 0], 2.5)
 
     def test_indicator_of_first_cell(self, sg_measure):
@@ -229,16 +230,8 @@ class TestProjectInitial:
         # x + y/sqrt(3) = 1/2 (its two contact points sit on the line)
         s3 = np.sqrt(3.0)
         phi = lambda x: (x[:, 0] + x[:, 1] / s3 < 0.5 - 1e-9).astype(float)
-        f = project_initial(sg_measure, phi, 1, 6)
+        f = martingale_level(sg_measure, phi, 1, 6)
         np.testing.assert_allclose(f.values[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_same_cell_averages_as_martingale_level(self, sg_measure):
-        from fractalips import martingale_level
-
-        phi = lambda x: np.cos(x[:, 0]) * x[:, 1]
-        a = project_initial(sg_measure, phi, 3, 2)
-        b = martingale_level(sg_measure, phi, 3, 2)
-        np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestAssemble:
@@ -553,7 +546,12 @@ class TestBuiltinModels:
         # consensus with a non-identity D, given only by its interaction,
         # sums through pairwise_coupling
         if name == "interaction only":
-            model = consensus_model(np.tanh, bound=1.0)
+            model = ModelSpec(
+                name="consensus",
+                state_dim=1,
+                drift=lambda t, u, p: np.zeros_like(u),
+                coupling_term=pairwise_coupling(lambda u, v: np.tanh(v - u), 1.0),
+            )
         else:
             model = builtin_models()[name](*self.FACTORY_ARGS[name])
         rng = np.random.Generator(np.random.Philox(11))
@@ -616,9 +614,6 @@ class TestBuiltinModels:
     def test_spot_check_rejects_out_of_bound_interaction(self):
         with pytest.raises(ValueError, match="exceeds the declared bound"):
             pairwise_coupling(lambda u, v: 5.0 * np.tanh(v - u), 1.0)
-        # consensus checks every D but its identity fast path
-        with pytest.raises(ValueError, match="exceeds the declared bound"):
-            consensus_model(lambda z: 5.0 * np.tanh(z), bound=1.0)
 
 
 class TestBernoulliConcentration:
@@ -631,7 +626,7 @@ class TestBernoulliConcentration:
         for m in rng_levels:
             km = project_kernel(sg_measure, kern, m, 2)
             coupling = assemble_deterministic(km, sg_measure)
-            g = project_initial(
+            g = martingale_level(
                 sg_measure, lambda x: 0.5 + 0.4 * np.sin(2 * np.pi * x[:, 0]), m, 2
             )
             model = kuramoto_model(1.0, 0.0)

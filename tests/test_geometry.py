@@ -236,16 +236,14 @@ class TestAttractorPoints:
 
 class TestAttractorCell:
     def test_cell_carries_map_and_shrinking_bound(self, sg):
-        from fractalips import attractor_cell
-
         prev = None
         for m in range(1, 6):
-            cell = attractor_cell(sg, Word(3, (2,) * m))
-            assert cell.word.level == m
-            np.testing.assert_allclose(cell.map.matrix, np.eye(2) * 0.5**m)
+            w = Word(3, (2,) * m)
+            np.testing.assert_allclose(compose(sg, w).matrix, np.eye(2) * 0.5**m)
+            bound = cylinder_diameter_bound(sg, w)
             if prev is not None:
-                assert cell.diameter_bound == pytest.approx(prev / 2.0)
-            prev = cell.diameter_bound
+                assert bound == pytest.approx(prev / 2.0)
+            prev = bound
 
 
 class TestDiameterBound:

@@ -18,9 +18,12 @@ from fractalips import (
     pairwise_sum,
     stationarity_residual,
 )
-from fractalips import quadrature
-from fractalips.geometry import fixed_point_centroid
+from fractalips import geometry
+from fractalips.analysis import projection_error
+from fractalips.geometry import default_anchor, fixed_point_centroid
 from fractalips.quadrature import evaluate_on_points
+from fractalips.symbolic import cylinder_measure
+from fractalips.transfer import martingale_level
 
 
 def mean_oracle(meas):
@@ -228,30 +231,37 @@ class TestCellAverage:
         # sum_w nu(K_w) cell_average(w) equals the level-(m+m') integral
         phi = lambda x: np.cos(x[:, 0]) + x[:, 1] ** 2
         m, sub = 3, 4
-        anchor = sg_measure.anchor()
+        anchor = default_anchor(sg_measure.ifs)
         total = 0.0
         for idx in range(3**m):
             w = Word.from_index(3, m, idx)
-            total += float(sg_measure.cylinder_mass(w)) * cell_average(
+            total += float(cylinder_measure(sg_measure.p, w)) * cell_average(
                 sg_measure, phi, w, sub, anchor=anchor
             )
         ref = integrate_qmc(sg_measure, phi, m + sub, anchor=anchor)
         assert total == pytest.approx(ref, rel=1e-13)
 
 
-@pytest.mark.parametrize("route", ["integrate_qmc", "cell_average"])
+@pytest.mark.parametrize(
+    "route", ["integrate_qmc", "cell_average", "martingale_level", "projection_error"]
+)
 def test_budget_refuses_before_enumerating_nodes(sg_measure, monkeypatch, route):
-    # a refused budget must not first allocate the nodes it refuses
-    def enumerated(*args, **kwargs):
-        raise AssertionError("attractor_points called before the budget check")
+    # a refused budget must not first allocate the nodes it refuses: every
+    # route needs the 27 level-3 nodes, and making any of them maps a point
+    def mapped(self, x):
+        raise AssertionError("a node was made before the budget check")
 
+    phi = lambda x: x[:, 0]
+    calls = {
+        "integrate_qmc": lambda: integrate_qmc(sg_measure, phi, 3),
+        "cell_average": lambda: cell_average(sg_measure, phi, Word(3, (1,)), 3),
+        "martingale_level": lambda: martingale_level(sg_measure, phi, 1, 2),
+        "projection_error": lambda: projection_error(sg_measure, phi, 1, sublevel=2),
+    }
     monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "10")
-    monkeypatch.setattr(quadrature, "attractor_points", enumerated)
+    monkeypatch.setattr(geometry.Similitude, "__call__", mapped)
     with pytest.raises(BudgetExceededError):
-        if route == "integrate_qmc":
-            integrate_qmc(sg_measure, lambda x: x[:, 0], 3)
-        else:
-            cell_average(sg_measure, lambda x: x[:, 0], Word(3, (1,)), 3)
+        calls[route]()
 
 
 class TestStationarityResidual:

@@ -33,7 +33,7 @@ class TestEnumerateLevel:
 
     def test_cap_rejects_oversized_levels(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_level(3, 8, cap=1000)
+            enumerate_level(3, 16)
 
     def test_index_roundtrip_is_bijective(self):
         words = enumerate_level(3, 4)

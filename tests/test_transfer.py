@@ -15,6 +15,7 @@ from fractalips import (
     refine,
     transfer_to_interval,
 )
+from fractalips.geometry import default_anchor
 from fractalips.quadrature import pairwise_sum
 
 
@@ -42,10 +43,6 @@ class TestPiecewiseConstantField:
         assert f.values.shape == (4, 1)
         assert f.state_dim == 1
 
-    def test_coefficient_lookup(self):
-        f = PiecewiseConstantField(2, 2, np.arange(4.0))
-        assert f.coefficient(Word(2, (2, 1)))[0] == 2.0
-
 
 class TestMartingaleLevel:
     def test_constant_function(self, sg_measure):
@@ -64,7 +61,7 @@ class TestMartingaleLevel:
 
     def test_matches_cell_average(self, sg_measure):
         phi = lambda x: np.exp(-np.abs(x[:, 0] - x[:, 1]))
-        anchor = sg_measure.anchor()
+        anchor = default_anchor(sg_measure.ifs)
         f = martingale_level(sg_measure, phi, 2, 3, anchor=anchor)
         for idx in (0, 4, 8):
             w = Word.from_index(3, 2, idx)
