@@ -22,6 +22,7 @@ from .analysis import (
     vlasov_self_convergence,
 )
 from .dynamics import (
+    BlockGraph,
     CouplingGraph,
     ModelSpec,
     Trajectory,

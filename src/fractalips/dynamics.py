@@ -13,6 +13,7 @@ fixed-step RK4; the spatial error under study dominates the time error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,10 @@ from .geometry import attractor_points, has_common_linear_part
 from .quadrature import SelfSimilarMeasure
 from .symbolic import check_eval_budget, check_level_size, level_weights
 from .transfer import KernelMatrix, PiecewiseConstantField
+
+# the largest graph kept dense: on sg at level 6 the dense graph (4.25 MB)
+# overflows a 2 MiB per-core L2 cache, and a BlockGraph (1.9 MB) fits
+DENSE_GRAPH_BYTES = 2 << 20
 
 
 @dataclass
@@ -33,8 +38,9 @@ class ModelSpec:
     ``drift(t, u, params)`` returns an array that broadcasts to u's shape.
     ``coupling_term(G, u)`` returns sum_v G_wv D(u_w, u_v) for every member
     as an (E, n, s) array.  G is either one (n, n) graph that every member
-    shares or an (E, n, n) stack with one graph per member (``graph_product``
-    handles both).  ``pairwise_coupling`` builds it from a broadcasting D.
+    shares (an array or a ``BlockGraph``) or an (E, n, n) stack with one
+    graph per member (``graph_product`` handles all of them).
+    ``pairwise_coupling`` builds it from a broadcasting D.
     ``params`` holds optional per-cell constants such as oscillator
     frequencies (they obey d(lambda)/dt = 0).
     """
@@ -53,33 +59,64 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
+class BlockGraph:
+    """G = W diag(nu) for a symmetric W whose k diagonal blocks are one matrix.
+
+    Blocks are cut by the first symbol of the cell words.  ``diagonal`` is
+    the shared diagonal block, ``upper`` maps (i, j), i < j, to block (i, j),
+    whose transpose is block (j, i), and ``masses`` holds the nu(K_v): k(k -
+    1)/2 + 1 of the k^2 blocks are stored.  ``np.asarray`` gives the dense G.
+    """
+
+    diagonal: np.ndarray
+    upper: dict
+    masses: np.ndarray
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.masses),) * 2
+
+    def __array__(self, dtype=None, copy=None):
+        b = len(self.diagonal)
+        W = np.empty((len(self.masses) // b, b) * 2)
+        for i in range(len(W)):
+            W[i, :, i] = self.diagonal
+        for (i, j), C in self.upper.items():
+            W[i, :, j], W[j, :, i] = C, C.T
+        return np.multiply(W.reshape(self.shape), self.masses, dtype=dtype)
+
+
+@dataclass(frozen=True)
 class CouplingGraph:
     """The level-m coupling weights, already scaled by the cell masses.
 
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member.
+    graph per member.  A shared graph may also be a ``BlockGraph``.
     """
 
     k: int
     level: int
-    weights: np.ndarray
+    weights: np.ndarray | BlockGraph
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = self.weights
+        if not isinstance(w, BlockGraph):
+            # the layouts graph_product reads fastest (OpenBLAS, one thread):
+            # a shared graph with its transpose C-contiguous, for the GEMM of
+            # all members' rows; a stack C-contiguous, for each member's two
+            # rows at n = 243.  Copies only when the layout differs.
+            w = np.asarray(w, dtype=np.float64)
+            w = np.ascontiguousarray(w) if w.ndim == 3 else np.ascontiguousarray(w.T).T
+            w.setflags(write=False)
+            object.__setattr__(self, "weights", w)
         n = self.k**self.level
         if w.ndim not in (2, 3) or w.shape[-2:] != (n, n):
             raise ValueError(
                 f"expected a {n}x{n} weight matrix or a stack of them, got {w.shape}"
             )
-        # the layouts graph_product reads fastest (OpenBLAS, one thread): a
-        # shared graph with its transpose C-contiguous, for the GEMM of all
-        # members' rows; a stack C-contiguous, for each member's two rows at
-        # n = 243.  Copies only when the layout differs.
-        w = np.ascontiguousarray(w) if w.ndim == 3 else np.ascontiguousarray(w.T).T
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -115,12 +152,12 @@ def project_kernel(
 
     Uses the tensorized sub-cylinder nodes of the product system (K x K is
     the attractor of the paired maps (f_i, f_j)).  When the kernel declares
-    ``translation_invariant = True`` (W depends on x - y only) and the maps
-    share a linear part, level-m cells are translates of each other and
-    W_wv depends only on the displacement between K_w and K_v: each
-    displacement class is evaluated once, on one representative pair, and
-    copied to its other pairs.  Otherwise every pair is evaluated, in row
-    blocks that bound memory.
+    ``translation_invariant = True`` (W(x, y) = w(x - y), w even) and the
+    maps share a linear part, level-m cells are translates of each other and
+    W_wv depends only on the displacement +-delta between K_w and K_v: each
+    class is evaluated once, on one representative pair, and copied to its
+    other pairs, so W is exactly symmetric (ValueError if w is not even).
+    Otherwise every pair is evaluated, in row blocks that bound memory.
     """
     k = meas.k
     n_cells = check_level_size(k, m)
@@ -143,7 +180,7 @@ def project_kernel(
     if grouped:
         # x_w = f_w(anchor) = A^m anchor + t_w, so x_w - x_v = t_w - t_v
         first, inverse = _displacement_classes(pts[::n_sub])
-        check_eval_budget(len(first) * n_sub * n_sub)
+        check_eval_budget((len(first) + 1) * n_sub * n_sub)  # + 1: evenness check
         rows, cols = np.divmod(first, n_cells)
         values = np.empty(len(first), dtype=np.float64)
         # first is ascending, so each row's representatives are contiguous:
@@ -152,6 +189,11 @@ def project_kernel(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             sums = _block_sums(kernel, cells, q, rows[lo : lo + 1], cols[lo:hi])
             values[lo:hi] = sums[0]
+        # w must be even: the last class (not the zero displacement, unless
+        # it is the only one) evaluated the other way round
+        mirror = _block_sums(kernel, cells, q, cols[-1:], rows[-1:])[0, 0]
+        if abs(mirror - values[-1]) > 1e-12 * abs(values[-1]):
+            raise ValueError("a translation_invariant kernel must be even: W(x, y) = W(y, x)")
         entries = values[inverse].reshape(n_cells, n_cells)
     else:
         entries = np.empty((n_cells, n_cells), dtype=np.float64)
@@ -177,7 +219,8 @@ def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
 
 
 def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the ordered pairs (w, v) of the points t by t_w - t_v.
+    """Group the ordered pairs (w, v) of the points t by +-(t_w - t_v), so
+    that (w, v) and (v, w) share a class.
 
     Returns, in ascending order, the flat index w * n + v of the first pair
     of each class, and for every pair the number of its class.
@@ -190,35 +233,49 @@ def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     times the step.
     """
     n = len(t)
-    disp = [(c[:, None] - c[None, :]).ravel() for c in t.T]
-    # |keys| <= 2^40, so the integer keys cannot overflow
-    scale = max(float(np.abs(a).max()) for a in disp) or 1.0
-    keys = [np.rint(a * (2.0**40 / scale)).astype(np.int64) for a in disp]
-    order = np.lexsort(keys)  # stable: each class starts with its first pair
-    new_class = np.zeros(n * n, dtype=bool)
-    new_class[0] = True
-    for key in keys:
-        sorted_key = key[order]
-        new_class[1:] |= sorted_key[1:] != sorted_key[:-1]
-    first = order[new_class]
-    # renumber the classes in the order of their first pair
-    renumber = np.empty(len(first), dtype=np.int64)
-    renumber[np.argsort(first)] = np.arange(len(first))
-    inverse = np.empty(n * n, dtype=np.int64)
-    inverse[order] = renumber[np.cumsum(new_class) - 1]
-    return np.sort(first), inverse
+    axes = [np.unique(c, return_inverse=True) for c in t.T]
+    scale = max(float(vals[-1] - vals[0]) for vals, _ in axes) or 1.0
+    key, span = np.zeros(n * n, dtype=np.int64), 1
+    for vals, idx in axes:
+        # ranks of the displacements of distinct coordinates; rint is odd, so
+        # -d ranks (levels - 1) - rank(d) and -delta keys (span - 1) - key
+        grid = np.rint(np.subtract.outer(vals, vals) * (2.0**40 / scale))
+        levels, rank = np.unique(grid, return_inverse=True)
+        key = key * len(levels) + rank.reshape(grid.shape)[idx[:, None], idx].ravel()
+        span *= len(levels)
+        if span > n * n:  # ranking the keys keeps that symmetry
+            levels, key = np.unique(key, return_inverse=True)
+            span = len(levels)
+    key = np.minimum(key, span - 1 - key)
+    first = np.full(span, n * n)
+    np.minimum.at(first, key, np.arange(n * n))
+    first = np.sort(first[first < n * n])
+    number = np.empty(span, dtype=np.int64)
+    number[key[first]] = np.arange(len(first))
+    return first, number[key]
 
 
 def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> CouplingGraph:
     """Scale kernel averages by the cell masses: entry (w, v) = W_wv nu(K_v).
 
-    The diagonal is kept; the coupling sum runs over all level-m words.
+    The diagonal is kept; the coupling sum runs over all level-m words.  A
+    graph over ``DENSE_GRAPH_BYTES`` whose W is exactly symmetric with k
+    exactly equal diagonal blocks, as grouped projection makes it, is kept
+    as a ``BlockGraph``.
     """
+    W, k = km.entries, km.k
     masses = meas.weights(km.level)
+    blocks = W.reshape(k, len(W) // k, k, len(W) // k)
+    if (
+        W.nbytes > DENSE_GRAPH_BYTES
+        and all(np.array_equal(blocks[i, :, i], blocks[0, :, 0]) for i in range(1, k))
+        and np.array_equal(W, W.T)
+    ):
+        upper = {(i, j): blocks[i, :, j].copy() for i, j in combinations(range(k), 2)}
+        graph = BlockGraph(blocks[0, :, 0].copy(), upper, masses)
+        return CouplingGraph(k, km.level, graph)
     # Fortran order is the layout CouplingGraph keeps for one graph: no copy
-    return CouplingGraph(
-        km.k, km.level, np.multiply(km.entries, masses[None, :], order="F")
-    )
+    return CouplingGraph(k, km.level, np.multiply(W, masses[None, :], order="F"))
 
 
 def sample_bernoulli(
@@ -278,8 +335,18 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     A shared (n, n) graph multiplies the c rows of all E members in one GEMM,
     which reads G once; an (E, n, n) stack multiplies each member's rows by
-    its own graph in one batched matmul.
+    its own graph in one batched matmul.  A ``BlockGraph`` folds the masses
+    into x, since G_wv = W_wv nu_v, and makes one GEMM of its diagonal block
+    with every block-row, then two per upper block C (C and C^T).
     """
+    if isinstance(G, BlockGraph):
+        b = len(G.diagonal)
+        z = (x * G.masses).reshape(-1, len(G.masses) // b, b)
+        y = (z.reshape(-1, b) @ G.diagonal).reshape(z.shape)
+        for (i, j), C in G.upper.items():
+            y[:, i] += z[:, j] @ C.T
+            y[:, j] += z[:, i] @ C
+        return y.reshape(x.shape)
     if G.ndim == 2:
         return (x.reshape(-1, x.shape[-1]) @ G.swapaxes(-1, -2)).reshape(x.shape)
     return x @ G.swapaxes(-1, -2)
@@ -303,7 +370,7 @@ def pairwise_coupling(interaction: Callable, bound: float, state_dim: int = 1) -
 
     def coupling_term(G, u):
         dvals = np.asarray(interaction(u[..., :, None, :], u[..., None, :, :]))
-        return np.einsum("...wv,...wvs->...ws", G, dvals)
+        return np.einsum("...wv,...wvs->...ws", np.asarray(G), dvals)
 
     return coupling_term
 
@@ -483,13 +550,14 @@ def kuramoto_inertia_model(
 
 
 def consensus_model() -> ModelSpec:
-    """Opinion pooling: du_w = sum_v G_wv (u_v - u_w), summed by
-    ``graph_product``."""
+    """Opinion pooling: du_w = sum_v G_wv (u_v - u_w); one ``graph_product``
+    of the rows [u, 1] gives both sums."""
 
     def coupling_term(G, u):
         x = u[..., 0]
-        gx = graph_product(G, x[..., None, :])[..., 0, :]
-        return (gx - G.sum(axis=-1) * x)[..., None]
+        rows = np.stack([x, np.ones_like(x)], axis=-2)
+        gx, degree = np.moveaxis(graph_product(G, rows), -2, 0)
+        return (gx - degree * x)[..., None]
 
     def drift(t, u, params):
         return np.zeros_like(u)
@@ -530,10 +598,10 @@ def _declare(W, translation_invariant: bool, unit_range: bool):
 def builtin_kernels(d: int) -> dict:
     """Named kernels W(x, y); ``constant`` is a factory of the value.
 
-    Each kernel declares two attributes: ``translation_invariant`` (W depends
-    on x - y only, which lets ``project_kernel`` evaluate one cell pair per
-    displacement) and ``unit_range`` (values lie in [0, 1], as Bernoulli
-    sampling requires).  Plain callables declare neither.
+    Each kernel declares two attributes: ``translation_invariant`` (W(x, y) =
+    w(x - y) with w even, which lets ``project_kernel`` evaluate one cell
+    pair per displacement +-delta) and ``unit_range`` (values lie in [0, 1],
+    as Bernoulli sampling requires).  Plain callables declare neither.
     """
 
     def expdist(x, y):

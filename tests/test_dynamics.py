@@ -21,6 +21,7 @@ from fractalips import (
     builtin_kernels,
     builtin_models,
     consensus_model,
+    graph_product,
     integrate_ips,
     kuramoto_inertia_model,
     kuramoto_model,
@@ -32,6 +33,7 @@ from fractalips import (
     stack_graphs,
 )
 from fractalips.analysis import traj_error
+from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph
 from fractalips.geometry import default_anchor
 from fractalips.symbolic import level_weights
 
@@ -160,19 +162,20 @@ class TestDisplacementClasses:
 
         counted.translation_invariant = True
         project_kernel(sg_measure, counted, 4, 2)
-        # the 6561 cell pairs of sg at level 4 have 721 distinct displacements
-        assert sum(evaluated) == 721 * 9 * 9
+        # the 6561 cell pairs of sg at level 4 have 721 distinct displacements,
+        # 361 up to sign; one class is evaluated again the other way round
+        assert sum(evaluated) == (361 + 1) * 9 * 9
 
     def test_budget_charges_the_evaluations_made(self, sg_measure, monkeypatch):
         # sg at level 4, sublevel 2: grouping compares 81^2 = 6,561 anchor
-        # pairs and evaluates 721 classes of 9 x 9 node pairs (58,401);
-        # every pair would be 729^2 = 531,441 evaluations
+        # pairs and evaluates 361 classes (+-delta) and one evenness check of
+        # 9 x 9 node pairs (29,322); every pair would be 729^2 = 531,441
         kern = builtin_kernels(2)["expdist"]
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "100000")
         project_kernel(sg_measure, kern, 4, 2)
         with pytest.raises(BudgetExceededError):
             project_kernel(sg_measure, lambda x, y: kern(x, y), 4, 2)
-        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "58400")
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "29321")
         with pytest.raises(BudgetExceededError):
             project_kernel(sg_measure, kern, 4, 2)
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "6560")
@@ -210,6 +213,36 @@ class TestDisplacementClasses:
                 project_kernel(meas, lambda x, y: kern(x, y), m, 2).entries,
                 rtol=1e-13, atol=0,
             )
+
+    def test_generic_translations_match_dense_oracle(self):
+        # a common linear part but no lattice: the per-axis displacement
+        # ranks multiply past n^2 and are ranked again
+        ifs = IFS(tuple(Similitude.homothety(0.3, t)
+                        for t in ([0.0, 0.0], [0.61, 0.13], [0.29, 0.57])))
+        kern = builtin_kernels(2)["expdist"]
+        meas = SelfSimilarMeasure(ifs, skewed_p(3))
+        grouped = project_kernel(meas, kern, 3, 1).entries
+        np.testing.assert_array_equal(grouped, grouped.T)
+        np.testing.assert_allclose(
+            grouped, dense_reference(meas, kern, 3, 1), rtol=1e-13, atol=0
+        )
+
+    def test_declared_odd_kernel_rejected(self, sg_measure):
+        def odd(x, y):
+            return (x - y)[..., 0]
+
+        odd.translation_invariant = True
+        with pytest.raises(ValueError, match="must be even"):
+            project_kernel(sg_measure, odd, 2, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_catalog_kernels_are_even(self, d):
+        rng = np.random.Generator(np.random.Philox(d))
+        shape = (200,) if d == 1 else (200, d)
+        x, y = rng.uniform(-2.0, 2.0, shape), rng.uniform(-2.0, 2.0, shape)
+        for name, kern in builtin_kernels(d).items():
+            kern = kern(0.7) if name == "constant" else kern
+            np.testing.assert_array_equal(kern(x, y), kern(y, x))
 
     def test_catalog_declares_ranges(self):
         kernels = builtin_kernels(2)
@@ -250,6 +283,71 @@ class TestAssemble:
         km = KernelMatrix(3, 1, np.full((3, 3), -0.4))
         g = assemble_deterministic(km, sg_measure)
         np.testing.assert_allclose(g.weights, -0.4 / 3.0, rtol=1e-12)
+
+
+# level-m graphs over DENSE_GRAPH_BYTES: k = 3 and 2, uniform and skewed p
+BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), ("cantor", 10))
+               for uniform in (True, False)]
+
+
+@pytest.fixture(scope="module", params=BLOCK_CASES, ids=lambda c: f"{c[0]}-m{c[1]}-{c[2]}")
+def block_case(request):
+    """(measure, grouped kernel projection, dense graph) of one block case."""
+    name, m, uniform = request.param
+    ifs = preset(name)
+    meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform else skewed_p(ifs.k))
+    km = project_kernel(meas, builtin_kernels(ifs.dimension)["expdist"], m, 1)
+    return meas, km, km.entries * meas.weights(m)[None, :]
+
+
+class TestBlockGraph:
+    @pytest.mark.parametrize("rows", [2, 4, 20])
+    def test_product_matches_dense(self, block_case, rows):
+        meas, km, dense = block_case
+        graph = assemble_deterministic(km, meas).weights
+        assert isinstance(graph, BlockGraph)
+        assert graph.shape == dense.shape and graph.ndim == 2
+        np.testing.assert_array_equal(np.asarray(graph), dense)
+        rng = np.random.Generator(np.random.Philox(rows))
+        x = rng.uniform(0.0, 1.0, (2, rows, len(dense)))
+        np.testing.assert_allclose(
+            graph_product(graph, x), graph_product(dense, x), rtol=1e-13, atol=0
+        )
+
+    @pytest.mark.parametrize("name", sorted(builtin_models()))
+    def test_integration_matches_dense(self, name):
+        meas = SelfSimilarMeasure.uniform(preset("sg"))
+        km = project_kernel(meas, builtin_kernels(2)["expdist"], 6, 1)
+        blocks = assemble_deterministic(km, meas)
+        assert isinstance(blocks.weights, BlockGraph)
+        dense = CouplingGraph(3, 6, np.asarray(blocks.weights))
+        model = builtin_models()[name](*TestBuiltinModels.FACTORY_ARGS[name])
+        rng = np.random.Generator(np.random.Philox(3))
+        fields = [PiecewiseConstantField(3, 6, rng.uniform(0.0, 1.0, (729, model.state_dim)))
+                  for _ in range(2)]
+        for a, b in zip(integrate_ips(model, blocks, fields, T=0.05, dt=0.01),
+                        integrate_ips(model, dense, fields, T=0.05, dt=0.01)):
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+
+    def test_other_graphs_stay_dense(self, sg_measure):
+        kern = builtin_kernels(2)["expdist"]
+        km = project_kernel(sg_measure, kern, 6, 1)
+        plain = project_kernel(sg_measure, lambda x, y: kern(x, y), 6, 1)
+        rotated = SelfSimilarMeasure.uniform(ROTATED)
+        unrelated = project_kernel(rotated, kern, 6, 1)
+        small = project_kernel(sg_measure, kern, 5, 1)
+        cantor = SelfSimilarMeasure.uniform(preset("cantor"))
+        at_limit = project_kernel(cantor, builtin_kernels(1)["expdist"], 9, 1)
+        assert at_limit.entries.nbytes == DENSE_GRAPH_BYTES
+        for k, meas in ((plain, sg_measure), (unrelated, rotated), (small, sg_measure),
+                        (at_limit, cantor)):
+            assert isinstance(assemble_deterministic(k, meas).weights, np.ndarray)
+        assert isinstance(sample_bernoulli(km, sg_measure, 1).weights, np.ndarray)
+        stack = stack_graphs(km, sg_measure, (None, 1))
+        assert isinstance(stack.weights, np.ndarray)
+        np.testing.assert_array_equal(
+            stack.weights[0], np.asarray(assemble_deterministic(km, sg_measure).weights)
+        )
 
 
 class TestStackGraphs:

@@ -18,7 +18,9 @@ their default seeds.
 Each run's exit code and the bytes of every file it writes are compared;
 ``manifest.json`` is compared without its ``wall_time_s``. The script prints
 one line per run, naming what differs, and a summary, and exits 1 if any
-exit code or artifact differs.
+exit code or artifact differs. For an artifact that differs only in its
+numbers (CSV fields, JSON values) it also prints the largest relative
+difference between them, so a change at the rounding level shows as one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -132,6 +135,21 @@ def artifacts(directory: Path) -> dict:
     return out
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def max_relative_difference(a: bytes, b: bytes) -> float | None:
+    """The largest relative difference between the numbers of two files that
+    differ in nothing else; None if their other text differs."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
@@ -143,6 +161,7 @@ def main() -> int:
         sha = export(args.parent, checkout)
         sides = {"parent": checkout / "src", "change": ROOT / "src"}
         runs = compared = differing = code_changes = 0
+        worst = 0.0
         for name, text in configs().items():
             config = tmp / f"{name}.ini"
             config.write_text(text)
@@ -160,15 +179,23 @@ def main() -> int:
                     problems.append(f"exit code {codes['parent']} -> {codes['change']}")
                 for fname in sorted(files["parent"].keys() | files["change"].keys()):
                     compared += 1
-                    if files["parent"].get(fname) != files["change"].get(fname):
+                    old, new = files["parent"].get(fname), files["change"].get(fname)
+                    if old != new:
                         differing += 1
-                        problems.append(f"{fname} differs")
+                        rel = None if old is None or new is None else (
+                            max_relative_difference(old, new))
+                        if rel is None:
+                            problems.append(f"{fname} differs")
+                        else:
+                            worst = max(worst, rel)
+                            problems.append(f"{fname} differs, max rel {rel:.2g}")
                 print(f"{name} {subcommand}: exit {codes['change']}, "
                       f"{len(files['change'])} files"
                       + ("" if not problems else " -- " + "; ".join(problems)),
                       flush=True)
     print(f"parent {sha}: {runs} runs, {code_changes} exit codes differ; "
-          f"{compared} artifacts compared, {differing} differ")
+          f"{compared} artifacts compared, {differing} differ"
+          + (f" (in numbers only: max rel {worst:.2g})" if worst else ""))
     return 1 if differing or code_changes else 0
 
 

@@ -17,12 +17,18 @@ side runs first, and reads each run's medians from
 with their median and quartiles, the fraction of pairs the working tree won
 (ties count for neither), and the operations attempted and failed on each
 side.
+
+Both sides run with ``PYTHONDONTWRITEBYTECODE=1`` and an empty
+``PYTHONPYCACHEPREFIX`` of their own per run, so neither loads a ``.pyc``
+that the other lacks: loading the package from bytecode moves peak RSS by
+megabytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -59,7 +65,9 @@ def run_once(checkout: Path, workload: str, seed: int | None) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = json.loads(
         (checkout / "perfbench" / "out" / f"result-{workload}-trace0.json").read_text()
