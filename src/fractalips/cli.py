@@ -83,9 +83,10 @@ def _test_functions(d: int) -> dict:
     return fns
 
 
-def _ini(key: str, default):
-    """A field set by the INI key ``section.name``, or else ``default``."""
-    return field(default=default, metadata={"ini": key})
+def _ini(key: str, default, least=None):
+    """A field set by the INI key ``section.name``, or else ``default``; an
+    integer field (or each entry of a tuple) must be at least ``least``."""
+    return field(default=default, metadata={"ini": key, "least": least})
 
 
 # the type of a field's default picks the ConfigParser getter of its value
@@ -98,7 +99,7 @@ class ExperimentConfig:
     """Parsed and validated experiment settings.
 
     Each ``_ini`` field declares one plain INI key, which ``parse_config``
-    reads and ``validate`` accepts.
+    reads and ``validate`` accepts, and checks against its ``least`` value.
     """
 
     ifs: IFS
@@ -112,20 +113,20 @@ class ExperimentConfig:
     damping: float = _ini("model.damping", 1.0)
     omega_mode: str = _ini("model.omega", "field")
     omega_scale: float = _ini("model.omega_scale", 1.0)
-    levels: tuple = _ini("levels.levels", (2, 3, 4, 5))
-    ell_levels: tuple = _ini("levels.ell_levels", (2, 3, 4))
-    sublevel: int = _ini("levels.sublevel", 2)
+    levels: tuple = _ini("levels.levels", (2, 3, 4, 5), least=0)
+    ell_levels: tuple = _ini("levels.ell_levels", (2, 3, 4), least=1)
+    sublevel: int = _ini("levels.sublevel", 2, least=0)
     T: float = _ini("time.T", 1.0)
     dt: float = _ini("time.dt", 1e-3)
-    output_stride: int = _ini("time.output_stride", 10)
-    quad_level: int = _ini("quadrature.level", 10)
-    quad_samples: int = _ini("quadrature.samples", 100000)
-    quad_tail: int = _ini("quadrature.tail", 40)
+    output_stride: int = _ini("time.output_stride", 10, least=1)
+    quad_level: int = _ini("quadrature.level", 10, least=0)
+    quad_samples: int = _ini("quadrature.samples", 100000, least=1)
+    quad_tail: int = _ini("quadrature.tail", 40, least=1)
     graph_kind: str = _ini("graph.kind", "deterministic")
     graph_symmetric: bool = _ini("graph.symmetric", True)
     modulus_p: float = _ini("modulus.p", 2.0)
     modulus_max_ell: int = _ini("modulus.max_ell", 9)
-    seeds: tuple = _ini("seeds.seeds", (1,))
+    seeds: tuple = _ini("seeds.seeds", (1,), least=0)
     output_dir: str = _ini("experiment.output_dir", "out")
     raw_items: dict = field(default_factory=dict)
 
@@ -304,8 +305,17 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         )
     if subcommand in ("rate", "vlasov", "simulate") and not cfg.seeds:
         diags.append(f"{subcommand} mode needs a nonempty seed list")
-    if subcommand in ("rate", "project", "modulus") and len(cfg.levels) < 3:
-        diags.append(f"{subcommand} mode needs at least 3 levels to fit a rate")
+    # rate_fit drops levels 0 and 1, the modulus fit keeps them; a repeated
+    # level adds no point to either fit
+    fitted = sorted({m for m in cfg.levels if m >= 2 or subcommand == "modulus"})
+    if subcommand in ("rate", "project", "modulus") and len(fitted) < 3:
+        diags.append(f"{subcommand} mode needs at least 3 levels to fit a rate; "
+                     f"it fits levels {fitted}")
+    if cfg.function_name == "one" and (
+        subcommand == "modulus" or subcommand == "project" and _fits_modulus(cfg)
+    ):
+        diags.append(f"{subcommand} mode fits the decay of the modulus, which is "
+                     "zero for the constant function 'one'")
     if subcommand == "vlasov" and len(cfg.ell_levels) < 2:
         diags.append("vlasov mode needs at least 2 refinement levels")
     if cfg.model_name not in builtin_models():
@@ -316,8 +326,13 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         )
     if cfg.omega_mode not in ("field", "zero"):
         diags.append(f"model omega must be 'field' or 'zero', not {cfg.omega_mode!r}")
-    if cfg.output_stride < 1:
-        diags.append(f"output_stride must be >= 1, not {cfg.output_stride}")
+    for f in _INI_FIELDS:
+        least, value = f.metadata["least"], getattr(cfg, f.name)
+        low = min(value, default=least) if isinstance(value, tuple) else value
+        if least is not None and low < least:
+            diags.append(f"{f.metadata['ini']} must be >= {least}, not {low}")
+    if not cfg.modulus_p > 0:
+        diags.append(f"modulus.p must be > 0, not {cfg.modulus_p}")
     if cfg.dt <= 0 or cfg.T < 0:
         diags.append("time parameters must satisfy dt > 0 and T >= 0")
     else:
@@ -414,6 +429,11 @@ def run_integrate(cfg: ExperimentConfig, out: Path) -> list[str]:
     return ["integrate.csv"]
 
 
+def _fits_modulus(cfg: ExperimentConfig) -> bool:
+    """Whether ``project`` fits the modulus to bound its errors."""
+    return has_common_linear_part(cfg.ifs) and cfg.p.is_uniform
+
+
 def run_project(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     phi = cfg.test_function()
@@ -421,9 +441,9 @@ def run_project(cfg: ExperimentConfig, out: Path) -> list[str]:
     errors = [projection_error(meas, phi, m, 2.0, max(cfg.sublevel, 2)) for m in levels]
     bounds = [""] * len(levels)
     alpha_txt = ""
-    if has_common_linear_part(cfg.ifs) and meas.p.is_uniform:
+    if _fits_modulus(cfg):
         mls, omega = modulus_profile(
-            meas, phi, levels, 2.0, cfg.modulus_max_ell, cfg.sublevel
+            meas, phi, levels, 2.0, max(cfg.modulus_max_ell, levels[-1]), cfg.sublevel
         )
         lam = cfg.ifs.maps[0].ratio
         rep = lipschitz_norm_estimate(mls, omega, lam)

@@ -265,15 +265,13 @@ def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> Coupli
     """
     W, k = km.entries, km.k
     masses = meas.weights(km.level)
-    blocks = W.reshape(k, len(W) // k, k, len(W) // k)
-    if (
-        W.nbytes > DENSE_GRAPH_BYTES
-        and all(np.array_equal(blocks[i, :, i], blocks[0, :, 0]) for i in range(1, k))
-        and np.array_equal(W, W.T)
-    ):
-        upper = {(i, j): blocks[i, :, j].copy() for i, j in combinations(range(k), 2)}
-        graph = BlockGraph(blocks[0, :, 0].copy(), upper, masses)
-        return CouplingGraph(k, km.level, graph)
+    if W.nbytes > DENSE_GRAPH_BYTES:  # a level-0 W has no k x k blocks
+        blocks = W.reshape(k, len(W) // k, k, len(W) // k)
+        same = all(np.array_equal(blocks[i, :, i], blocks[0, :, 0]) for i in range(1, k))
+        if same and np.array_equal(W, W.T):
+            upper = {(i, j): blocks[i, :, j].copy() for i, j in combinations(range(k), 2)}
+            graph = BlockGraph(blocks[0, :, 0].copy(), upper, masses)
+            return CouplingGraph(k, km.level, graph)
     # Fortran order is the layout CouplingGraph keeps for one graph: no copy
     return CouplingGraph(k, km.level, np.multiply(W, masses[None, :], order="F"))
 

@@ -16,12 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symbolic import (
-    Word,
-    check_eval_budget,
-    check_level_size,
-    similarity_dimension_from_ratios,
-)
+from .symbolic import Word, check_eval_budget, check_level_size
 
 
 @dataclass(frozen=True)
@@ -343,7 +338,19 @@ def preset(name: str) -> IFS:
 
 
 def similarity_dimension(ifs: IFS) -> float:
-    return similarity_dimension_from_ratios(ifs.ratios)
+    """The s with sum r_i**s = 1, by bisection to adjacent floats: the sum
+    is > 1 at ``lo`` and <= 1 at the returned ``hi``.  It falls strictly
+    from k at s = 0, so doubling ``hi`` from 1 brackets s."""
+    r = np.array(ifs.ratios)
+    lo, hi = 0.0, 1.0
+    while np.sum(r**hi) > 1.0:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.sum(r**mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def natural_probability_weights(ifs: IFS) -> np.ndarray:

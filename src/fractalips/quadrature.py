@@ -224,26 +224,13 @@ def stationary_mean(meas: SelfSimilarMeasure) -> np.ndarray:
 
 
 def stationarity_residual(meas: SelfSimilarMeasure, m: int) -> float:
-    """Floating-point defect of nu(K_w) = p_{w_1} nu(K_{w_2..w_m}) over level m.
+    """max over level m of |nu(K_w) - p_{w_1} nu(K_{w_2..w_m})|, read from
+    the ``weights`` every pipeline uses.
 
     Zero in exact arithmetic by the Bernoulli product formula; the returned
     value is pure rounding noise.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    from .symbolic import level_symbol_array
-
-    sym = level_symbol_array(meas.k, m)
-    parr = meas.p.as_array()
-    P = parr[sym - 1]  # (k^m, m)
-    lhs = P[:, 0].copy()
-    for col in range(1, m):
-        lhs = lhs * P[:, col]
-    if m == 1:
-        rhs = P[:, 0]
-    else:
-        rest = P[:, 1].copy()
-        for col in range(2, m):
-            rest = rest * P[:, col]
-        rhs = P[:, 0] * rest
-    return float(np.max(np.abs(lhs - rhs)))
+    shifted = np.kron(meas.p.as_array(), meas.weights(m - 1))
+    return float(np.max(np.abs(meas.weights(m) - shifted)))

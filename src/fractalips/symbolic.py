@@ -11,7 +11,6 @@ Symbols are 1-based in the public interface; the integer encoding is 0-based.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,18 +126,6 @@ def enumerate_level(k: int, m: int) -> list[Word]:
     return [Word.from_index(k, m, i) for i in range(n)]
 
 
-def level_symbol_array(k: int, m: int) -> np.ndarray:
-    """(k**m, m) array of 1-based symbols, row i = word with index i.
-
-    Vectorized companion of :func:`enumerate_level` for bulk arithmetic.
-    """
-    n = check_level_size(k, m)
-    if m == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    place = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (np.arange(n, dtype=np.int64)[:, None] // place[None, :]) % k + 1
-
-
 def shift(w: Word) -> Word:
     """Drop the first symbol (the one-sided shift on finite words)."""
     if len(w) == 0:
@@ -239,22 +226,3 @@ def level_weights(p, m: int) -> np.ndarray:
     for _ in range(m):
         out = np.kron(out, arr)
     return out
-
-
-def similarity_dimension_from_ratios(ratios: Sequence[float]) -> float:
-    """Solve sum(r_i**s) = 1 for s > 0."""
-    ratios = [float(r) for r in ratios]
-    if any(not 0 < r < 1 for r in ratios):
-        raise ValueError("ratios must lie in (0, 1)")
-    if len(set(ratios)) == 1:
-        return math.log(len(ratios)) / math.log(1.0 / ratios[0])
-    from scipy.optimize import brentq
-
-    def h(s):
-        return sum(r**s for r in ratios) - 1.0
-
-    # sum r^s is decreasing in s; bracket the root
-    hi = 1.0
-    while h(hi) > 0:
-        hi *= 2.0
-    return brentq(h, 1e-12, hi, xtol=1e-14)

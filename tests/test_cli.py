@@ -276,6 +276,55 @@ class TestValidate:
         assert validate(cfg, "simulate") == []
         assert main([subcommand, "--config", cfgp]) == 2
 
+    @pytest.mark.parametrize("subcommand, levels, edit, diagnostic", [
+        ("simulate", "2,3", ("sublevel = 2", "sublevel = -1"),
+         "levels.sublevel must be >= 0, not -1"),
+        ("simulate", "-1,2", None, "levels.levels must be >= 0, not -1"),
+        ("simulate", "2,3", ("seeds = 1,2", "seeds = -1,2"),
+         "seeds.seeds must be >= 0, not -1"),
+        ("integrate", "2,3", ("samples = 5000", "samples = 0"),
+         "quadrature.samples must be >= 1, not 0"),
+        ("integrate", "2,3", ("tail = 30", "tail = 0"),
+         "quadrature.tail must be >= 1, not 0"),
+        ("integrate", "2,3", ("level = 6", "level = -1"),
+         "quadrature.level must be >= 0, not -1"),
+        ("modulus", "2,3,4", ("[graph]", "[modulus]\np = 0\n[graph]"),
+         "modulus.p must be > 0, not 0.0"),
+        ("vlasov", "2", ("ell_levels = 1,2", "ell_levels = 0,1"),
+         "levels.ell_levels must be >= 1, not 0"),
+        ("rate", "0,1,2", None, "it fits levels [2]"),
+        ("rate", "2,2,2", None, "it fits levels [2]"),
+        ("project", "0,1,2", None, "it fits levels [2]"),
+        ("project", "2,3,4", ("name = expdiff", "name = one"),
+         "zero for the constant function 'one'"),
+        ("modulus", "2,3,4", ("name = expdiff", "name = one"),
+         "zero for the constant function 'one'"),
+    ])
+    def test_run_that_would_fail_exits_two(self, tmp_path, capsys, subcommand,
+                                           levels, edit, diagnostic):
+        # run past validate, each of these ends in a traceback (exit 1) or,
+        # for levels 2,2,2, fits a rate to one level
+        cfgp = write_config(tmp_path, levels=levels)
+        if edit:
+            text = Path(cfgp).read_text()
+            assert edit[0] in text
+            Path(cfgp).write_text(text.replace(edit[0], edit[1]))
+        assert any(diagnostic in d for d in validate(parse_config(cfgp), subcommand))
+        assert main([subcommand, "--config", cfgp]) == 2
+        assert diagnostic in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, levels, p, function", [
+        ("modulus", "0,1,2", "natural", "expdiff"),  # the modulus fit keeps 0, 1
+        ("project", "2,3,4", "0.6,0.2,0.2", "one"),  # skewed p: no modulus fit
+    ])
+    def test_runs_next_to_those_refused_stay_valid(self, tmp_path, subcommand, levels,
+                                                   p, function):
+        cfgp = write_config(tmp_path, levels=levels)
+        text = Path(cfgp).read_text().replace("p = natural", f"p = {p}")
+        Path(cfgp).write_text(text.replace("name = expdiff", f"name = {function}"))
+        assert validate(parse_config(cfgp), subcommand) == []
+
     def test_cap_violation(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, levels="2,3,20"))
         assert any("cap" in d for d in validate(cfg))
@@ -331,6 +380,14 @@ class TestRunSubcommands:
         row = dict(zip(header, lines[1].split(",")))
         assert row["quantity"] == "total_mass"
         assert row["value"] == "1"
+
+    def test_project_below_max_ell_runs(self, tmp_path):
+        # modulus.max_ell below the top level is raised to it, as modulus does
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("[graph]", "[modulus]\nmax_ell = 3\n[graph]")
+        Path(cfgp).write_text(text)
+        assert main(["project", "--config", cfgp]) == 0
+        assert (tmp_path / "out" / "projection.csv").exists()
 
     def test_validate_subcommand_exit_zero(self, tmp_path, capsys):
         cfgp = write_config(tmp_path)
@@ -476,10 +533,15 @@ class TestDeterminism:
 
 
 def test_import_loads_no_scipy():
-    # the package and its CLI start on numpy and the stdlib alone
+    # the package and its CLI start, and solve for a natural measure, on
+    # numpy and the stdlib alone
     src = str(Path(fractalips.__file__).resolve().parent.parent)
     code = (
         "import fractalips, fractalips.cli, sys; "
+        "from fractalips import IFS, SelfSimilarMeasure, Similitude; "
+        "ifs = IFS((Similitude.homothety(0.5, [0.0]), "
+        "Similitude.homothety(0.25, [0.75]))); "
+        "SelfSimilarMeasure.natural_measure(ifs); "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     env = dict(os.environ, PYTHONPATH=src)

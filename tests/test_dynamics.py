@@ -284,6 +284,16 @@ class TestAssemble:
         g = assemble_deterministic(km, sg_measure)
         np.testing.assert_allclose(g.weights, -0.4 / 3.0, rtol=1e-12)
 
+    def test_level_zero_is_one_cell(self, sg_measure):
+        # one cell of mass 1: the graph is W itself, alone or in a stack
+        km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 0, 2)
+        assert km.entries.shape == (1, 1)
+        expected = km.entries * sg_measure.weights(0)[None, :]
+        np.testing.assert_array_equal(assemble_deterministic(km, sg_measure).weights,
+                                      expected)
+        np.testing.assert_array_equal(stack_graphs(km, sg_measure, (None,)).weights,
+                                      expected[None])
+
 
 # level-m graphs over DENSE_GRAPH_BYTES: k = 3 and 2, uniform and skewed p
 BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), ("cantor", 10))

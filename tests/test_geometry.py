@@ -279,6 +279,30 @@ class TestPresets:
         )
         assert similarity_dimension(preset("interval-4")) == pytest.approx(1.0)
 
+    UNEQUAL_RATIOS = [(0.5, 0.25), (0.5, 0.3, 0.2), (0.9, 0.05), (0.99, 0.005),
+                      (0.01, 0.02), (0.7, 0.6, 0.1), (0.45, 0.2, 0.2, 0.1)]
+
+    @staticmethod
+    def _line_ifs(ratios):
+        return IFS(tuple(Similitude.homothety(r, [float(i)])
+                         for i, r in enumerate(ratios)))
+
+    @pytest.mark.parametrize("ratios", UNEQUAL_RATIOS + [(0.5, 0.5, 0.5), (1 / 3,) * 2])
+    def test_similarity_dimension_brackets_the_root_to_one_ulp(self, ratios):
+        # sum r_i^s <= 1 at the returned s and > 1 at the float below it
+        s = similarity_dimension(self._line_ifs(ratios))
+        r = np.array(ratios)
+        assert np.sum(r**s) <= 1.0 < np.sum(r ** np.nextafter(s, 0.0))
+
+    @pytest.mark.parametrize("ratios", UNEQUAL_RATIOS)
+    def test_similarity_dimension_matches_brentq(self, ratios):
+        from scipy.optimize import brentq
+
+        ref = brentq(lambda s: sum(r**s for r in ratios) - 1.0, 1e-12, 64.0,
+                     xtol=1e-14)
+        s = similarity_dimension(self._line_ifs(ratios))
+        assert s == pytest.approx(ref, rel=1e-14, abs=0)
+
     def test_sg3_cells_tile_the_gasket_level(self):
         ifs = preset("sg3")
         assert ifs.k == 6

@@ -18,7 +18,7 @@ from fractalips import (
     pairwise_sum,
     stationarity_residual,
 )
-from fractalips import geometry
+from fractalips import geometry, quadrature
 from fractalips.analysis import projection_error
 from fractalips.geometry import default_anchor, fixed_point_centroid
 from fractalips.quadrature import evaluate_on_points
@@ -192,6 +192,23 @@ class TestIntegrateMC:
         ref = integrate_qmc(meas, lambda x: x, 9)
         est = integrate_mc(meas, lambda x: x, 2 * 10**4, seed=11)
         assert np.abs(est - ref).max() <= 5e-3
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_homothety_fast_path_matches_general_path(self, sg_measure, monkeypatch,
+                                                      seed):
+        # the geometric-convolution fast path against the matrix path it
+        # replaces, node for node
+        nodes = []
+
+        def phi(x):
+            nodes.append(x.copy())
+            return x
+
+        fast = integrate_mc(sg_measure, phi, 2000, seed=seed)
+        monkeypatch.setattr(quadrature, "has_common_linear_part", lambda ifs: False)
+        general = integrate_mc(sg_measure, phi, 2000, seed=seed)
+        np.testing.assert_allclose(nodes[0], nodes[1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fast, general, rtol=0, atol=1e-15)
 
     def test_budget_guard(self, sg_measure, monkeypatch):
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "1000")

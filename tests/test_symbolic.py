@@ -15,7 +15,6 @@ from fractalips import (
     shift,
     word_metric,
 )
-from fractalips.symbolic import level_symbol_array
 
 
 class TestEnumerateLevel:
@@ -40,12 +39,6 @@ class TestEnumerateLevel:
         for i, w in enumerate(words):
             assert w.index == i
             assert Word.from_index(3, 4, i) == w
-
-    def test_symbol_array_matches_enumeration(self):
-        arr = level_symbol_array(3, 3)
-        words = enumerate_level(3, 3)
-        assert arr.shape == (27, 3)
-        assert all(tuple(arr[i]) == words[i].symbols for i in range(27))
 
 
 class TestWord:

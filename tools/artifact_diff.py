@@ -9,11 +9,13 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are ten small ones written here (three models, each on
-a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli graph,
-and a Cantor set with a non-uniform measure) and the ``refine``,
-``meanfield`` and ``simulate`` configs of ``perfbench/workloads.py`` at
-their default seeds.
+thread. The configs are eleven small ones written here (three models, each
+on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli graph,
+a Cantor set with a non-uniform measure, and an inline IFS with unequal
+ratios under its natural measure, whose weights come from the similarity
+dimension) and the ``refine``, ``meanfield`` and ``simulate`` configs of
+``perfbench/workloads.py`` at their default seeds. ``modulus`` exits 2 on
+the unequal-ratio IFS, which has no common linear part.
 
 Each run's exit code and the bytes of every file it writes are compared;
 ``manifest.json`` is compared without its ``wall_time_s``. The script prints
@@ -83,6 +85,16 @@ symmetric = {symmetric}
 seeds = 1,2
 """
 
+# three homotheties with unequal ratios, so no common linear part
+UNEQUAL_IFS = """\
+[ifs]
+dimension = 2
+maps = 3
+map1 = ratio=0.5 translation=0.0,0.0
+map2 = ratio=0.3 translation=0.7,0.0
+map3 = ratio=0.25 translation=0.2,0.6
+"""
+
 GRAPHS = {
     "deterministic": ("deterministic", "true"),
     "bernoulli": ("bernoulli", "true"),
@@ -102,6 +114,11 @@ def configs() -> dict:
     out["cantor_gaussian"] = SMALL_CONFIG.format(
         preset="cantor", p="0.7,0.3", kernel="gaussian", model="kuramoto",
         omega="zero", kind="deterministic", symmetric="true",
+    )
+    out["unequal_natural"] = SMALL_CONFIG.replace(
+        "[ifs]\npreset = {preset}\n", UNEQUAL_IFS).format(
+        p="natural", kernel="expdist", model="kuramoto", omega="field",
+        kind="deterministic", symmetric="true",
     )
     for name in ("refine", "meanfield", "simulate"):
         workload = WORKLOADS[name]
