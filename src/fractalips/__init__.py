@@ -12,7 +12,6 @@ from .analysis import (
     RateFit,
     TrajectoryError,
     VlasovConvergenceTable,
-    field_lp_norm,
     lipschitz_norm_estimate,
     lp_projection_bound,
     modulus_profile,
@@ -69,8 +68,6 @@ from .symbolic import (
     cylinder_measure,
     enumerate_level,
     level_weights,
-    shift,
-    word_metric,
 )
 from .transfer import (
     KernelMatrix,
@@ -80,7 +77,6 @@ from .transfer import (
     coarsen,
     kernel_to_graphon,
     martingale_level,
-    refine,
     transfer_to_interval,
 )
 

@@ -34,20 +34,6 @@ from .quadrature import (
 from .transfer import PiecewiseConstantField
 
 
-def field_lp_norm(
-    field: PiecewiseConstantField, meas: SelfSimilarMeasure, p: float = 2.0
-) -> float:
-    """L^p(K, nu) norm of a piecewise-constant field (Euclidean norm over
-    state components)."""
-    masses = meas.weights(field.level)
-    mag = (
-        np.abs(field.values[:, 0])
-        if field.state_dim == 1
-        else np.linalg.norm(field.values, axis=1)
-    )
-    return float(pairwise_sum(masses * mag**p)) ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class TrajectoryError:
     """Per-time L^2(K, nu) discrepancy between two trajectories."""
@@ -60,7 +46,8 @@ class TrajectoryError:
 def traj_error(
     coarse: Trajectory, fine: Trajectory, meas: SelfSimilarMeasure
 ) -> TrajectoryError:
-    """sup over the shared time grid of || refine(u^m) - u^m' ||_{L^2(K, nu)}."""
+    """sup over the shared time grid of || u^m - u^m' ||_{L^2(K, nu)}, each
+    coarse state copied to its level-m' descendants."""
     if fine.level < coarse.level:
         raise ValueError("the second trajectory must be at least as fine")
     if coarse.k != fine.k:
@@ -207,9 +194,6 @@ def lp_projection_bound(
 class RateFit:
     """Least-squares decay exponent of a level-indexed error sequence."""
 
-    levels: np.ndarray
-    errors: np.ndarray
-    lam: float
     fitted_alpha: float
     alpha_capped: float  # min(alpha, 1): the Lipschitz scale tops out at 1
     capped: bool
@@ -221,7 +205,7 @@ class RateFit:
 def rate_fit(
     errors,
     lam: float,
-    levels=None,
+    levels,
     k: int | None = None,
     p_exponent: float = 2.0,
     lip_norm: float | None = None,
@@ -234,8 +218,6 @@ def rate_fit(
     Fitted alpha above 1 is reported verbatim with a cap note.
     """
     errors = np.asarray(errors, dtype=np.float64)
-    if levels is None:
-        levels = np.arange(2, 2 + len(errors))
     levels = np.asarray(levels, dtype=np.float64)
     if len(errors) != len(levels):
         raise ValueError("errors and levels must have equal length")
@@ -262,9 +244,6 @@ def rate_fit(
         bound = lp_projection_bound(k, lam, alpha_capped, lip_norm, levels, p_exponent)
         below = bool(np.all(errs <= bound))
     return RateFit(
-        levels=levels,
-        errors=errs,
-        lam=lam,
         fitted_alpha=alpha,
         alpha_capped=alpha_capped,
         capped=capped,

@@ -267,7 +267,12 @@ def parse_config(path: str | Path, preset_override: str | None = None,
 
 
 def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
-    """Collect human-readable diagnostics; an empty list means clean."""
+    """Collect human-readable diagnostics; an empty list means clean.
+
+    With no subcommand, the diagnostics of every subcommand, each once: the
+    list is empty only when every run accepts the config."""
+    if subcommand is None:
+        return list(dict.fromkeys(d for s in SUBCOMMANDS for d in validate(cfg, s)))
     diags = []
     for key in cfg.raw_items:
         section, name = key.split(".", 1)
@@ -297,14 +302,10 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
                 f"kernel {cfg.kernel_name!r} is not certified to take values in "
                 "[0, 1]; Bernoulli sampling will reject it"
             )
-        if not cfg.seeds:
-            diags.append("bernoulli graphs need a nonempty seed list")
     if subcommand == "modulus" and not has_common_linear_part(cfg.ifs):
         diags.append(
             "modulus mode requires an IFS whose maps share a common linear part"
         )
-    if subcommand in ("rate", "vlasov", "simulate") and not cfg.seeds:
-        diags.append(f"{subcommand} mode needs a nonempty seed list")
     # rate_fit drops levels 0 and 1, the modulus fit keeps them; a repeated
     # level adds no point to either fit
     fitted = sorted({m for m in cfg.levels if m >= 2 or subcommand == "modulus"})
@@ -347,33 +348,20 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
 # artifact writing
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
-class _Lines(list):
-    """CSV rows already formatted, one string per row."""
-
-
-def _columns(template: str, *columns) -> _Lines:
-    """Rows of equal-size numpy columns, each formatted by one %-template:
-    ``%d`` for integers and ``%.17g`` for floats, as ``_fmt`` does."""
+def _columns(template: str, *columns) -> list[str]:
+    """CSV lines from columns broadcast to one shape, each line formatted by
+    one %-template: ``%d`` for integers, ``%.17g`` for floats (as
+    ``format(x, ".17g")``) and ``%s`` for text, which must need no quoting."""
     line = template + csv.excel.lineterminator
-    return _Lines(map(line.__mod__, zip(*(np.ravel(c).tolist() for c in columns))))
+    values = (c.ravel().tolist() for c in np.broadcast_arrays(*columns))
+    return list(map(line.__mod__, zip(*values)))
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Write ``rows``: tuples of values, or ``_Lines`` formatted already."""
+    """Write the header and ``rows``, the lines made by ``_columns``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if isinstance(rows, _Lines):
-            fh.writelines(rows)
-        else:
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -425,7 +413,7 @@ def run_integrate(cfg: ExperimentConfig, out: Path) -> list[str]:
             )
     write_csv(out / "integrate.csv",
               ("quantity", "method", "component", "value", "reference", "abs_error"),
-              rows)
+              _columns("%s,%s,%d,%.17g,%.17g,%.17g", *zip(*rows)))
     return ["integrate.csv"]
 
 
@@ -439,8 +427,8 @@ def run_project(cfg: ExperimentConfig, out: Path) -> list[str]:
     phi = cfg.test_function()
     levels = sorted(cfg.levels)
     errors = [projection_error(meas, phi, m, 2.0, max(cfg.sublevel, 2)) for m in levels]
-    bounds = [""] * len(levels)
-    alpha_txt = ""
+    # without a modulus fit the bound and fitted_alpha fields stay empty
+    template, fitted = "%d,%.17g,%.17g,,", ()
     if _fits_modulus(cfg):
         mls, omega = modulus_profile(
             meas, phi, levels, 2.0, max(cfg.modulus_max_ell, levels[-1]), cfg.sublevel
@@ -449,13 +437,10 @@ def run_project(cfg: ExperimentConfig, out: Path) -> list[str]:
         rep = lipschitz_norm_estimate(mls, omega, lam)
         fit = rate_fit(errors, lam, levels=levels, k=cfg.ifs.k,
                        lip_norm=rep.lip_norm)
-        bounds = list(fit.bound)
-        alpha_txt = fit.fitted_alpha
-    rows = [
-        (m, 2.0, e, b, alpha_txt) for m, e, b in zip(levels, errors, bounds)
-    ]
+        template, fitted = "%d,%.17g,%.17g,%.17g,%.17g", (fit.bound, fit.fitted_alpha)
     write_csv(out / "projection.csv",
-              ("level", "p", "error", "bound", "fitted_alpha"), rows)
+              ("level", "p", "error", "bound", "fitted_alpha"),
+              _columns(template, levels, 2.0, errors, *fitted))
     return ["projection.csv"]
 
 
@@ -464,13 +449,11 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
     m = min(max(cfg.levels), 6)
     fld = martingale_level(meas, cfg.test_function(), m, cfg.sublevel)
     step = transfer_to_interval(fld, cfg.p)
-    rows = [
-        (i, step.breakpoints[i], step.breakpoints[i + 1], step.widths[i],
-         step.values[i, 0])
-        for i in range(step.n_cells)
-    ]
     write_csv(out / "transfer_step.csv",
-              ("cell_index", "left", "right", "width", "value"), rows)
+              ("cell_index", "left", "right", "width", "value"),
+              _columns("%d,%.17g,%.17g,%.17g,%.17g", np.arange(step.n_cells),
+                       step.breakpoints[:-1], step.breakpoints[1:], step.widths,
+                       step.values[:, 0]))
 
     km = project_kernel(meas, cfg.kernel(), min(m, 4), cfg.sublevel)
     img = kernel_to_graphon(km, cfg.p)
@@ -555,11 +538,9 @@ def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
     # fitted envelope C lambda^(alpha m) with C matched to the worst level
     env = float(np.max(errors * lam ** (-fit.fitted_alpha * levels)))
     bounds = env * lam ** (fit.fitted_alpha * levels)
-    rows = [
-        (int(m), e, b, fit.fitted_alpha)
-        for m, e, b in zip(levels, errors, bounds)
-    ]
-    write_csv(out / "rate.csv", ("level", "error", "bound", "fitted_alpha"), rows)
+    write_csv(out / "rate.csv", ("level", "error", "bound", "fitted_alpha"),
+              _columns("%d,%.17g,%.17g,%.17g", levels, errors, bounds,
+                       fit.fitted_alpha))
     report = {
         "levels": [int(m) for m in levels],
         "errors": [float(e) for e in errors],
@@ -597,12 +578,11 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
               _columns("%d,%d,%d,%.17g,%.17g", np.array(table.seeds)[si],
                        pairs[pi, 0], pairs[pi, 1], table.times[ti],
                        table.distances))
-    summary = []
     worst = table.distances.max(axis=2)  # (seeds, pairs)
-    for pi, (lo, hi) in enumerate(table.ell_pairs):
-        summary.append((lo, hi, float(np.median(worst[:, pi]))))
     write_csv(out / "vlasov_summary.csv",
-              ("ell_coarse", "ell_fine", "median_max_distance"), summary)
+              ("ell_coarse", "ell_fine", "median_max_distance"),
+              _columns("%d,%d,%.17g", pairs[:, 0], pairs[:, 1],
+                       np.median(worst, axis=0)))
     return ["vlasov.csv", "vlasov_summary.csv"]
 
 
@@ -619,12 +599,10 @@ def run_modulus(cfg: ExperimentConfig, out: Path) -> list[str]:
     omega_shifted = omega[1 : len(levels) + 1]
     lam = cfg.ifs.maps[0].ratio
     rep = lipschitz_norm_estimate(np.array(levels), omega_main, lam)
-    rows = [
-        (m, om, oms, rep.fitted_alpha)
-        for m, om, oms in zip(levels, omega_main, omega_shifted)
-    ]
     write_csv(out / "modulus.csv",
-              ("level", "omega_p", "omega_p_shifted", "fitted_alpha"), rows)
+              ("level", "omega_p", "omega_p_shifted", "fitted_alpha"),
+              _columns("%d,%.17g,%.17g,%.17g", levels, omega_main, omega_shifted,
+                       rep.fitted_alpha))
     report = {
         "p": cfg.modulus_p,
         "lambda": lam,

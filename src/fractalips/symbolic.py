@@ -78,13 +78,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __iter__(self):
-        return iter(self.symbols)
-
-    @property
-    def level(self) -> int:
-        return len(self.symbols)
-
     @property
     def index(self) -> int:
         """Base-k integer encoding; integer order equals lexicographic order."""
@@ -103,14 +96,6 @@ class Word:
             digits.append(r + 1)
         return cls(k, tuple(reversed(digits)))
 
-    def child(self, s: int) -> "Word":
-        return Word(self.k, self.symbols + (s,))
-
-    def parent(self) -> "Word":
-        if not self.symbols:
-            raise ValueError("the empty word has no parent")
-        return Word(self.k, self.symbols[:-1])
-
 
 def enumerate_level(k: int, m: int) -> list[Word]:
     """All words of length m in lexicographic order (exactly k**m of them).
@@ -124,31 +109,6 @@ def enumerate_level(k: int, m: int) -> list[Word]:
         raise ValueError(f"level must be >= 0, got {m}")
     n = check_level_size(k, m)
     return [Word.from_index(k, m, i) for i in range(n)]
-
-
-def shift(w: Word) -> Word:
-    """Drop the first symbol (the one-sided shift on finite words)."""
-    if len(w) == 0:
-        raise ValueError("cannot shift the empty word")
-    return Word(w.k, w.symbols[1:])
-
-
-def word_metric(w: Word, v: Word) -> float:
-    """k**(-L) where L is the length of the longest common prefix.
-
-    An ultrametric on truncated symbol sequences; returns 1.0 when the first
-    symbols already differ.
-    """
-    if len(w) == 0 or len(v) == 0:
-        raise ValueError("word_metric requires nonempty prefixes")
-    if w.k != v.k:
-        raise ValueError("alphabet sizes differ")
-    common = 0
-    for a, b in zip(w.symbols, v.symbols):
-        if a != b:
-            break
-        common += 1
-    return float(w.k) ** (-common)
 
 
 @dataclass(frozen=True)

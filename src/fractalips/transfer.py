@@ -102,22 +102,6 @@ def coarsen(
     return PiecewiseConstantField(field.k, target_level, values)
 
 
-def refine(field: PiecewiseConstantField, target_level: int) -> PiecewiseConstantField:
-    """Copy each coefficient to all its descendants at the target level.
-
-    Exactly L^p-norm preserving for the natural measure (children split the
-    parent mass evenly).
-    """
-    if target_level < field.level:
-        raise ValueError("target level must be >= the field level")
-    check_level_size(field.k, target_level)
-    delta = target_level - field.level
-    if delta == 0:
-        return field
-    values = np.repeat(field.values, field.k**delta, axis=0)
-    return PiecewiseConstantField(field.k, target_level, values)
-
-
 @dataclass(frozen=True)
 class StepFunction:
     """A step function on [0, 1]: cells [b_i, b_{i+1}) with the last closed.

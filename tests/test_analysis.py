@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from fractalips import (
     BudgetExceededError,
-    PiecewiseConstantField,
     SelfSimilarMeasure,
     Trajectory,
-    field_lp_norm,
     kuramoto_model,
     lipschitz_norm_estimate,
     lp_projection_bound,
@@ -18,7 +16,6 @@ from fractalips import (
     project_kernel,
     projection_error,
     rate_fit,
-    refine,
     traj_error,
     translation_vector,
     vlasov_self_convergence,
@@ -328,20 +325,6 @@ class TestWassersteinDistance:
     def test_invalid_distributions_rejected(self, u, v, uw, vw):
         with pytest.raises(ValueError):
             wasserstein_distance(u, v, uw, vw)
-
-
-class TestFieldNorm:
-    def test_probability_weighting(self, sg_measure):
-        f = PiecewiseConstantField(3, 2, np.full(9, -2.0))
-        assert field_lp_norm(f, sg_measure, 2.0) == pytest.approx(2.0)
-
-    def test_refinement_invariance(self, sg_measure):
-        rng = np.random.default_rng(3)
-        f = PiecewiseConstantField(3, 2, rng.normal(size=(9, 3)))
-        g = refine(f, 5)
-        assert field_lp_norm(g, sg_measure, 1.0) == pytest.approx(
-            field_lp_norm(f, sg_measure, 1.0), rel=1e-13
-        )
 
 
 class TestVlasovSelfConvergence:

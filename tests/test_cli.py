@@ -9,7 +9,14 @@ import pytest
 
 import fractalips
 from fractalips import ConfigError
-from fractalips.cli import _columns, main, parse_config, validate, write_csv
+from fractalips.cli import (
+    SUBCOMMANDS,
+    _columns,
+    main,
+    parse_config,
+    validate,
+    write_csv,
+)
 
 BASE_CONFIG = """
 [experiment]
@@ -179,7 +186,7 @@ seeds = 4,5
         assert (cfg.graph_kind, cfg.graph_symmetric) == ("bernoulli", False)
         assert (cfg.modulus_p, cfg.modulus_max_ell) == (1.5, 6)
         assert (cfg.seeds, cfg.output_dir) == ((4, 5), "elsewhere")
-        assert validate(cfg) == []
+        assert validate(cfg, "simulate") == []
 
     def test_absent_keys_take_the_defaults(self, tmp_path):
         path = tmp_path / "bare.ini"
@@ -325,6 +332,31 @@ class TestValidate:
         Path(cfgp).write_text(text.replace("name = expdiff", f"name = {function}"))
         assert validate(parse_config(cfgp), subcommand) == []
 
+    @pytest.mark.parametrize("edit, subcommands", [
+        (("levels = 2,3,4", "levels = 0,1,2"), ("rate", "project")),
+        (("name = expdiff", "name = one"), ("project", "modulus")),
+        (("preset = sg", "dimension = 2\nmaps = 2\n"
+          "map1 = ratio=0.5 translation=0.0,0.0 angle=0.5\n"
+          "map2 = ratio=0.5 translation=0.5,0.0"), ("modulus",)),
+        (("name = kuramoto", "name = consensus"), ("rate", "vlasov")),
+    ])
+    def test_validate_reports_every_refusal(self, tmp_path, capsys, edit, subcommands):
+        # without a subcommand, validate prints each message that a run
+        # refusing the config prints
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text()
+        assert text.count(edit[0]) == 1
+        Path(cfgp).write_text(text.replace(edit[0], edit[1]))
+        assert main(["validate", "--config", cfgp]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert "config ok" not in report
+        for subcommand in subcommands:
+            assert main([subcommand, "--config", cfgp]) == 2
+            refusals = capsys.readouterr().err.splitlines()
+            assert refusals
+            for line in refusals:
+                assert line.removeprefix("error: ") in report
+
     def test_cap_violation(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, levels="2,3,20"))
         assert any("cap" in d for d in validate(cfg))
@@ -391,6 +423,7 @@ class TestRunSubcommands:
 
     def test_validate_subcommand_exit_zero(self, tmp_path, capsys):
         cfgp = write_config(tmp_path)
+        assert all(validate(parse_config(cfgp), s) == [] for s in SUBCOMMANDS)
         assert main(["validate", "--config", cfgp]) == 0
         assert "config ok" in capsys.readouterr().out
 
@@ -494,16 +527,20 @@ class TestRunSubcommands:
 class TestWriteCsv:
     def test_columns_match_the_row_writer(self, tmp_path):
         # awkward floats: signed zero, subnormal, huge, non-finite, 17 digits
+        # each float field reads as format(x, ".17g") and each integer as str;
+        # the text column is one value broadcast to every line
         values = np.array([[0.1, -0.0, 5e-324, 1.7976931348623157e308],
                            [np.nan, -np.inf, 1.0 / 3.0, 2.0]])
         times = np.array([0.0, 1e-3 * 3])
         ti, ci = np.indices(values.shape)
-        rows = [(times[i], j, values[i, j]) for i in range(2) for j in range(4)]
-        table = _columns("%.17g,%d,%.17g", times[ti], ci, values)
-        assert len(table) == len(rows)
-        write_csv(tmp_path / "rows.csv", ("t", "cell", "value"), rows)
-        write_csv(tmp_path / "cols.csv", ("t", "cell", "value"), table)
-        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        rows = "".join(
+            f"run,{format(times[i], '.17g')},{j},{format(values[i, j], '.17g')}\r\n"
+            for i in range(2) for j in range(4)
+        )
+        write_csv(tmp_path / "cols.csv", ("name", "t", "cell", "value"),
+                  _columns("%s,%.17g,%d,%.17g", "run", times[ti], ci, values))
+        assert (tmp_path / "cols.csv").read_bytes() == (
+            "name,t,cell,value\r\n" + rows).encode()
 
 
 class TestDeterminism:

@@ -12,8 +12,6 @@ from fractalips import (
     cylinder_measure,
     enumerate_level,
     level_weights,
-    shift,
-    word_metric,
 )
 
 
@@ -47,60 +45,6 @@ class TestWord:
             Word(3, (1, 4))
         with pytest.raises(ValueError):
             Word(3, (0,))
-
-    def test_child_index_arithmetic(self):
-        w = Word(3, (2, 1))
-        assert w.child(3).index == w.index * 3 + 2
-
-    def test_parent_of_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            Word(2, ()).parent()
-
-
-class TestShift:
-    def test_drops_first_symbol(self):
-        assert shift(Word(4, (1, 2, 3))).symbols == (2, 3)
-
-    def test_single_symbol_shifts_to_empty(self):
-        assert shift(Word(3, (2,))).symbols == ()
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            shift(Word(3, ()))
-
-    def test_iterated_shift_gives_suffixes(self):
-        w = Word(3, (1, 2, 3, 1, 2))
-        cur = w
-        for j in range(1, len(w) + 1):
-            cur = shift(cur)
-            assert cur.symbols == w.symbols[j:]
-
-
-class TestWordMetric:
-    def test_common_prefix_length_one(self):
-        assert word_metric(Word(3, (1, 2)), Word(3, (1, 3))) == pytest.approx(1 / 3)
-
-    def test_no_common_prefix(self):
-        assert word_metric(Word(3, (2, 1)), Word(3, (3, 1))) == 1.0
-
-    def test_deep_truncation(self):
-        w = Word(2, (1, 2) * 10)
-        v = Word(2, w.symbols[:10])
-        assert word_metric(w, v) <= 2.0**-10
-
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            word_metric(Word(2, ()), Word(2, (1,)))
-
-    @settings(max_examples=200)
-    @given(
-        a=st.lists(st.integers(1, 3), min_size=1, max_size=8),
-        b=st.lists(st.integers(1, 3), min_size=1, max_size=8),
-        c=st.lists(st.integers(1, 3), min_size=1, max_size=8),
-    )
-    def test_ultrametric_inequality(self, a, b, c):
-        wa, wb, wc = (Word(3, tuple(x)) for x in (a, b, c))
-        assert word_metric(wa, wc) <= max(word_metric(wa, wb), word_metric(wb, wc))
 
 
 class TestProbabilityVector:

@@ -12,7 +12,6 @@ from fractalips import (
     coarsen,
     kernel_to_graphon,
     martingale_level,
-    refine,
     transfer_to_interval,
 )
 from fractalips.geometry import default_anchor
@@ -95,30 +94,6 @@ class TestMartingaleLevel:
 
 
 class TestCoarsenRefine:
-    def test_refine_by_zero_is_identity(self):
-        f = PiecewiseConstantField(3, 2, np.arange(9.0))
-        assert refine(f, 2) is f
-
-    def test_refine_constant_stays_constant(self):
-        f = PiecewiseConstantField(3, 1, np.full(3, 1.25))
-        g = refine(f, 4)
-        np.testing.assert_array_equal(g.values, 1.25)
-
-    def test_refine_preserves_l2_norm(self, sg_measure):
-        from fractalips import field_lp_norm
-
-        rng = np.random.Generator(np.random.Philox(5))
-        f = PiecewiseConstantField(3, 3, rng.normal(size=(27, 2)))
-        g = refine(f, 6)
-        assert field_lp_norm(g, sg_measure) == pytest.approx(
-            field_lp_norm(f, sg_measure), rel=1e-14
-        )
-
-    def test_refine_places_children_contiguously(self):
-        f = PiecewiseConstantField(2, 1, np.array([1.0, 2.0]))
-        g = refine(f, 3)
-        np.testing.assert_array_equal(g.values[:, 0], [1, 1, 1, 1, 2, 2, 2, 2])
-
     def test_coarsen_weighted_by_child_masses(self):
         p = ProbabilityVector((0.75, 0.25))
         f = PiecewiseConstantField(2, 2, np.array([1.0, 2.0, 3.0, 4.0]))
@@ -137,7 +112,7 @@ class TestCoarsenRefine:
     )
     def test_coarsen_undoes_refine(self, k, level, delta, uniform, seed):
         # children copy the parent, and their masses sum to the parent mass,
-        # so coarsening a refined field returns it up to rounding
+        # so coarsening the copied field returns it up to rounding
         rng = np.random.Generator(np.random.Philox(seed))
         if uniform:
             p = ProbabilityVector.uniform(k)
@@ -145,13 +120,16 @@ class TestCoarsenRefine:
             w = rng.uniform(0.05, 1.0, size=k)
             p = ProbabilityVector(tuple(w / w.sum()))
         f = PiecewiseConstantField(k, level, rng.normal(size=(k**level, 2)))
-        g = coarsen(refine(f, level + delta), level, p)
+        fine = PiecewiseConstantField(
+            k, level + delta, np.repeat(f.values, k**delta, axis=0)
+        )
+        g = coarsen(fine, level, p)
         assert g.level == level
         np.testing.assert_allclose(g.values, f.values, rtol=1e-13, atol=0.0)
 
     def test_coarsen_then_refine_roundtrip_on_constants(self):
         f = PiecewiseConstantField(3, 3, np.full(27, 7.0))
-        assert np.all(refine(coarsen(f, 1), 3).values == 7.0)
+        assert np.all(coarsen(f, 1).values == 7.0)
 
 
 class TestTransferToInterval:

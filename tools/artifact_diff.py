@@ -18,11 +18,14 @@ dimension) and the ``refine``, ``meanfield`` and ``simulate`` configs of
 the unequal-ratio IFS, which has no common linear part.
 
 Each run's exit code and the bytes of every file it writes are compared;
-``manifest.json`` is compared without its ``wall_time_s``. The script prints
-one line per run, naming what differs, and a summary, and exits 1 if any
-exit code or artifact differs. For an artifact that differs only in its
-numbers (CSV fields, JSON values) it also prints the largest relative
-difference between them, so a change at the rounding level shows as one.
+``manifest.json`` is compared without its ``wall_time_s``. ``validate`` also
+runs on every config, and its exit code and standard output are compared in
+the same way, the output as one more artifact; the lines it gains or loses
+are printed below its line. The script prints one line per run, naming what
+differs, and a summary, and exits 1 if any exit code or artifact differs.
+For an artifact that differs only in its numbers (CSV fields, JSON values)
+it also prints the largest relative difference between them, so a change at
+the rounding level shows as one.
 """
 
 from __future__ import annotations
@@ -126,15 +129,15 @@ def configs() -> dict:
     return out
 
 
-def run(src: Path, subcommand: str, config: Path, out: Path) -> int:
+def run(src: Path, subcommand: str, config: Path, out: Path):
+    """The finished CLI process; its output is captured."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fractalips.cli", subcommand, "--config", str(config),
          "--output", str(out)],
         cwd=out.parent, env=env, capture_output=True,
     )
-    return proc.returncode
 
 
 def artifacts(directory: Path) -> dict:
@@ -167,6 +170,27 @@ def max_relative_difference(a: bytes, b: bytes) -> float | None:
     return worst
 
 
+def compare(codes: dict, files: dict) -> tuple[list[str], int, float]:
+    """What differs between the parent's and the change's exit code and
+    files, the count of differing files and their largest relative
+    difference in numbers only."""
+    problems, differing, worst = [], 0, 0.0
+    if codes["parent"] != codes["change"]:
+        problems.append(f"exit code {codes['parent']} -> {codes['change']}")
+    for fname in sorted(files["parent"].keys() | files["change"].keys()):
+        old, new = files["parent"].get(fname), files["change"].get(fname)
+        if old != new:
+            differing += 1
+            rel = None if old is None or new is None else (
+                max_relative_difference(old, new))
+            if rel is None:
+                problems.append(f"{fname} differs")
+            else:
+                worst = max(worst, rel)
+                problems.append(f"{fname} differs, max rel {rel:.2g}")
+    return problems, differing, worst
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
@@ -177,7 +201,7 @@ def main() -> int:
         checkout.mkdir()
         sha = export(args.parent, checkout)
         sides = {"parent": checkout / "src", "change": ROOT / "src"}
-        runs = compared = differing = code_changes = 0
+        runs = compared = differing = code_changes = validate_changes = 0
         worst = 0.0
         for name, text in configs().items():
             config = tmp / f"{name}.ini"
@@ -187,33 +211,42 @@ def main() -> int:
                 for side, src in sides.items():
                     out = tmp / side / name / subcommand
                     out.parent.mkdir(parents=True, exist_ok=True)
-                    codes[side] = run(src, subcommand, config, out)
+                    codes[side] = run(src, subcommand, config, out).returncode
                     files[side] = artifacts(out)
                 runs += 1
-                problems = []
-                if codes["parent"] != codes["change"]:
-                    code_changes += 1
-                    problems.append(f"exit code {codes['parent']} -> {codes['change']}")
-                for fname in sorted(files["parent"].keys() | files["change"].keys()):
-                    compared += 1
-                    old, new = files["parent"].get(fname), files["change"].get(fname)
-                    if old != new:
-                        differing += 1
-                        rel = None if old is None or new is None else (
-                            max_relative_difference(old, new))
-                        if rel is None:
-                            problems.append(f"{fname} differs")
-                        else:
-                            worst = max(worst, rel)
-                            problems.append(f"{fname} differs, max rel {rel:.2g}")
+                compared += len(files["parent"].keys() | files["change"].keys())
+                problems, n, rel = compare(codes, files)
+                code_changes += codes["parent"] != codes["change"]
+                differing += n
+                worst = max(worst, rel)
                 print(f"{name} {subcommand}: exit {codes['change']}, "
                       f"{len(files['change'])} files"
                       + ("" if not problems else " -- " + "; ".join(problems)),
                       flush=True)
+            reports = {
+                side: run(src, "validate", config, tmp / side / name / "validate")
+                for side, src in sides.items()
+            }
+            problems, _, _ = compare(
+                {side: proc.returncode for side, proc in reports.items()},
+                {side: {"stdout": proc.stdout} for side, proc in reports.items()},
+            )
+            validate_changes += bool(problems)
+            print(f"{name} validate: exit {reports['change'].returncode}"
+                  + ("" if not problems else " -- " + "; ".join(problems)), flush=True)
+            old = reports["parent"].stdout.decode().splitlines()
+            new = reports["change"].stdout.decode().splitlines()
+            for line in old:
+                if line not in new:
+                    print(f"  - {line}")
+            for line in new:
+                if line not in old:
+                    print(f"  + {line}")
     print(f"parent {sha}: {runs} runs, {code_changes} exit codes differ; "
           f"{compared} artifacts compared, {differing} differ"
-          + (f" (in numbers only: max rel {worst:.2g})" if worst else ""))
-    return 1 if differing or code_changes else 0
+          + (f" (in numbers only: max rel {worst:.2g})" if worst else "")
+          + f"; validate differs on {validate_changes} of {len(configs())} configs")
+    return 1 if differing or code_changes or validate_changes else 0
 
 
 if __name__ == "__main__":
