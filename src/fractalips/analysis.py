@@ -337,6 +337,9 @@ def vlasov_self_convergence(
         raise ValueError("need at least one seed")
     k = meas.k
     coarse_masses = meas.weights(m)
+    models = {ell: model_builder(m + ell) for ell in ells}
+    if any(model.state_dim != 1 for model in models.values()):
+        raise ValueError("the self-convergence table currently handles scalar states")
     # finest first, so a level the budget refuses fails before any work
     kms = {
         ell: project_kernel(meas, kernel, m + ell, sublevel) for ell in reversed(ells)
@@ -360,12 +363,7 @@ def vlasov_self_convergence(
                 for ci in range(k**m)
             ]
             inits.append(PiecewiseConstantField(k, m + ell, np.vstack(blocks)))
-        model = model_builder(m + ell)
-        if model.state_dim != 1:
-            raise ValueError(
-                "the self-convergence table currently handles scalar states"
-            )
-        trajs[ell] = integrate_ips(model, couplings[ell], inits, T, dt, output_stride)
+        trajs[ell] = integrate_ips(models[ell], couplings[ell], inits, T, dt, output_stride)
     times = trajs[ells[0]][0].times
     # atoms[ell]: (seeds, times, coarse cells, k^ell), each cell's states
     # sorted.  Uniform atoms and k^lo dividing k^hi make W1 the mean gap

@@ -157,7 +157,8 @@ def project_kernel(
     W_wv depends only on the displacement +-delta between K_w and K_v: each
     class is evaluated once, on one representative pair, and copied to its
     other pairs, so W is exactly symmetric (ValueError if w is not even).
-    Otherwise every pair is evaluated, in row blocks that bound memory.
+    Otherwise every pair is its own class.  Each row w is one block: K_w's
+    nodes against the nodes of the cells of the classes w holds.
     """
     k = meas.k
     n_cells = check_level_size(k, m)
@@ -182,26 +183,21 @@ def project_kernel(
         first, inverse = _displacement_classes(pts[::n_sub])
         check_eval_budget((len(first) + 1) * n_sub * n_sub)  # + 1: evenness check
         rows, cols = np.divmod(first, n_cells)
-        values = np.empty(len(first), dtype=np.float64)
-        # first is ascending, so each row's representatives are contiguous:
-        # one block per row
+        # first is ascending, so each row's representatives are contiguous
         bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=n_cells))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sums = _block_sums(kernel, cells, q, rows[lo : lo + 1], cols[lo:hi])
-            values[lo:hi] = sums[0]
+        blocks = ((rows[lo], cols[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    else:
+        # no translation structure: every pair is its own class
+        inverse = slice(None)
+        blocks = ((w, slice(None)) for w in range(n_cells))
+    values = np.concatenate([_block_sums(kernel, cells, q, [w], c)[0] for w, c in blocks])
+    if grouped:
         # w must be even: the last class (not the zero displacement, unless
         # it is the only one) evaluated the other way round
         mirror = _block_sums(kernel, cells, q, cols[-1:], rows[-1:])[0, 0]
         if abs(mirror - values[-1]) > 1e-12 * abs(values[-1]):
             raise ValueError("a translation_invariant kernel must be even: W(x, y) = W(y, x)")
-        entries = values[inverse].reshape(n_cells, n_cells)
-    else:
-        entries = np.empty((n_cells, n_cells), dtype=np.float64)
-        # keep each evaluated block under ~2^22 pairs
-        rows_per_chunk = max(1, (1 << 22) // (n_fine * n_sub))
-        for w0 in range(0, n_cells, rows_per_chunk):
-            w1 = min(n_cells, w0 + rows_per_chunk)
-            entries[w0:w1] = _block_sums(kernel, cells, q, slice(w0, w1), slice(None))
+    entries = values[inverse].reshape(n_cells, n_cells)
     return KernelMatrix(k, m, entries / q.sum() ** 2)
 
 

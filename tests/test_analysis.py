@@ -9,6 +9,7 @@ from fractalips import (
     BudgetExceededError,
     SelfSimilarMeasure,
     Trajectory,
+    kuramoto_inertia_model,
     kuramoto_model,
     lipschitz_norm_estimate,
     lp_projection_bound,
@@ -412,6 +413,32 @@ class TestVlasovSelfConvergence:
                 lambda level: kuramoto_model(1.0, 0.0),
                 lambda x, y: np.exp(-np.abs(x - y).sum(axis=-1)),
                 lambda rng, ci, n: rng.random((n, 1)),
+                m=1,
+                ells=(1, 2),
+                T=0.1,
+                dt=0.01,
+                seeds=(1,),
+            )
+        assert projected == []
+
+    def test_non_scalar_model_refused_before_any_projection(
+        self, sg_measure, monkeypatch
+    ):
+        from fractalips import analysis
+
+        projected = []
+
+        def recorded(*args, **kwargs):
+            projected.append(project_kernel(*args, **kwargs))
+            return projected[-1]
+
+        monkeypatch.setattr(analysis, "project_kernel", recorded)
+        with pytest.raises(ValueError, match="scalar states"):
+            vlasov_self_convergence(
+                sg_measure,
+                lambda level: kuramoto_inertia_model(1.0, 0.5),
+                lambda x, y: np.exp(-np.abs(x - y).sum(axis=-1)),
+                lambda rng, ci, n: rng.random((n, 2)),
                 m=1,
                 ells=(1, 2),
                 T=0.1,

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,21 +186,34 @@ class TestDisplacementClasses:
 
     def test_undeclared_kernel_unchanged(self, sg_measure):
         W = lambda x, y: np.exp(-np.sqrt(np.sum((x - y) ** 2, axis=-1)))  # noqa: E731
-        for m in (1, 2, 3):
+        for m, sublevel in itertools.product((1, 2, 3), (0, 1, 2)):
             np.testing.assert_array_equal(
-                project_kernel(sg_measure, W, m, 2).entries,
-                dense_reference(sg_measure, W, m, 2),
+                project_kernel(sg_measure, W, m, sublevel).entries,
+                dense_reference(sg_measure, W, m, sublevel),
             )
 
     def test_maps_without_common_linear_part_unchanged(self):
         kern = builtin_kernels(2)["expdist"]
         for p in (ProbabilityVector.uniform(3), skewed_p(3)):
             meas = SelfSimilarMeasure(ROTATED, p)
-            for m in (1, 2, 3):
+            for m, sublevel in itertools.product((1, 2, 3), (0, 1, 2)):
                 np.testing.assert_array_equal(
-                    project_kernel(meas, kern, m, 2).entries,
-                    dense_reference(meas, kern, m, 2),
+                    project_kernel(meas, kern, m, sublevel).entries,
+                    dense_reference(meas, kern, m, sublevel),
                 )
+
+    def test_ungrouped_projection_holds_one_row_block_at_a_time(self):
+        # m = 5, sublevel 2: W is 0.45 MiB, while the temporaries of all
+        # 2187^2 node pairs at once would take several hundred MiB
+        kern = builtin_kernels(2)["expdist"]
+        meas = SelfSimilarMeasure.uniform(ROTATED)
+        tracemalloc.start()
+        try:
+            project_kernel(meas, kern, 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_near_equal_ratios_match_dense_oracle(self):
         # ratios 0.5 and 0.500002 share no linear part, so no cell pair may

@@ -9,13 +9,14 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are eleven small ones written here (three models, each
+thread. The configs are twelve small ones written here (three models, each
 on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli graph,
 a Cantor set with a non-uniform measure, and an inline IFS with unequal
 ratios under its natural measure, whose weights come from the similarity
-dimension) and the ``refine``, ``meanfield`` and ``simulate`` configs of
-``perfbench/workloads.py`` at their default seeds. ``modulus`` exits 2 on
-the unequal-ratio IFS, which has no common linear part.
+dimension, at sublevel 2 and at sublevel 0) and the ``refine``,
+``meanfield`` and ``simulate`` configs of ``perfbench/workloads.py`` at
+their default seeds. ``modulus`` exits 2 on the unequal-ratio IFS, which
+has no common linear part.
 
 Each run's exit code and the bytes of every file it writes are compared;
 ``manifest.json`` is compared without its ``wall_time_s``. ``validate`` also
@@ -123,6 +124,9 @@ def configs() -> dict:
         p="natural", kernel="expdist", model="kuramoto", omega="field",
         kind="deterministic", symmetric="true",
     )
+    # one node per cell: the smallest row blocks of the all-pairs projection
+    out["unequal_sublevel0"] = out["unequal_natural"].replace(
+        "sublevel = 2\n", "sublevel = 0\n")
     for name in ("refine", "meanfield", "simulate"):
         workload = WORKLOADS[name]
         out[f"workload_{name}"] = workload.config(workload.default_seed)
