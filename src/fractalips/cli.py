@@ -351,10 +351,23 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
 def _columns(template: str, *columns) -> list[str]:
     """CSV lines from columns broadcast to one shape, each line formatted by
     one %-template: ``%d`` for integers, ``%.17g`` for floats (as
-    ``format(x, ".17g")``) and ``%s`` for text, which must need no quoting."""
-    line = template + csv.excel.lineterminator
-    values = (c.ravel().tolist() for c in np.broadcast_arrays(*columns))
-    return list(map(line.__mod__, zip(*values)))
+    ``format(x, ".17g")``) and ``%s`` for text, which must need no quoting;
+    a field without ``%`` is literal.  A column smaller than the lines (a
+    trajectory's times) is formatted once per element, then broadcast."""
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    columns = iter(columns)
+    parts, items = template.split(","), []
+    for i, fmt in enumerate(parts):
+        if "%" in fmt:
+            col = np.asarray(next(columns))
+            if col.shape != shape:
+                col = np.fromiter(map(fmt.__mod__, col.ravel().tolist()), object,
+                                  col.size).reshape(col.shape)
+                parts[i] = "%s"
+            items.append(col)
+    line = ",".join(parts) + csv.excel.lineterminator
+    # .flat walks the broadcast views without copying them to full size
+    return list(map(line.__mod__, zip(*(c.flat for c in np.broadcast_arrays(*items)))))
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -457,9 +470,10 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
 
     km = project_kernel(meas, cfg.kernel(), min(m, 4), cfg.sublevel)
     img = kernel_to_graphon(km, cfg.p)
-    i, j = np.indices(img.values.shape)
+    rows, cols = img.values.shape
     write_csv(out / "graphon_pixels.csv", ("row", "col", "value"),
-              _columns("%d,%d,%.17g", i, j, img.values))
+              _columns("%d,%d,%.17g", np.arange(rows)[:, None], np.arange(cols),
+                       img.values))
     return ["transfer_step.csv", "graphon_pixels.csv"]
 
 
@@ -500,10 +514,10 @@ def _write_trajectory(out: Path, stem: str, traj, model, seed,
                       cfg: ExperimentConfig) -> list[str]:
     """The trajectory's CSV and its sidecar: the run that made it, with the
     graph's seed (None for the deterministic graph)."""
-    ti, cells, comps = np.indices(traj.values.shape)
+    _, cells, comps = traj.values.shape
     write_csv(out / f"{stem}.csv", ("t", "cell_index", "component", "value"),
-              _columns("%.17g,%d,%d,%.17g", traj.times[ti], cells, comps,
-                       traj.values))
+              _columns("%.17g,%d,%d,%.17g", traj.times[:, None, None],
+                       np.arange(cells)[:, None], np.arange(comps), traj.values))
     meta = {
         "model": model.name,
         "level": traj.level,
@@ -571,13 +585,11 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
         cfg.sublevel,
         cfg.output_stride,
     )
-    si, pi, ti = np.indices(table.distances.shape)
     pairs = np.array(table.ell_pairs)
     write_csv(out / "vlasov.csv",
               ("seed", "ell_coarse", "ell_fine", "t", "distance"),
-              _columns("%d,%d,%d,%.17g,%.17g", np.array(table.seeds)[si],
-                       pairs[pi, 0], pairs[pi, 1], table.times[ti],
-                       table.distances))
+              _columns("%d,%d,%d,%.17g,%.17g", np.array(table.seeds)[:, None, None],
+                       pairs[:, :1], pairs[:, 1:], table.times, table.distances))
     worst = table.distances.max(axis=2)  # (seeds, pairs)
     write_csv(out / "vlasov_summary.csv",
               ("ell_coarse", "ell_fine", "median_max_distance"),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ from fractalips import ConfigError
 from fractalips.cli import (
     SUBCOMMANDS,
     _columns,
+    _write_trajectory,
     main,
     parse_config,
     validate,
     write_csv,
 )
+from fractalips.dynamics import Trajectory
 
 BASE_CONFIG = """
 [experiment]
@@ -541,6 +544,50 @@ class TestWriteCsv:
                   _columns("%s,%.17g,%d,%.17g", "run", times[ti], ci, values))
         assert (tmp_path / "cols.csv").read_bytes() == (
             "name,t,cell,value\r\n" + rows).encode()
+
+        # the CLI's templates on broadcastable columns, against every column
+        # materialized at the full shape and one %-template per line
+        def materialized(template, *columns):
+            values = (c.ravel().tolist() for c in np.broadcast_arrays(*columns))
+            return [(template + "\r\n") % row for row in zip(*values)]
+
+        cube = np.concatenate([values, -values[:, ::-1]]).reshape(2, 2, 4)
+        pairs = np.array([[1, 2], [2, 3]])
+        cases = {
+            "trajectory": ("%.17g,%d,%d,%.17g", times[:, None, None],
+                           np.arange(2)[:, None], np.arange(4), cube),
+            "vlasov": ("%d,%d,%d,%.17g,%.17g", np.array([7, 9])[:, None, None],
+                       pairs[:, :1], pairs[:, 1:], np.arange(4) * 0.1, cube),
+            "graphon": ("%d,%d,%.17g", np.arange(2)[:, None], np.arange(4), values),
+            "projection": ("%d,%.17g,%.17g,,", [2, 3, 4], 2.0, values[1, 1:]),
+            "integrate": ("%s,%s,%d,%.17g,%.17g,%.17g",
+                          ("total_mass", "barycenter"), ("qmc", "mc"), (0, 1),
+                          values[0, :2], 1.0, values[1, 2:]),
+            "scalar": ("%d,%.17g", 3, 0.1),
+        }
+        for name, (template, *columns) in cases.items():
+            lines = _columns(template, *columns)
+            assert isinstance(lines, list), name
+            assert len(lines) == np.broadcast(*columns).size, name
+            assert lines == materialized(template, *columns), name
+
+    def test_trajectory_builds_no_full_size_index_columns(self, tmp_path):
+        # a level-5 trajectory on sg: 101 times x 243 cells, 24,543 lines,
+        # which take 2.4 MiB themselves; full-size time, cell and component
+        # columns take the peak past 4.9 MiB, and the text of a full-size
+        # value column formatted before the lines past 4.2 MiB
+        rng = np.random.Generator(np.random.Philox(5))
+        traj = Trajectory(3, 5, np.linspace(0.0, 1.0, 101),
+                          rng.uniform(-1.0, 1.0, (101, 243, 1)))
+        cfg = parse_config(write_config(tmp_path))
+        model = fractalips.builtin_models()["kuramoto"](1.0, 1.0, 0.0)
+        tracemalloc.start()
+        try:
+            _write_trajectory(tmp_path, "traj", traj, model, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestDeterminism:

@@ -243,12 +243,28 @@ class TestDisplacementClasses:
         )
 
     def test_declared_odd_kernel_rejected(self, sg_measure):
+        # on ROTATED the maps share no linear part, so every pair is evaluated
         def odd(x, y):
             return (x - y)[..., 0]
 
         odd.translation_invariant = True
-        with pytest.raises(ValueError, match="must be even"):
-            project_kernel(sg_measure, odd, 2, 1)
+        for meas in (sg_measure, SelfSimilarMeasure.uniform(ROTATED)):
+            with pytest.raises(ValueError, match="must be even"):
+                project_kernel(meas, odd, 2, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_catalog_kernels_equal_the_axis_sum_oracle(self, d):
+        # bit for bit, on the (a, 1, d) x (1, b, d) blocks of _block_sums and
+        # on flat (N, d) pairs
+        rng = np.random.Generator(np.random.Philox(10 + d))
+        tail = () if d == 1 else (d,)
+        shapes = [((12, 1) + tail, (1, 30) + tail), ((200,) + tail, (200,) + tail)]
+        kernels = builtin_kernels(d)
+        for sx, sy in shapes:
+            x, y = rng.uniform(-2.0, 2.0, sx), rng.uniform(-2.0, 2.0, sy)
+            dist = np.abs(x - y) if d == 1 else np.sqrt(np.sum((x - y) ** 2, axis=-1))
+            np.testing.assert_array_equal(kernels["expdist"](x, y), np.exp(-dist))
+            np.testing.assert_array_equal(kernels["gaussian"](x, y), np.exp(-dist**2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_catalog_kernels_are_even(self, d):

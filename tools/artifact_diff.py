@@ -9,11 +9,12 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are twelve small ones written here (three models, each
-on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli graph,
-a Cantor set with a non-uniform measure, and an inline IFS with unequal
+thread. The configs are thirteen small ones written here (three models,
+each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
+graph, a Cantor set with a non-uniform measure, an inline IFS with unequal
 ratios under its natural measure, whose weights come from the similarity
-dimension, at sublevel 2 and at sublevel 0) and the ``refine``,
+dimension, at sublevel 2 and at sublevel 0, and an inline 3-D tetrahedral
+gasket, whose kernel distances sum three axes) and the ``refine``,
 ``meanfield`` and ``simulate`` configs of ``perfbench/workloads.py`` at
 their default seeds. ``modulus`` exits 2 on the unequal-ratio IFS, which
 has no common linear part.
@@ -99,6 +100,17 @@ map2 = ratio=0.3 translation=0.7,0.0
 map3 = ratio=0.25 translation=0.2,0.6
 """
 
+# the Sierpinski tetrahedron: four maps of ratio 1/2 in dimension 3
+TETRA_IFS = """\
+[ifs]
+dimension = 3
+maps = 4
+map1 = ratio=0.5 translation=0,0,0
+map2 = ratio=0.5 translation=0.5,0,0
+map3 = ratio=0.5 translation=0.25,0.4330127018922193,0
+map4 = ratio=0.5 translation=0.25,0.14433756729740643,0.408248290463863
+"""
+
 GRAPHS = {
     "deterministic": ("deterministic", "true"),
     "bernoulli": ("bernoulli", "true"),
@@ -127,6 +139,11 @@ def configs() -> dict:
     # one node per cell: the smallest row blocks of the all-pairs projection
     out["unequal_sublevel0"] = out["unequal_natural"].replace(
         "sublevel = 2\n", "sublevel = 0\n")
+    out["tetra_3d"] = SMALL_CONFIG.replace(
+        "[ifs]\npreset = {preset}\n", TETRA_IFS).format(
+        p="natural", kernel="expdist", model="kuramoto", omega="field",
+        kind="deterministic", symmetric="true",
+    )
     for name in ("refine", "meanfield", "simulate"):
         workload = WORKLOADS[name]
         out[f"workload_{name}"] = workload.config(workload.default_seed)
