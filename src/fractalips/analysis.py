@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -98,7 +99,10 @@ def _modulus_single_level(
     meas: SelfSimilarMeasure, phi, ell: int, p_exponent: float, sublevel: int
 ) -> float:
     """max over ordered sibling pairs of the matched-pair L^p difference at
-    translation scale A^ell tau_ij."""
+    translation scale A^ell tau_ij.
+
+    |b_j - b_i| is |b_i - b_j| to the bit, and rounding is monotone, so each
+    unordered pair is visited once, with the larger of its two weights."""
     k = meas.k
     pts = attractor_points(meas.ifs, ell + 1 + sublevel)
     vals = evaluate_on_points(phi, pts)
@@ -107,17 +111,14 @@ def _modulus_single_level(
     blocks = vals.reshape(k**ell, k, k**sublevel)
     parr = meas.p.as_array()
     best = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            # x in K_{w i u}  <->  x + tau in K_{w j u}; same (w, u) indices,
-            # and nu(K_{w i u}) = p_i nu(K_{w u})
-            diff = np.abs(blocks[:, j, :] - blocks[:, i, :])
-            term = parr[i] * cell_means(
-                diff.reshape(-1) ** p_exponent, meas.p, ell + sublevel
-            )[0]
-            best = max(best, float(term) ** (1.0 / p_exponent))
+    for i, j in combinations(range(k), 2):
+        # x in K_{w i u}  <->  x + tau in K_{w j u}; same (w, u) indices,
+        # and nu(K_{w i u}) = p_i nu(K_{w u})
+        diff = np.abs(blocks[:, j, :] - blocks[:, i, :])
+        term = max(parr[i], parr[j]) * cell_means(
+            diff.reshape(-1) ** p_exponent, meas.p, ell + sublevel
+        )[0]
+        best = max(best, float(term) ** (1.0 / p_exponent))
     return best
 
 

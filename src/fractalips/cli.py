@@ -6,8 +6,8 @@ carrying the config hash, library version, seeds, and wall time.  All
 randomness flows from seeds in the config; reruns are byte-identical except
 for the manifest's wall-time field.
 
-Exit codes: 0 ok, 2 invalid config, 3 budget exceeded, 4 numerical abort,
-5 I/O failure.
+Exit codes: 0 ok; a refusal exits with the code ``EXIT_CODES`` gives its
+error: 2 invalid config, 3 budget exceeded, 4 numerical abort, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -325,22 +326,26 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         diags.append(
             f"{subcommand} mode runs the kuramoto model only, not {cfg.model_name!r}"
         )
+    if subcommand in ("rate", "vlasov") and cfg.graph_kind == "bernoulli":
+        diags.append(f"{subcommand} mode integrates the deterministic graph only, "
+                     "not a bernoulli one")
     if cfg.omega_mode not in ("field", "zero"):
         diags.append(f"model omega must be 'field' or 'zero', not {cfg.omega_mode!r}")
     for f in _INI_FIELDS:
-        least, value = f.metadata["least"], getattr(cfg, f.name)
+        key, least, value = f.metadata["ini"], f.metadata["least"], getattr(cfg, f.name)
         low = min(value, default=least) if isinstance(value, tuple) else value
         if least is not None and low < least:
-            diags.append(f"{f.metadata['ini']} must be >= {least}, not {low}")
-    if not cfg.modulus_p > 0:
+            diags.append(f"{key} must be >= {least}, not {low}")
+        # step_count owns the rules of the time grid
+        if (isinstance(value, float) and not math.isfinite(value)
+                and f.name not in ("T", "dt")):
+            diags.append(f"{key} must be finite, not {value}")
+    if -math.inf < cfg.modulus_p <= 0:  # a non-finite p is reported above
         diags.append(f"modulus.p must be > 0, not {cfg.modulus_p}")
-    if cfg.dt <= 0 or cfg.T < 0:
-        diags.append("time parameters must satisfy dt > 0 and T >= 0")
-    else:
-        try:
-            step_count(cfg.T, cfg.dt)
-        except ValueError as exc:
-            diags.append(str(exc))
+    try:
+        step_count(cfg.T, cfg.dt)
+    except ValueError as exc:
+        diags.append(str(exc))
     return diags
 
 
@@ -659,46 +664,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each refusal, looked up along the exception's classes;
+# any other exception keeps its traceback
+EXIT_CODES = {ConfigError: 2, BudgetExceededError: 3, NumericalAbortError: 4, OSError: 5}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.preset, args.output)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.subcommand == "validate":
-        diags = validate(cfg)
-        for d in diags:
-            print(d)
-        if not diags:
-            print("config ok")
-        return 0
-
-    diags = validate(cfg, args.subcommand)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        return 2
-
-    started = time.time()
-    try:
+        if args.subcommand == "validate":
+            print("\n".join(validate(cfg)) or "config ok")
+            return 0
+        diags = validate(cfg, args.subcommand)
+        if diags:
+            raise ConfigError(*diags)
+        started = time.time()
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         outputs = _RUNNERS[args.subcommand](cfg, out)
         write_manifest(out, args.subcommand, cfg, outputs, started)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalAbortError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    except tuple(EXIT_CODES) as exc:
+        # a ConfigError holds one diagnostic per argument
+        for message in exc.args if isinstance(exc, ConfigError) else (exc,):
+            print(f"error: {message}", file=sys.stderr)
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
     return 0
 
 

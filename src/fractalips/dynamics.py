@@ -12,6 +12,7 @@ fixed-step RK4; the spatial error under study dominates the time error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -42,7 +43,9 @@ class ModelSpec:
     graph per member (``graph_product`` handles all of them).
     ``pairwise_coupling`` builds it from a broadcasting D.
     ``params`` holds optional per-cell constants such as oscillator
-    frequencies (they obey d(lambda)/dt = 0).
+    frequencies (they obey d(lambda)/dt = 0), given as a field, an array or
+    a constant.  A constant or a 1-D array becomes one column, one value per
+    cell; a 2-D array has one row per cell, or one row for every cell.
     """
 
     name: str
@@ -54,8 +57,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
+        if isinstance(self.params, PiecewiseConstantField):
+            self.params = self.params.values
         if self.params is not None:
-            self.params = np.atleast_2d(np.asarray(self.params, dtype=np.float64))
+            params = np.asarray(self.params, dtype=np.float64)
+            self.params = params.reshape(-1, 1) if params.ndim < 2 else params
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,9 @@ def project_kernel(
     if invariant and abs(pair[1] - pair[0]) > 1e-12 * abs(pair[0]):
         raise ValueError("a translation_invariant kernel must be even: W(x, y) = W(y, x)")
     entries = values[inverse].reshape(n_cells, n_cells)
-    return KernelMatrix(k, m, entries / q.sum() ** 2)
+    del inverse  # at most two n^2 arrays at once: divide in place
+    entries /= q.sum() ** 2
+    return KernelMatrix(k, m, entries)
 
 
 def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
@@ -234,18 +242,24 @@ def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(t)
     axes = [np.unique(c, return_inverse=True) for c in t.T]
     scale = max(float(vals[-1] - vals[0]) for vals, _ in axes) or 1.0
-    key, span = np.zeros(n * n, dtype=np.int64), 1
+    key, span = None, 1
     for vals, idx in axes:
         # ranks of the displacements of distinct coordinates; rint is odd, so
         # -d ranks (levels - 1) - rank(d) and -delta keys (span - 1) - key
         grid = np.rint(np.subtract.outer(vals, vals) * (2.0**40 / scale))
         levels, rank = np.unique(grid, return_inverse=True)
-        key = key * len(levels) + rank.reshape(grid.shape)[idx[:, None], idx].ravel()
+        rank = rank.reshape(grid.shape)[idx[:, None], idx].ravel()
+        if key is None:
+            key = rank
+        else:  # in place, so that at most two n^2 arrays are held
+            key *= len(levels)
+            key += rank
+        del rank
         span *= len(levels)
         if span > n * n:  # ranking the keys keeps that symmetry
             levels, key = np.unique(key, return_inverse=True)
             span = len(levels)
-    key = np.minimum(key, span - 1 - key)
+    np.minimum(key, span - 1 - key, out=key)
     first = np.full(span, n * n)
     np.minimum.at(first, key, np.arange(n * n))
     first = np.sort(first[first < n * n])
@@ -380,9 +394,15 @@ def _rhs(model: ModelSpec, weights: np.ndarray, t: float, u: np.ndarray) -> np.n
 def step_count(T: float, dt: float) -> int:
     """The number of steps of size dt that reach T exactly.
 
-    Raises ValueError unless T/dt is a whole number to a relative 1e-9, so a
-    run never stops short of T (or overshoots it) without a word.
+    Raises ValueError unless dt > 0, T >= 0, both are finite and T/dt is a
+    whole number to a relative 1e-9, so a run never stops short of T (or
+    overshoots it) without a word.
     """
+    if not (0 < dt < math.inf and T >= 0 and math.isfinite(T / dt)):
+        raise ValueError(
+            "the time grid needs a finite dt > 0 and a finite T >= 0, "
+            f"not T = {T:g} and dt = {dt:g}"
+        )
     ratio = T / dt
     n_steps = round(ratio)
     if abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
@@ -412,10 +432,6 @@ def integrate_ips(
     the final step).  Aborts with a diagnostic naming the member if a state
     leaves the finite range.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
     if output_stride < 1:
         raise ValueError(f"output_stride must be >= 1, not {output_stride}")
     n_steps = step_count(T, dt)
@@ -487,14 +503,6 @@ def _phase_coupling(G: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return sc[..., 1, :] * g[..., 0, :] - sc[..., 0, :] * g[..., 1, :]
 
 
-def _frequencies(frequencies) -> np.ndarray:
-    """Frequencies given as a field, an array or a constant, as (n, 1)."""
-    if isinstance(frequencies, PiecewiseConstantField):
-        frequencies = frequencies.values
-    omega = np.atleast_1d(np.asarray(frequencies, dtype=np.float64))
-    return omega[:, None] if omega.ndim == 1 else omega
-
-
 def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
     """Phase oscillators: du_w = omega_w + K sum_v G_wv sin(2 pi (u_v - u_w)).
 
@@ -514,7 +522,7 @@ def kuramoto_model(coupling_strength: float, frequencies=0.0) -> ModelSpec:
         state_dim=1,
         drift=drift,
         coupling_term=coupling_term,
-        params=_frequencies(frequencies),
+        params=frequencies,
     )
 
 
@@ -542,7 +550,7 @@ def kuramoto_inertia_model(
         state_dim=2,
         drift=drift,
         coupling_term=coupling_term,
-        params=_frequencies(frequencies),
+        params=frequencies,
     )
 
 

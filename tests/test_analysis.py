@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fractalips import (
     BudgetExceededError,
+    ProbabilityVector,
     SelfSimilarMeasure,
     Trajectory,
     kuramoto_inertia_model,
@@ -14,6 +15,7 @@ from fractalips import (
     lipschitz_norm_estimate,
     lp_projection_bound,
     modulus_profile,
+    preset,
     project_kernel,
     projection_error,
     rate_fit,
@@ -21,8 +23,14 @@ from fractalips import (
     translation_vector,
     vlasov_self_convergence,
 )
-from fractalips.analysis import wasserstein_distance
-from fractalips.quadrature import pairwise_sum, stationary_mean
+from fractalips.analysis import _modulus_single_level, wasserstein_distance
+from fractalips.geometry import attractor_points
+from fractalips.quadrature import (
+    cell_means,
+    evaluate_on_points,
+    pairwise_sum,
+    stationary_mean,
+)
 
 
 def make_traj(k, level, times, values):
@@ -175,6 +183,34 @@ class TestModulus:
         levels, omega = modulus_profile(sg_measure, phi, range(2, 7), max_ell=8)
         rep = lipschitz_norm_estimate(levels, omega, lam=0.5)
         assert rep.fitted_alpha == pytest.approx(1.0, abs=0.15)
+
+    @pytest.mark.parametrize("name, p", [
+        ("sg", None), ("sg", (0.5, 0.3, 0.2)), ("cantor", (0.7, 0.3)),
+        ("sg3", None), ("pentagasket", None),
+    ])
+    def test_unordered_pairs_equal_the_ordered_pair_oracle(self, name, p):
+        ifs = preset(name)
+        meas = (SelfSimilarMeasure.uniform(ifs) if p is None
+                else SelfSimilarMeasure(ifs, ProbabilityVector(p)))
+        if ifs.dimension == 1:
+            phi = lambda x: np.exp(-np.abs(x - 0.3)) + (x > 0.5)
+        else:
+            phi = lambda x: np.exp(-np.abs(x[:, 0] - x[:, 1])) + (x[:, 0] > 0.4)
+        parr = meas.p.as_array()
+        for p_exponent in (1.0, 2.0, 3.5):
+            for ell in (1, 3, 5):
+                # every ordered pair (i, j), i != j, with its own weight p_i
+                vals = evaluate_on_points(phi, attractor_points(ifs, ell + 3))
+                blocks = vals.reshape(ifs.k**ell, ifs.k, ifs.k**2)
+                oracle = 0.0
+                for i, j in itertools.permutations(range(ifs.k), 2):
+                    diff = np.abs(blocks[:, j, :] - blocks[:, i, :])
+                    term = parr[i] * cell_means(
+                        diff.reshape(-1) ** p_exponent, meas.p, ell + 2
+                    )[0]
+                    oracle = max(oracle, float(term) ** (1.0 / p_exponent))
+                got = _modulus_single_level(meas, phi, ell, p_exponent, 2)
+                assert got == oracle
 
     def test_projection_bound_holds_for_linear_function(self, sg_measure):
         # observed errors stay below (k^(-1/2) (k-1)^(1/2) / (1 - lambda))

@@ -309,11 +309,22 @@ class TestValidate:
          "zero for the constant function 'one'"),
         ("modulus", "2,3,4", ("name = expdiff", "name = one"),
          "zero for the constant function 'one'"),
+        ("simulate", "2,3", ("name = expdist\nvalue = 1.0", "name = constant\nvalue = nan"),
+         "kernel.value must be finite, not nan"),
+        ("modulus", "2,3,4", ("[graph]", "[modulus]\np = inf\n[graph]"),
+         "modulus.p must be finite, not inf"),
+        ("simulate", "2,3", ("T = 0.1", "T = inf"), "the time grid needs"),
+        ("rate", "2,3,4", ("kind = deterministic", "kind = bernoulli"),
+         "rate mode integrates the deterministic graph only"),
+        ("vlasov", "2", ("kind = deterministic", "kind = bernoulli"),
+         "vlasov mode integrates the deterministic graph only"),
     ])
     def test_run_that_would_fail_exits_two(self, tmp_path, capsys, subcommand,
                                            levels, edit, diagnostic):
-        # run past validate, each of these ends in a traceback (exit 1) or,
-        # for levels 2,2,2, fits a rate to one level
+        # run past validate, each of these ends in a traceback (exit 1) or
+        # computes something else: for levels 2,2,2 it fits a rate to one
+        # level, for modulus.p = inf it fits omega_p = 1 at every level, and
+        # rate and vlasov run the deterministic graph on a Bernoulli config
         cfgp = write_config(tmp_path, levels=levels)
         if edit:
             text = Path(cfgp).read_text()
@@ -342,6 +353,7 @@ class TestValidate:
           "map1 = ratio=0.5 translation=0.0,0.0 angle=0.5\n"
           "map2 = ratio=0.5 translation=0.5,0.0"), ("modulus",)),
         (("name = kuramoto", "name = consensus"), ("rate", "vlasov")),
+        (("kind = deterministic", "kind = bernoulli"), ("rate", "vlasov")),
     ])
     def test_validate_reports_every_refusal(self, tmp_path, capsys, edit, subcommands):
         # without a subcommand, validate prints each message that a run
@@ -387,6 +399,14 @@ levels = 2,3,4
         Path(cfgp).write_text(text)
         assert any("whole multiple" in d for d in validate(parse_config(cfgp)))
         assert main(["simulate", "--config", cfgp]) == 2
+
+    @pytest.mark.parametrize("edit", [("T = 0.1", "T = inf"), ("dt = 0.01", "dt = nan")])
+    def test_time_grid_reported_once(self, tmp_path, edit):
+        # step_count owns T and dt: the finite-float rule leaves them alone
+        cfgp = write_config(tmp_path)
+        Path(cfgp).write_text(Path(cfgp).read_text().replace(*edit))
+        (diag,) = validate(parse_config(cfgp))
+        assert diag.startswith("the time grid needs")
 
     def test_bernoulli_unit_constant_with_skewed_p(self, tmp_path):
         # the projected unit kernel may round a few ulps past 1; sampling
@@ -525,6 +545,22 @@ class TestRunSubcommands:
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "100")
         cfgp = write_config(tmp_path)
         assert main(["project", "--config", cfgp]) == 3
+
+    def test_numerical_abort_exit_four(self, tmp_path, capsys):
+        # anti-damping: the velocities grow by a factor of about 1e298 a step
+        cfgp = write_config(tmp_path, levels="2", model_extra="damping = -1e300")
+        text = Path(cfgp).read_text()
+        Path(cfgp).write_text(text.replace("name = kuramoto", "name = kuramoto_inertia"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", "--config", cfgp]) == 4
+        assert capsys.readouterr().err.startswith("error: non-finite state after step")
+
+    def test_output_path_is_a_file_exit_five(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["integrate", "--config", cfgp, "--output",
+                     str(tmp_path / "taken")]) == 5
+        assert capsys.readouterr().err.startswith("error: [Errno")
 
 
 class TestWriteCsv:

@@ -35,7 +35,7 @@ from fractalips import (
     stack_graphs,
 )
 from fractalips.analysis import traj_error
-from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph
+from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, step_count
 from fractalips.geometry import default_anchor
 from fractalips.symbolic import level_weights
 
@@ -214,6 +214,17 @@ class TestDisplacementClasses:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_grouped_projection_holds_two_n2_arrays_at_most(self, sg_measure):
+        # m = 6: one n^2 array of int64 or float64 is 4 MiB; the class keys,
+        # their ranks, the gathered entries and their quotient were 3.2 of them
+        tracemalloc.start()
+        try:
+            project_kernel(sg_measure, builtin_kernels(2)["expdist"], 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 729**2
 
     def test_near_equal_ratios_match_dense_oracle(self):
         # ratios 0.5 and 0.500002 share no linear part, so no cell pair may
@@ -542,6 +553,40 @@ class TestIntegrateIPS:
         g = PiecewiseConstantField(2, 1, np.array([0.25, 1.0]))
         with pytest.raises(ValueError, match="whole multiple"):
             integrate_ips(model, constant_graph(2, 1, 1.0), g, T=1.0, dt=0.3)
+
+    @pytest.mark.parametrize("T, dt", [
+        (math.inf, 0.1), (math.nan, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1),
+        (1.0, math.inf), (1.0, math.nan), (1e300, 1e-300),
+    ])
+    def test_time_grid_needs_finite_positive_steps(self, T, dt):
+        # refused before round(T / dt), which raises OverflowError on T = inf
+        with pytest.raises(ValueError, match="the time grid needs"):
+            step_count(T, dt)
+        model = consensus_model()
+        g = PiecewiseConstantField(2, 1, np.array([0.25, 1.0]))
+        with pytest.raises(ValueError, match="the time grid needs"):
+            integrate_ips(model, constant_graph(2, 1, 1.0), g, T=T, dt=dt)
+
+    @pytest.mark.parametrize("params, shape", [
+        (np.linspace(0.0, 1.0, 9), (9, 1)),
+        (np.linspace(0.0, 1.0, 9)[:, None], (9, 1)),
+        (PiecewiseConstantField(3, 2, np.linspace(0.0, 1.0, 9)), (9, 1)),
+        (0.5, (1, 1)),
+    ])
+    def test_params_hold_one_value_per_cell(self, params, shape):
+        # a 1-D array is one column, not a (1, 9) row that widens the state
+        model = ModelSpec(
+            name="drift",
+            state_dim=1,
+            drift=lambda t, u, p: p,
+            coupling_term=lambda G, u: np.zeros_like(u),
+            params=params,
+        )
+        assert model.params.shape == shape
+        g = PiecewiseConstantField(3, 2, np.zeros(9))
+        traj = integrate_ips(model, constant_graph(3, 2, 0.0), g, T=0.5, dt=0.1)
+        expect = np.broadcast_to(0.5 * model.params, (9, 1))
+        np.testing.assert_allclose(traj.values[-1], expect, rtol=1e-12)
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_output_stride_below_one_rejected(self, stride):

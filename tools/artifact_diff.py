@@ -9,12 +9,13 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are thirteen small ones written here (three models,
+thread. The configs are fourteen small ones written here (three models,
 each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
 graph, a Cantor set with a non-uniform measure, an inline IFS with unequal
 ratios under its natural measure, whose weights come from the similarity
-dimension, at sublevel 2 and at sublevel 0, and an inline 3-D tetrahedral
-gasket, whose kernel distances sum three axes) and the ``refine``,
+dimension, at sublevel 2 and at sublevel 0, an inline 3-D tetrahedral
+gasket, whose kernel distances sum three axes, and a nan kernel value with
+an infinite horizon, which every subcommand refuses) and the ``refine``,
 ``meanfield`` and ``simulate`` configs of ``perfbench/workloads.py`` at
 their default seeds. ``modulus`` exits 2 on the unequal-ratio IFS, which
 has no common linear part.
@@ -144,6 +145,10 @@ def configs() -> dict:
         p="natural", kernel="expdist", model="kuramoto", omega="field",
         kind="deterministic", symmetric="true",
     )
+    # non-finite floats, which every subcommand refuses
+    out["nonfinite"] = out["kuramoto_deterministic"].replace(
+        "name = expdist\n", "name = constant\nvalue = nan\n").replace(
+        "T = 0.1\n", "T = inf\n")
     for name in ("refine", "meanfield", "simulate"):
         workload = WORKLOADS[name]
         out[f"workload_{name}"] = workload.config(workload.default_seed)
