@@ -13,8 +13,8 @@ fixed-step RK4; the spatial error under study dominates the time error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
+from itertools import accumulate, combinations
 from typing import Callable
 
 import numpy as np
@@ -25,8 +25,9 @@ from .quadrature import SelfSimilarMeasure
 from .symbolic import check_eval_budget, check_level_size, level_weights
 from .transfer import KernelMatrix, PiecewiseConstantField
 
-# the largest graph kept dense: on sg at level 6 the dense graph (4.25 MB)
-# overflows a 2 MiB per-core L2 cache, and a BlockGraph (1.9 MB) fits
+# the per-core L2 budget, both for the largest graph kept dense and for the
+# graph bytes one RK4 loop reads: on sg at level 6 the dense graph (4.25 MB)
+# overflows a 2 MiB L2 cache, and a BlockGraph (1.9 MB) fits
 DENSE_GRAPH_BYTES = 2 << 20
 
 
@@ -40,8 +41,9 @@ class ModelSpec:
     ``coupling_term(G, u)`` returns sum_v G_wv D(u_w, u_v) for every member
     as an (E, n, s) array.  G is either one (n, n) graph that every member
     shares (an array or a ``BlockGraph``) or an (E, n, n) stack with one
-    graph per member (``graph_product`` handles all of them).
-    ``pairwise_coupling`` builds it from a broadcasting D.
+    graph per member, and under ``integrate_series`` a ``BlockDiagonal`` of
+    either; ``graph_product`` applies all of them.  ``pairwise_coupling``
+    builds it from a broadcasting D, for arrays and ``BlockGraph``s.
     ``params`` holds optional per-cell constants such as oscillator
     frequencies (they obey d(lambda)/dt = 0), given as a field, an array or
     a constant.  A constant or a 1-D array becomes one column, one value per
@@ -83,6 +85,10 @@ class BlockGraph:
     def shape(self) -> tuple[int, int]:
         return (len(self.masses),) * 2
 
+    @property
+    def nbytes(self) -> int:  # the blocks a product reads
+        return (1 + len(self.upper)) * self.diagonal.nbytes
+
     def __array__(self, dtype=None, copy=None):
         b = len(self.diagonal)
         W = np.empty((len(self.masses) // b, b) * 2)
@@ -94,22 +100,41 @@ class BlockGraph:
 
 
 @dataclass(frozen=True)
+class BlockDiagonal:
+    """Independent systems side by side, their graphs on the diagonal: all
+    shared (n_i, n_i) graphs or all (E, n_i, n_i) stacks, (N, N) or (E, N, N)
+    as a whole.  ``integrate_series`` builds one for a batch of systems."""
+
+    blocks: tuple
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        n = sum(g.shape[-1] for g in self.blocks)
+        return self.blocks[0].shape[:-2] + (n, n)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+
+@dataclass(frozen=True)
 class CouplingGraph:
     """The level-m coupling weights, already scaled by the cell masses.
 
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member.  A shared graph may also be a ``BlockGraph``.
+    graph per member.  A shared graph may also be a ``BlockGraph``, and
+    either layout a ``BlockDiagonal`` of independent systems.
     """
 
     k: int
     level: int
-    weights: np.ndarray | BlockGraph
+    weights: np.ndarray | BlockGraph | BlockDiagonal
 
     def __post_init__(self):
         w = self.weights
-        if not isinstance(w, BlockGraph):
+        if not isinstance(w, (BlockGraph, BlockDiagonal)):
             # the layouts graph_product reads fastest (OpenBLAS, one thread):
             # a shared graph with its transpose C-contiguous, for the GEMM of
             # all members' rows; a stack C-contiguous, for each member's two
@@ -348,8 +373,22 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     which reads G once; an (E, n, n) stack multiplies each member's rows by
     its own graph in one batched matmul.  A ``BlockGraph`` folds the masses
     into x, since G_wv = W_wv nu_v, and makes one GEMM of its diagonal block
-    with every block-row, then two per upper block C (C and C^T).
+    with every block-row, then two per upper block C (C and C^T).  A
+    ``BlockDiagonal`` writes each block's product, as its system alone makes
+    it, into the block's slice of the output.
     """
+    if isinstance(G, BlockDiagonal):
+        y, lo = np.empty(x.shape), 0
+        x2, y2 = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+        for g in G.blocks:
+            hi = lo + g.shape[-1]
+            if isinstance(g, BlockGraph):
+                y[..., lo:hi] = graph_product(g, x[..., lo:hi])
+            else:  # a shared graph's one GEMM is on the (E c, N) views
+                a, b = (x2, y2) if g.ndim == 2 else (x, y)
+                np.matmul(a[..., lo:hi], g.swapaxes(-1, -2), out=b[..., lo:hi])
+            lo = hi
+        return y
     if isinstance(G, BlockGraph):
         b = len(G.diagonal)
         z = (x * G.masses).reshape(-1, len(G.masses) // b, b)
@@ -410,6 +449,25 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
+def _ensemble(coupling: CouplingGraph, initial, state_dim: int):
+    """The initial fields, the member count, and whether ``integrate_ips``
+    returns one Trajectory per member (when either input is stacked)."""
+    single = isinstance(initial, PiecewiseConstantField)
+    fields = (initial,) if single else tuple(initial)
+    n_graphs = coupling.weights.shape[0] if coupling.weights.ndim == 3 else 1
+    members = max(n_graphs, len(fields))
+    if {n_graphs, len(fields)} - {1, members}:
+        raise ValueError(
+            f"{n_graphs} graphs and {len(fields)} initial fields do not form one ensemble"
+        )
+    for f in fields:
+        if f.k != coupling.k or f.level != coupling.level:
+            raise ValueError("initial field and coupling graph levels differ")
+        if f.state_dim != state_dim:
+            raise ValueError("initial field state dimension does not match the model")
+    return fields, members, coupling.weights.ndim == 3 or not single
+
+
 def integrate_ips(
     model: ModelSpec,
     coupling: CouplingGraph,
@@ -424,7 +482,8 @@ def integrate_ips(
     The members share the model and the time grid.  They differ in their
     graphs when ``coupling`` holds an (E, n, n) stack, and in their initial
     data when ``initial`` is a sequence of E fields; one graph or one field
-    serves every member.  Each RK4 stage evaluates all members together.
+    serves every member.  Each RK4 stage evaluates all members together, or
+    for a stack over ``DENSE_GRAPH_BYTES`` one even group of them at a time.
     Returns one Trajectory per member, in order, when either input is
     stacked, and the Trajectory otherwise.
 
@@ -437,19 +496,7 @@ def integrate_ips(
     n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
     weights = coupling.weights
-    single = isinstance(initial, PiecewiseConstantField)
-    fields = (initial,) if single else tuple(initial)
-    n_graphs = len(weights) if weights.ndim == 3 else 1
-    members = max(n_graphs, len(fields))
-    if {n_graphs, len(fields)} - {1, members}:
-        raise ValueError(
-            f"{n_graphs} graphs and {len(fields)} initial fields do not form one ensemble"
-        )
-    for f in fields:
-        if f.k != coupling.k or f.level != coupling.level:
-            raise ValueError("initial field and coupling graph levels differ")
-        if f.state_dim != model.state_dim:
-            raise ValueError("initial field state dimension does not match the model")
+    fields, members, listed = _ensemble(coupling, initial, model.state_dim)
     if model.params is not None and model.params.shape[0] not in (1, n):
         raise ValueError("per-cell parameter count does not match the level")
 
@@ -457,32 +504,79 @@ def integrate_ips(
         s for s in range(1, n_steps + 1) if s % output_stride == 0 or s == n_steps
     ]
     states = np.empty((members, 1 + len(recorded), n, model.state_dim))
-    u = np.empty((members, n, model.state_dim))
-    u[...] = np.stack([f.values for f in fields])
-    states[:, 0] = u
-    out = 1
-    for step in range(n_steps):
-        t = step * dt
-        k1 = _rhs(model, weights, t, u)
-        k2 = _rhs(model, weights, t + dt / 2, u + (dt / 2) * k1)
-        k3 = _rhs(model, weights, t + dt / 2, u + (dt / 2) * k2)
-        k4 = _rhs(model, weights, t + dt, u + dt * k3)
-        u = u + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(u)):
-            bad = ~np.isfinite(u).all(axis=2)
-            where = ", ".join(
-                f"member {e} ({np.count_nonzero(bad[e])} of {n} cells)"
-                for e in np.flatnonzero(bad.any(axis=1))
-            )
-            raise NumericalAbortError(
-                f"non-finite state after step {step + 1} (t = {t + dt:.6g}) in {where}"
-            )
-        if (step + 1) % output_stride == 0 or step + 1 == n_steps:
-            states[:, out] = u
-            out += 1
+    states[:, 0] = np.stack([f.values for f in fields])
+    stack = isinstance(weights, np.ndarray) and weights.ndim == 3 and len(weights) == members
+    groups = -(-members // max(1, DENSE_GRAPH_BYTES // weights[0].nbytes)) if stack else 1
+    cuts = [members * i // groups for i in range(groups + 1)]
+    for first, last in zip(cuts[:-1], cuts[1:]):
+        graphs = weights[first:last] if stack else weights
+        u = states[first:last, 0].copy()
+        out = 1
+        for step in range(n_steps):
+            t = step * dt
+            k1 = _rhs(model, graphs, t, u)
+            k2 = _rhs(model, graphs, t + dt / 2, u + (dt / 2) * k1)
+            k3 = _rhs(model, graphs, t + dt / 2, u + (dt / 2) * k2)
+            k4 = _rhs(model, graphs, t + dt, u + dt * k3)
+            u = u + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(u)):
+                bad = ~np.isfinite(u).all(axis=2)
+                where = ", ".join(
+                    f"member {first + e} ({np.count_nonzero(bad[e])} of {n} cells)"
+                    for e in np.flatnonzero(bad.any(axis=1))
+                )
+                raise NumericalAbortError(
+                    f"non-finite state after step {step + 1} (t = {t + dt:.6g}) in {where}"
+                )
+            if (step + 1) % output_stride == 0 or step + 1 == n_steps:
+                states[first:last, out] = u
+                out += 1
     times = np.array([0, *recorded]) * dt
     trajs = [Trajectory(coupling.k, coupling.level, times, v) for v in states]
-    return trajs if weights.ndim == 3 or not single else trajs[0]
+    return trajs if listed else trajs[0]
+
+
+def integrate_series(model: ModelSpec, couplings, initials, T: float, dt: float,
+                     output_stride: int = 1) -> list:
+    """What ``integrate_ips`` returns for each system (couplings[i],
+    initials[i]), in order, on one time grid.  Consecutive systems with the
+    same member count and layout (shared graphs or stacks) whose graphs fit
+    ``DENSE_GRAPH_BYTES`` together run as one: the N cells of their disjoint
+    union at level 1, on a ``BlockDiagonal`` graph, so every trajectory keeps
+    its bits.  ``model.params`` holds one row, or one per cell of every system.
+    """
+    ensembles = [_ensemble(c, x, model.state_dim)
+                 for c, x in zip(couplings, initials, strict=True)]
+    starts = [0, *accumulate(c.k**c.level for c in couplings)]
+    params = model.params
+    if params is not None and len(params) not in (1, starts[-1]):
+        raise ValueError("per-cell parameter count does not match the systems")
+    batches, used = [], 0
+    for i, c in enumerate(couplings):
+        key, used = (ensembles[i][1], c.weights.ndim), used + c.weights.nbytes
+        if not batches or batches[-1][0] != key or used > DENSE_GRAPH_BYTES:
+            batches.append((key, []))
+            used = c.weights.nbytes
+        batches[-1][1].append(i)
+    results = []
+    for _, batch in batches:
+        lo, hi = starts[batch[0]], starts[batch[-1] + 1]
+        own = model if params is None or len(params) == 1 else replace(
+            model, params=params[lo:hi])
+        sets = [ensembles[i][0] for i in batch]
+        coupling, fields = couplings[batch[0]], sets[0]
+        if len(batch) > 1:
+            graph = BlockDiagonal(tuple(couplings[i].weights for i in batch))
+            coupling = CouplingGraph(hi - lo, 1, graph)
+            # a system's one field serves each member, as in integrate_ips
+            fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
+                [f[e % len(f)].values for f in sets])) for e in range(max(map(len, sets)))]
+        trajs = integrate_ips(own, coupling, fields, T, dt, output_stride)
+        for i in batch:
+            c, a, b = couplings[i], starts[i] - lo, starts[i + 1] - lo
+            split = [Trajectory(c.k, c.level, t.times, t.values[:, a:b]) for t in trajs]
+            results.append(split if ensembles[i][2] else split[0])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +648,16 @@ def kuramoto_inertia_model(
     )
 
 
-def consensus_model() -> ModelSpec:
-    """Opinion pooling: du_w = sum_v G_wv (u_v - u_w); one ``graph_product``
-    of the rows [u, 1] gives both sums."""
+def consensus_model(coupling_strength: float = 1.0) -> ModelSpec:
+    """Opinion pooling: du_w = K sum_v G_wv (u_v - u_w); one
+    ``graph_product`` of the rows [u, 1] gives both sums."""
+    K = float(coupling_strength)
 
     def coupling_term(G, u):
         x = u[..., 0]
         rows = np.stack([x, np.ones_like(x)], axis=-2)
         gx, degree = np.moveaxis(graph_product(G, rows), -2, 0)
-        return (gx - degree * x)[..., None]
+        return (K * (gx - degree * x))[..., None]
 
     def drift(t, u, params):
         return np.zeros_like(u)
@@ -574,13 +669,13 @@ def builtin_models() -> dict:
     """Catalog of model factories keyed by name.
 
     Every factory takes ``(coupling_strength, damping, frequencies)`` and
-    ignores what its model does not use; consensus uses none of them.  The
+    ignores what its model does not use; consensus uses only the strength.  The
     catalog is built on every call, from the factories the module holds then.
     """
     return {
         "kuramoto": lambda K, damping, omega: kuramoto_model(K, omega),
         "kuramoto_inertia": kuramoto_inertia_model,
-        "consensus": lambda K, damping, omega: consensus_model(),
+        "consensus": lambda K, damping, omega: consensus_model(K),
     }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .analysis import traj_error
 from .dynamics import (
     assemble_deterministic,
-    integrate_ips,
+    integrate_series,
     kuramoto_model,
     project_kernel,
     stack_graphs,
@@ -81,13 +81,15 @@ def kuramoto_refinement_errors(
     phase_fine = martingale_level(meas, phase_fn, finest, sublevel)
 
     needed = sorted(set(levels) | {m + 1 for m in levels})
-    trajs = {}
-    for m in needed:
-        km = project_kernel(meas, kernel, m, sublevel)
-        coupling = assemble_deterministic(km, meas)
-        model = kuramoto_model(coupling_strength, coarsen(omega_fine, m, meas.p))
-        init = coarsen(phase_fine, m, meas.p)
-        trajs[m] = integrate_ips(model, coupling, init, T, dt, output_stride)
+    # finest first, so the largest projection runs while nothing else is held
+    couplings = {m: assemble_deterministic(project_kernel(meas, kernel, m, sublevel), meas)
+                 for m in reversed(needed)}
+    omega = np.concatenate([coarsen(omega_fine, m, meas.p).values for m in needed])
+    model = kuramoto_model(coupling_strength, omega)
+    inits = [coarsen(phase_fine, m, meas.p) for m in needed]
+    series = integrate_series(model, [couplings[m] for m in needed], inits, T, dt,
+                              output_stride)
+    trajs = dict(zip(needed, series))
     errors = np.array(
         [traj_error(trajs[m], trajs[m + 1], meas).max_error for m in levels]
     )
@@ -114,18 +116,19 @@ def bernoulli_gap_medians(
     levels = sorted(int(m) for m in levels)
     seeds = tuple(int(s) for s in seeds)
     omega_fn, phase_fn = kuramoto_fields(field_seed, meas.ifs.dimension)
-    medians = []
-    per_seed = np.empty((len(levels), len(seeds)))
-    for li, m in enumerate(levels):
-        km = project_kernel(meas, kernel, m, sublevel)
-        # member 0 is the deterministic system, members 1.. its Bernoulli draws
-        graphs = stack_graphs(km, meas, (None, *seeds))
-        omega = martingale_level(meas, omega_fn, m, sublevel)
-        model = kuramoto_model(coupling_strength, omega)
-        init = martingale_level(meas, phase_fn, m, sublevel)
-        base, *draws = integrate_ips(model, graphs, init, T, dt, output_stride)
-        per_seed[li] = [traj_error(base, t, meas).max_error for t in draws]
-        medians.append(float(np.median(per_seed[li])))
+    # member 0 of each level is the deterministic system, members 1.. its
+    # Bernoulli draws; the finest level is projected first
+    graphs = {m: stack_graphs(project_kernel(meas, kernel, m, sublevel), meas, (None, *seeds))
+              for m in reversed(levels)}
+    omega = np.concatenate([martingale_level(meas, omega_fn, m, sublevel).values
+                            for m in levels])
+    inits = [martingale_level(meas, phase_fn, m, sublevel) for m in levels]
+    series = integrate_series(kuramoto_model(coupling_strength, omega),
+                              [graphs[m] for m in levels], inits, T, dt, output_stride)
+    del graphs  # the stacks are not held through the error loop
+    per_seed = np.array([[traj_error(base, t, meas).max_error for t in draws]
+                         for base, *draws in series]).reshape(len(levels), len(seeds))
+    medians = [float(np.median(row)) for row in per_seed]
     return np.array(levels), np.array(medians), per_seed
 
 

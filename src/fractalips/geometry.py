@@ -37,6 +37,8 @@ class Similitude:
             raise ValueError("linear part must be square")
         if A.shape[0] != t.shape[0]:
             raise ValueError("linear part and translation dimensions differ")
+        if not (np.isfinite(A).all() and np.isfinite(t).all()):
+            raise ValueError("linear part and translation must be finite")
         r = float(self.ratio)
         if not 0.0 < r < 1.0:
             raise ValueError(f"contraction ratio must lie in (0, 1), got {r}")

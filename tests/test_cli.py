@@ -227,6 +227,21 @@ seeds = 4,5
             parse_config(path)
         assert main(["validate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_translation_is_refused(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            f"[experiment]\noutput_dir = {tmp_path / 'out'}\n"
+            "[ifs]\ndimension = 2\nmaps = 2\n"
+            "map1 = ratio=0.5 translation=0.0,0.0\n"
+            f"map2 = ratio=0.5 translation={value},0.0\n"
+            "[levels]\nlevels = 2,3,4\n"
+        )
+        for subcommand in ("validate", "simulate"):
+            assert main([subcommand, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"translation={value},0.0" in err and "must be finite" in err
+
     def test_lone_percent_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[experiment]\noutput_dir = out100%\n[ifs]\npreset = sg\n")
@@ -514,6 +529,17 @@ class TestRunSubcommands:
             assert (out / f"trajectory_m2_seed{seed}.csv").exists()
             meta = json.loads((out / f"trajectory_m2_seed{seed}.meta.json").read_text())
             assert meta == self.sidecar(cfgp, "bernoulli", seed)
+
+    def test_consensus_honours_coupling_strength(self, tmp_path):
+        csvs = {}
+        for strength in ("1.0", "3.0"):
+            cfgp = write_config(tmp_path, name=f"k{strength}.ini", out=strength, levels="2")
+            text = Path(cfgp).read_text().replace("name = kuramoto", "name = consensus")
+            Path(cfgp).write_text(text.replace("coupling_strength = 1.0",
+                                               f"coupling_strength = {strength}"))
+            assert main(["simulate", "--config", cfgp]) == 0
+            csvs[strength] = (tmp_path / strength / "trajectory_m2.csv").read_bytes()
+        assert csvs["1.0"] != csvs["3.0"]
 
     def test_vlasov_outputs(self, tmp_path):
         cfgp = write_config(tmp_path)

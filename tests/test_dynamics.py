@@ -22,9 +22,11 @@ from fractalips import (
     attractor_points,
     builtin_kernels,
     builtin_models,
+    coarsen,
     consensus_model,
     graph_product,
     integrate_ips,
+    integrate_series,
     kuramoto_inertia_model,
     kuramoto_model,
     martingale_level,
@@ -34,8 +36,14 @@ from fractalips import (
     sample_bernoulli,
     stack_graphs,
 )
+from fractalips import dynamics
 from fractalips.analysis import traj_error
 from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, step_count
+from fractalips.experiments import (
+    bernoulli_gap_medians,
+    kuramoto_fields,
+    kuramoto_refinement_errors,
+)
 from fractalips.geometry import default_anchor
 from fractalips.symbolic import level_weights
 
@@ -483,6 +491,14 @@ class TestIntegrateIPS:
         expect = 3.0 * np.exp(-traj.times)
         np.testing.assert_allclose(traj.values[:, 0, 0], expect, rtol=1e-10)
 
+    def test_two_cell_consensus_closed_form_with_strength(self):
+        # K = 2.5: the gap obeys d(gap)/dt = -K gap
+        model = consensus_model(2.5)
+        g = PiecewiseConstantField(2, 1, np.array([0.25, 1.0]))
+        traj = integrate_ips(model, constant_graph(2, 1, 1.0), g, T=1.0, dt=1e-3)
+        gap = traj.values[:, 1, 0] - traj.values[:, 0, 0]
+        np.testing.assert_allclose(gap, 0.75 * np.exp(-2.5 * traj.times), rtol=1e-8)
+
     def test_two_cell_consensus_closed_form(self):
         # k=2, m=1, W=1, D(u,v)=v-u: the gap obeys d(gap)/dt = -gap
         model = consensus_model()
@@ -692,7 +708,7 @@ class TestBuiltinModels:
     INTERACTIONS = {
         "kuramoto": (kuramoto_interaction(1.3), 1.3, 1),
         "kuramoto_inertia": (inertia_interaction(-0.7), 0.7, 2),
-        "consensus": (lambda u, v: v - u, 4.0, 1),
+        "consensus": (lambda u, v: 1.3 * (v - u), 4.0, 1),
     }
 
     def test_catalog_names(self):
@@ -798,6 +814,169 @@ class TestBuiltinModels:
     def test_spot_check_rejects_out_of_bound_interaction(self):
         with pytest.raises(ValueError, match="exceeds the declared bound"):
             pairwise_coupling(lambda u, v: 5.0 * np.tanh(v - u), 1.0)
+
+
+def sg_levels(meas, levels, seeds=None, sublevel=1):
+    """(coupling, frequencies, phases) per level on sg: the deterministic
+    graph, or with ``seeds`` a stack of it and one Bernoulli draw per seed."""
+    kern = builtin_kernels(2)["expdist"]
+    omega_fn, phase_fn = kuramoto_fields(0, 2)
+    out = []
+    for m in levels:
+        km = project_kernel(meas, kern, m, sublevel)
+        coupling = (assemble_deterministic(km, meas) if seeds is None
+                    else stack_graphs(km, meas, (None, *seeds)))
+        out.append((coupling, martingale_level(meas, omega_fn, m, sublevel),
+                    martingale_level(meas, phase_fn, m, sublevel)))
+    return out
+
+
+class TestIntegrateSeries:
+    """``integrate_series`` against one ``integrate_ips`` call per system,
+    byte for byte."""
+
+    STEPS = dict(T=0.1, dt=1e-2, output_stride=3)
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        """The type of k (an int, as JSON writers of the counts need) and the
+        graph shape of every ``integrate_ips`` call the series makes."""
+        calls, original = [], dynamics.integrate_ips
+
+        def counting(model, coupling, *args, **kwargs):
+            calls.append((type(coupling.k), coupling.weights.shape))
+            return original(model, coupling, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_ips", counting)
+        return calls
+
+    def test_levels_match_per_level_runs(self, sg_measure, monkeypatch):
+        systems = sg_levels(sg_measure, range(2, 7))
+        assert isinstance(systems[-1][0].weights, BlockGraph)
+        model = kuramoto_model(1.3, np.concatenate([om.values for _, om, _ in systems]))
+        calls = self.record_calls(monkeypatch)
+        series = integrate_series(model, [c for c, _, _ in systems],
+                                  [init for _, _, init in systems], **self.STEPS)
+        # levels 2-5 (0.53 MB of graphs) as one union of 360 cells, then
+        # level 6's BlockGraph (1.89 MB) alone
+        assert calls == [(int, (360, 360)), (int, (729, 729))]
+        for traj, (coupling, omega, init) in zip(series, systems):
+            alone = integrate_ips(kuramoto_model(1.3, omega), coupling, init, **self.STEPS)
+            assert (traj.k, traj.level) == (3, coupling.level)
+            np.testing.assert_array_equal(traj.times, alone.times)
+            np.testing.assert_array_equal(traj.values, alone.values)
+
+    def test_stacks_match_each_member_alone(self, sg_measure, monkeypatch):
+        systems = sg_levels(sg_measure, range(2, 6), seeds=(1, 2, 3, 4, 5))
+        model = kuramoto_model(0.5, np.concatenate([om.values for _, om, _ in systems]))
+        calls = self.record_calls(monkeypatch)
+        groups, rhs = set(), dynamics._rhs
+
+        def recording(model, weights, t, u):
+            groups.add((type(weights).__name__, weights.shape[0]))
+            return rhs(model, weights, t, u)
+
+        monkeypatch.setattr(dynamics, "_rhs", recording)
+        series = integrate_series(model, [c for c, _, _ in systems],
+                                  [init for _, _, init in systems], **self.STEPS)
+        # levels 2-4 as one union of 6 members; level 5's stack (2.83 MB)
+        # alone, in two groups of 3 members
+        assert calls == [(int, (6, 117, 117)), (int, (6, 243, 243))]
+        assert groups == {("BlockDiagonal", 6), ("ndarray", 3)}
+        monkeypatch.undo()
+        for trajs, (coupling, omega, init) in zip(series, systems):
+            assert len(trajs) == 6
+            for e, traj in enumerate(trajs):
+                member = CouplingGraph(3, coupling.level, coupling.weights[e:e + 1])
+                (alone,) = integrate_ips(kuramoto_model(0.5, omega), member, init,
+                                         **self.STEPS)
+                np.testing.assert_array_equal(traj.values, alone.values)
+
+    @pytest.mark.parametrize("name", ["kuramoto_inertia", "consensus", "one params row"])
+    def test_models_in_a_union_match_per_system_runs(self, sg_measure, name):
+        factory = {
+            "kuramoto_inertia": lambda omega: kuramoto_inertia_model(0.8, 0.5, omega),
+            "consensus": lambda omega: consensus_model(2.5),
+            "one params row": lambda omega: kuramoto_model(0.8, 0.3),
+        }[name]
+        rng = np.random.Generator(np.random.Philox(5))
+        couplings = [c for c, _, _ in sg_levels(sg_measure, (2, 3))]
+        state_dim = factory(0.0).state_dim
+        omegas = [rng.uniform(-1.0, 1.0, 3**c.level) for c in couplings]
+        # two members, each with its own initial field
+        inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, (3**c.level, state_dim)))
+                  for _ in range(2)] for c in couplings]
+        series = integrate_series(factory(np.concatenate(omegas)), couplings, inits,
+                                  **self.STEPS)
+        for trajs, coupling, omega, init in zip(series, couplings, omegas, inits):
+            alone = integrate_ips(factory(omega), coupling, init, **self.STEPS)
+            for a, b in zip(trajs, alone, strict=True):
+                np.testing.assert_array_equal(a.values, b.values)
+
+    def test_refinement_errors_equal_the_per_level_loop(self, sg_measure):
+        kern = builtin_kernels(2)["expdist"]
+        steps = dict(T=0.1, dt=1e-2, output_stride=3)
+        levels, errors, trajs = kuramoto_refinement_errors(
+            sg_measure, kern, [2, 3, 4, 5], coupling_strength=1.3, seed=4, **steps)
+        omega_fn, phase_fn = kuramoto_fields(4, 2)
+        omega_fine = martingale_level(sg_measure, omega_fn, 6, 2)
+        phase_fine = martingale_level(sg_measure, phase_fn, 6, 2)
+        alone = {}
+        for m in range(2, 7):
+            coupling = assemble_deterministic(project_kernel(sg_measure, kern, m, 2), sg_measure)
+            model = kuramoto_model(1.3, coarsen(omega_fine, m, sg_measure.p))
+            alone[m] = integrate_ips(model, coupling, coarsen(phase_fine, m, sg_measure.p), **steps)
+            np.testing.assert_array_equal(trajs[m].values, alone[m].values)
+        np.testing.assert_array_equal(
+            errors, [traj_error(alone[m], alone[m + 1], sg_measure).max_error for m in levels])
+
+    def test_gap_medians_equal_the_per_level_loop(self, sg_measure):
+        kern = builtin_kernels(2)["expdist"]
+        seeds = (1, 2, 3, 4, 5)
+        steps = dict(T=0.1, dt=1e-2, output_stride=3)
+        _, medians, per_seed = bernoulli_gap_medians(
+            sg_measure, kern, [2, 3, 4, 5], seeds, coupling_strength=0.5, field_seed=2,
+            **steps)
+        omega_fn, phase_fn = kuramoto_fields(2, 2)
+        for li, m in enumerate(range(2, 6)):
+            graphs = stack_graphs(project_kernel(sg_measure, kern, m, 2), sg_measure,
+                                  (None, *seeds))
+            model = kuramoto_model(0.5, martingale_level(sg_measure, omega_fn, m, 2))
+            base, *draws = integrate_ips(model, graphs, martingale_level(sg_measure, phase_fn, m, 2),
+                                         **steps)
+            gaps = [traj_error(base, t, sg_measure).max_error for t in draws]
+            np.testing.assert_array_equal(per_seed[li], gaps)
+            assert medians[li] == np.median(gaps)
+
+    def test_one_stacked_graph_over_budget_serves_every_member(self):
+        # a stack of one graph is not cut into member groups
+        n = 3**6
+        rng = np.random.Generator(np.random.Philox(8))
+        graph = rng.uniform(0.0, 1.0, (n, n)) / n
+        stacked = CouplingGraph(3, 6, graph[None])
+        assert stacked.weights.nbytes > DENSE_GRAPH_BYTES
+        fields = [PiecewiseConstantField(3, 6, rng.uniform(0.0, 1.0, n)) for _ in range(3)]
+        model = kuramoto_model(0.7, 0.0)
+        together = integrate_ips(model, stacked, fields, T=0.02, dt=1e-2)
+        for traj, field in zip(together, fields, strict=True):
+            (alone,) = integrate_ips(model, stacked, [field], T=0.02, dt=1e-2)
+            np.testing.assert_array_equal(traj.values, alone.values)
+
+    def test_blow_up_in_a_later_group_names_its_ensemble_member(self):
+        model = ModelSpec(
+            name="blowup",
+            state_dim=1,
+            drift=lambda t, u, p: u**3,
+            coupling_term=lambda G, u: np.zeros_like(u),
+        )
+        n = 3**5
+        coupling = CouplingGraph(3, 5, np.zeros((6, n, n)))
+        assert coupling.weights.nbytes > DENSE_GRAPH_BYTES  # groups of members 0-2, 3-5
+        calm = PiecewiseConstantField(3, 5, np.zeros(n))
+        hot = PiecewiseConstantField(3, 5, np.full(n, 50.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalAbortError, match=rf"in member 4 \({n} of {n} cells\)$"):
+                integrate_ips(model, coupling, [calm] * 4 + [hot, calm], T=10.0, dt=0.5)
 
 
 class TestBernoulliConcentration:

@@ -31,6 +31,13 @@ class TestSimilitude:
         with pytest.raises(ValueError):
             Similitude(0.500001, 0.5 * np.eye(2), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parts(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            Similitude.homothety(0.5, np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            Similitude(0.5, np.array([[0.5, 0.0], [0.0, bad]]), np.zeros(2))
+
     def test_rotation_matrix_is_similitude(self):
         s = Similitude.rotation_2d(0.7, 0.3, np.array([1.0, 2.0]))
         assert s.ratio == pytest.approx(0.7)
