@@ -31,6 +31,7 @@ from .dynamics import (
     consensus_model,
     graph_product,
     integrate_ips,
+    integrate_levels,
     integrate_series,
     kuramoto_inertia_model,
     kuramoto_model,

@@ -15,12 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import (
-    Trajectory,
-    assemble_deterministic,
-    integrate_ips,
-    project_kernel,
-)
+from .dynamics import Trajectory, integrate_levels
 from .geometry import (
     attractor_points,
     common_contraction_ratio,
@@ -338,33 +333,26 @@ def vlasov_self_convergence(
         raise ValueError("need at least one seed")
     k = meas.k
     coarse_masses = meas.weights(m)
-    models = {ell: model_builder(m + ell) for ell in ells}
+    models = {m + ell: model_builder(m + ell) for ell in ells}
     if any(model.state_dim != 1 for model in models.values()):
         raise ValueError("the self-convergence table currently handles scalar states")
-    # finest first, so a level the budget refuses fails before any work
-    kms = {
-        ell: project_kernel(meas, kernel, m + ell, sublevel) for ell in reversed(ells)
-    }
-    couplings = {ell: assemble_deterministic(kms[ell], meas) for ell in ells}
+
+    def initial(level):
+        # one field per seed, each coarse cell's states drawn i.i.d.
+        n_fine, inits = k ** (level - m), []
+        for seed in seeds:
+            entropy = np.random.SeedSequence(entropy=(seed, level - m))
+            rng = np.random.Generator(np.random.Philox(entropy))
+            inits.append(PiecewiseConstantField(k, level, np.concatenate(
+                [np.reshape(init_sampler(rng, ci, n_fine), (n_fine, -1))
+                 for ci in range(k**m)])))
+        return inits
 
     # trajs[ell][i]: seed i's trajectory at level m + ell; all seeds of one
     # level are one ensemble on the shared graph
-    trajs = {}
-    for ell in ells:
-        n_fine = k**ell
-        inits = []
-        for seed in seeds:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=(seed, ell)))
-            )
-            blocks = [
-                np.asarray(init_sampler(rng, ci, n_fine), dtype=np.float64).reshape(
-                    n_fine, -1
-                )
-                for ci in range(k**m)
-            ]
-            inits.append(PiecewiseConstantField(k, m + ell, np.vstack(blocks)))
-        trajs[ell] = integrate_ips(models[ell], couplings[ell], inits, T, dt, output_stride)
+    series = integrate_levels(meas, kernel, [m + ell for ell in ells], sublevel,
+                              models.get, initial, T, dt, output_stride)
+    trajs = dict(zip(ells, series))
     times = trajs[ells[0]][0].times
     # atoms[ell]: (seeds, times, coarse cells, k^ell), each cell's states
     # sorted.  Uniform atoms and k^lo dividing k^hi make W1 the mean gap

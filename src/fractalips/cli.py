@@ -36,9 +36,8 @@ from .analysis import (
 from .dynamics import (
     builtin_kernels,
     builtin_models,
-    integrate_ips,
+    integrate_levels,
     project_kernel,
-    stack_graphs,
     step_count,
 )
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
@@ -320,12 +319,14 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
                      "zero for the constant function 'one'")
     if subcommand == "vlasov" and len(cfg.ell_levels) < 2:
         diags.append("vlasov mode needs at least 2 refinement levels")
-    if cfg.model_name not in builtin_models():
+    models = builtin_models()
+    if cfg.model_name not in models:
         diags.append(f"unknown model {cfg.model_name!r}")
-    if subcommand in ("rate", "vlasov") and cfg.model_name != "kuramoto":
-        diags.append(
-            f"{subcommand} mode runs the kuramoto model only, not {cfg.model_name!r}"
-        )
+    elif subcommand == "vlasov" and models[cfg.model_name](0.0, 0.0, 0.0).state_dim != 1:
+        diags.append(f"vlasov mode compares scalar states only, and {cfg.model_name!r} "
+                     "has more than one state component")
+    if subcommand == "rate" and cfg.model_name != "kuramoto":
+        diags.append(f"rate mode runs the kuramoto model only, not {cfg.model_name!r}")
     if subcommand in ("rate", "vlasov") and cfg.graph_kind == "bernoulli":
         diags.append(f"{subcommand} mode integrates the deterministic graph only, "
                      "not a bernoulli one")
@@ -492,26 +493,28 @@ def _build_model(cfg: ExperimentConfig, meas, omega_fn, m: int):
 
 def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
-    kern = cfg.kernel()
-    d = cfg.ifs.dimension
-    omega_fn, phase_fn = kuramoto_fields(cfg.seeds[0], d, cfg.omega_scale)
+    omega_fn, phase_fn = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
     graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else (None,)
-    outputs = []
-    for m in sorted(cfg.levels):
-        # the kernel, frequencies and phases depend on the level only; the
-        # graph seeds share them
-        km = project_kernel(meas, kern, m, cfg.sublevel)
-        model = _build_model(cfg, meas, omega_fn, m)
+    levels = sorted(cfg.levels)
+    models = {m: _build_model(cfg, meas, omega_fn, m) for m in levels}
+
+    def initial(m):
         # the phases fill the first state component; the others start at 0
         phases = martingale_level(meas, phase_fn, m, cfg.sublevel).values
-        init = PiecewiseConstantField(
-            meas.k, m, np.pad(phases, ((0, 0), (0, model.state_dim - 1)))
+        return PiecewiseConstantField(
+            meas.k, m, np.pad(phases, ((0, 0), (0, models[m].state_dim - 1)))
         )
-        graphs = stack_graphs(km, meas, graph_seeds, cfg.graph_symmetric)
-        trajs = integrate_ips(model, graphs, init, cfg.T, cfg.dt, cfg.output_stride)
+
+    # the kernel, frequencies and phases depend on the level only; the graph
+    # seeds share them
+    series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel, models.get, initial,
+                              cfg.T, cfg.dt, cfg.output_stride, graph_seeds,
+                              cfg.graph_symmetric)
+    outputs = []
+    for m, trajs in zip(levels, series):
         for seed, traj in zip(graph_seeds, trajs):
             stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
-            outputs += _write_trajectory(out, stem, traj, model, seed, cfg)
+            outputs += _write_trajectory(out, stem, traj, models[m], seed, cfg)
     return outputs
 
 
@@ -578,18 +581,9 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     m = min(cfg.levels)
     omega_fn, _ = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
     table = vlasov_self_convergence(
-        meas,
-        lambda level: _build_model(cfg, meas, omega_fn, level),
-        cfg.kernel(),
-        uniform_phase_sampler,
-        m,
-        cfg.ell_levels,
-        cfg.T,
-        cfg.dt,
-        cfg.seeds,
-        cfg.sublevel,
-        cfg.output_stride,
-    )
+        meas, lambda level: _build_model(cfg, meas, omega_fn, level), cfg.kernel(),
+        uniform_phase_sampler, m, cfg.ell_levels, cfg.T, cfg.dt, cfg.seeds, cfg.sublevel,
+        cfg.output_stride)
     pairs = np.array(table.ell_pairs)
     write_csv(out / "vlasov.csv",
               ("seed", "ell_coarse", "ell_fine", "t", "distance"),

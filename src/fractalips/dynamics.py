@@ -449,7 +449,7 @@ def step_count(T: float, dt: float) -> int:
     return n_steps
 
 
-def _ensemble(coupling: CouplingGraph, initial, state_dim: int):
+def _ensemble(model: ModelSpec, coupling: CouplingGraph, initial):
     """The initial fields, the member count, and whether ``integrate_ips``
     returns one Trajectory per member (when either input is stacked)."""
     single = isinstance(initial, PiecewiseConstantField)
@@ -463,8 +463,10 @@ def _ensemble(coupling: CouplingGraph, initial, state_dim: int):
     for f in fields:
         if f.k != coupling.k or f.level != coupling.level:
             raise ValueError("initial field and coupling graph levels differ")
-        if f.state_dim != state_dim:
+        if f.state_dim != model.state_dim:
             raise ValueError("initial field state dimension does not match the model")
+    if model.params is not None and len(model.params) not in (1, coupling.k**coupling.level):
+        raise ValueError("per-cell parameter count does not match the level")
     return fields, members, coupling.weights.ndim == 3 or not single
 
 
@@ -496,9 +498,7 @@ def integrate_ips(
     n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
     weights = coupling.weights
-    fields, members, listed = _ensemble(coupling, initial, model.state_dim)
-    if model.params is not None and model.params.shape[0] not in (1, n):
-        raise ValueError("per-cell parameter count does not match the level")
+    fields, members, listed = _ensemble(model, coupling, initial)
 
     recorded = [
         s for s in range(1, n_steps + 1) if s % output_stride == 0 or s == n_steps
@@ -536,21 +536,22 @@ def integrate_ips(
     return trajs if listed else trajs[0]
 
 
-def integrate_series(model: ModelSpec, couplings, initials, T: float, dt: float,
+def integrate_series(models, couplings, initials, T: float, dt: float,
                      output_stride: int = 1) -> list:
-    """What ``integrate_ips`` returns for each system (couplings[i],
-    initials[i]), in order, on one time grid.  Consecutive systems with the
-    same member count and layout (shared graphs or stacks) whose graphs fit
-    ``DENSE_GRAPH_BYTES`` together run as one: the N cells of their disjoint
-    union at level 1, on a ``BlockDiagonal`` graph, so every trajectory keeps
-    its bits.  ``model.params`` holds one row, or one per cell of every system.
+    """What ``integrate_ips(models[i], couplings[i], initials[i], ...)``
+    returns for each system, in order, on one time grid.  Consecutive systems
+    with the same member count and layout (shared graphs or stacks) whose
+    graphs fit ``DENSE_GRAPH_BYTES`` together run as one: the N cells of their
+    disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
+    trajectory keeps its bits.  A union runs the drift and coupling of its
+    first model on the params of each, so the models may differ in their
+    params only; ValueError when they differ in name or state_dim.
     """
-    ensembles = [_ensemble(c, x, model.state_dim)
-                 for c, x in zip(couplings, initials, strict=True)]
+    if len({(model.name, model.state_dim) for model in models}) > 1:
+        raise ValueError("the systems of a series must share one model: "
+                         "their names or state dimensions differ")
+    ensembles = [_ensemble(*system) for system in zip(models, couplings, initials, strict=True)]
     starts = [0, *accumulate(c.k**c.level for c in couplings)]
-    params = model.params
-    if params is not None and len(params) not in (1, starts[-1]):
-        raise ValueError("per-cell parameter count does not match the systems")
     batches, used = [], 0
     for i, c in enumerate(couplings):
         key, used = (ensembles[i][1], c.weights.ndim), used + c.weights.nbytes
@@ -561,22 +562,47 @@ def integrate_series(model: ModelSpec, couplings, initials, T: float, dt: float,
     results = []
     for _, batch in batches:
         lo, hi = starts[batch[0]], starts[batch[-1] + 1]
-        own = model if params is None or len(params) == 1 else replace(
-            model, params=params[lo:hi])
-        sets = [ensembles[i][0] for i in batch]
-        coupling, fields = couplings[batch[0]], sets[0]
+        model, coupling, fields = models[batch[0]], couplings[batch[0]], ensembles[batch[0]][0]
         if len(batch) > 1:
+            if model.params is not None:  # one row serves each cell of its system
+                model = replace(model, params=np.concatenate([np.broadcast_to(
+                    models[i].params, (starts[i + 1] - starts[i], model.params.shape[1]))
+                    for i in batch]))
             graph = BlockDiagonal(tuple(couplings[i].weights for i in batch))
             coupling = CouplingGraph(hi - lo, 1, graph)
             # a system's one field serves each member, as in integrate_ips
+            sets = [ensembles[i][0] for i in batch]
             fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
                 [f[e % len(f)].values for f in sets])) for e in range(max(map(len, sets)))]
-        trajs = integrate_ips(own, coupling, fields, T, dt, output_stride)
+        trajs = integrate_ips(model, coupling, fields, T, dt, output_stride)
         for i in batch:
             c, a, b = couplings[i], starts[i] - lo, starts[i + 1] - lo
             split = [Trajectory(c.k, c.level, t.times, t.values[:, a:b]) for t in trajs]
             results.append(split if ensembles[i][2] else split[0])
     return results
+
+
+def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
+                     model_builder, init_builder, T: float, dt: float,
+                     output_stride: int, graph_seeds=None, symmetric: bool = True) -> list:
+    """``integrate_series`` on the level-m Galerkin system of each m in
+    ``levels``, in order: model_builder(m), the graph of the kernel projected
+    at level m and init_builder(m).  The graph is ``assemble_deterministic``'s
+    when ``graph_seeds`` is None, else ``stack_graphs(km, meas, graph_seeds,
+    symmetric)``.  The levels are projected finest first, so a level the
+    budget refuses fails before any work, and no kernel matrix outlives its
+    graph.
+    """
+    def graph(m):
+        km = project_kernel(meas, kernel, m, sublevel)
+        if graph_seeds is None:
+            return assemble_deterministic(km, meas)
+        return stack_graphs(km, meas, graph_seeds, symmetric)
+
+    levels = list(levels)
+    graphs = {m: graph(m) for m in sorted(set(levels), reverse=True)}
+    return integrate_series([model_builder(m) for m in levels], [graphs[m] for m in levels],
+                            [init_builder(m) for m in levels], T, dt, output_stride)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import traj_error
-from .dynamics import (
-    assemble_deterministic,
-    integrate_series,
-    kuramoto_model,
-    project_kernel,
-    stack_graphs,
-)
+from .dynamics import integrate_levels, kuramoto_model
 from .quadrature import SelfSimilarMeasure
 from .transfer import coarsen, martingale_level
 
@@ -75,20 +69,14 @@ def kuramoto_refinement_errors(
     frequency field has amplitude ``omega_scale``; 0 makes it exactly zero.
     """
     levels = sorted(int(m) for m in levels)
-    finest = levels[-1] + 1
-    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
-    omega_fine = martingale_level(meas, omega_fn, finest, sublevel)
-    phase_fine = martingale_level(meas, phase_fn, finest, sublevel)
-
     needed = sorted(set(levels) | {m + 1 for m in levels})
-    # finest first, so the largest projection runs while nothing else is held
-    couplings = {m: assemble_deterministic(project_kernel(meas, kernel, m, sublevel), meas)
-                 for m in reversed(needed)}
-    omega = np.concatenate([coarsen(omega_fine, m, meas.p).values for m in needed])
-    model = kuramoto_model(coupling_strength, omega)
-    inits = [coarsen(phase_fine, m, meas.p) for m in needed]
-    series = integrate_series(model, [couplings[m] for m in needed], inits, T, dt,
-                              output_stride)
+    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
+    omega_fine = martingale_level(meas, omega_fn, needed[-1], sublevel)
+    phase_fine = martingale_level(meas, phase_fn, needed[-1], sublevel)
+    series = integrate_levels(
+        meas, kernel, needed, sublevel,
+        lambda m: kuramoto_model(coupling_strength, coarsen(omega_fine, m, meas.p)),
+        lambda m: coarsen(phase_fine, m, meas.p), T, dt, output_stride)
     trajs = dict(zip(needed, series))
     errors = np.array(
         [traj_error(trajs[m], trajs[m + 1], meas).max_error for m in levels]
@@ -117,15 +105,13 @@ def bernoulli_gap_medians(
     seeds = tuple(int(s) for s in seeds)
     omega_fn, phase_fn = kuramoto_fields(field_seed, meas.ifs.dimension)
     # member 0 of each level is the deterministic system, members 1.. its
-    # Bernoulli draws; the finest level is projected first
-    graphs = {m: stack_graphs(project_kernel(meas, kernel, m, sublevel), meas, (None, *seeds))
-              for m in reversed(levels)}
-    omega = np.concatenate([martingale_level(meas, omega_fn, m, sublevel).values
-                            for m in levels])
-    inits = [martingale_level(meas, phase_fn, m, sublevel) for m in levels]
-    series = integrate_series(kuramoto_model(coupling_strength, omega),
-                              [graphs[m] for m in levels], inits, T, dt, output_stride)
-    del graphs  # the stacks are not held through the error loop
+    # Bernoulli draws
+    series = integrate_levels(
+        meas, kernel, levels, sublevel,
+        lambda m: kuramoto_model(coupling_strength,
+                                 martingale_level(meas, omega_fn, m, sublevel)),
+        lambda m: martingale_level(meas, phase_fn, m, sublevel), T, dt, output_stride,
+        graph_seeds=(None, *seeds))
     per_seed = np.array([[traj_error(base, t, meas).max_error for t in draws]
                          for base, *draws in series]).reshape(len(levels), len(seeds))
     medians = [float(np.median(row)) for row in per_seed]

@@ -433,7 +433,7 @@ class TestVlasovSelfConvergence:
     ):
         # levels 2 and 3 with sublevel 2 make 81^2 = 6,561 and 243^2 = 59,049
         # evaluations of an undeclared kernel; only level 3 is over budget
-        from fractalips import analysis
+        from fractalips import dynamics
 
         projected = []
 
@@ -442,7 +442,7 @@ class TestVlasovSelfConvergence:
             return projected[-1]
 
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "10000")
-        monkeypatch.setattr(analysis, "project_kernel", recorded)
+        monkeypatch.setattr(dynamics, "project_kernel", recorded)
         with pytest.raises(BudgetExceededError, match="59049"):
             vlasov_self_convergence(
                 sg_measure,
@@ -460,7 +460,7 @@ class TestVlasovSelfConvergence:
     def test_non_scalar_model_refused_before_any_projection(
         self, sg_measure, monkeypatch
     ):
-        from fractalips import analysis
+        from fractalips import dynamics
 
         projected = []
 
@@ -468,7 +468,7 @@ class TestVlasovSelfConvergence:
             projected.append(project_kernel(*args, **kwargs))
             return projected[-1]
 
-        monkeypatch.setattr(analysis, "project_kernel", recorded)
+        monkeypatch.setattr(dynamics, "project_kernel", recorded)
         with pytest.raises(ValueError, match="scalar states"):
             vlasov_self_convergence(
                 sg_measure,
@@ -519,14 +519,14 @@ class TestVlasovSelfConvergence:
         from fractalips import analysis, builtin_kernels, preset
 
         meas = SelfSimilarMeasure.uniform(preset(name))
-        integrate = analysis.integrate_ips
+        integrate = analysis.integrate_levels
         runs = []  # one list of per-seed trajectories per ell, in order
 
         def recording(*args, **kwargs):
-            runs.append(integrate(*args, **kwargs))
-            return runs[-1]
+            runs.extend(integrate(*args, **kwargs))
+            return runs
 
-        monkeypatch.setattr(analysis, "integrate_ips", recording)
+        monkeypatch.setattr(analysis, "integrate_levels", recording)
         ells, seeds = (1, 2, 3), (4, 5)
         table = vlasov_self_convergence(
             meas,

@@ -291,15 +291,29 @@ class TestValidate:
         Path(cfgp).write_text(text.replace("omega = feild", "omega = zero"))
         assert validate(parse_config(cfgp)) == []
 
-    @pytest.mark.parametrize("subcommand", ["rate", "vlasov"])
-    def test_kuramoto_only_subcommands_reject_other_models(self, tmp_path, subcommand):
+    def test_rate_runs_the_kuramoto_model_only(self, tmp_path):
         cfgp = write_config(tmp_path)
         text = Path(cfgp).read_text().replace("name = kuramoto", "name = consensus")
         Path(cfgp).write_text(text)
         cfg = parse_config(cfgp)
-        assert any("kuramoto model only" in d for d in validate(cfg, subcommand))
+        assert any("kuramoto model only" in d for d in validate(cfg, "rate"))
         assert validate(cfg, "simulate") == []
-        assert main([subcommand, "--config", cfgp]) == 2
+        assert main(["rate", "--config", cfgp]) == 2
+
+    @pytest.mark.parametrize("model, code", [("kuramoto_inertia", 2), ("consensus", 0)])
+    def test_vlasov_refuses_non_scalar_models_only(self, tmp_path, model, code):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("name = kuramoto", f"name = {model}")
+        Path(cfgp).write_text(text)
+        cfg = parse_config(cfgp)
+        refused = any("scalar states only" in d for d in validate(cfg, "vlasov"))
+        assert refused == bool(code)
+        assert validate(cfg, "simulate") == []
+        assert main(["vlasov", "--config", cfgp]) == code
+        if not code:
+            lines = (tmp_path / "out" / "vlasov_summary.csv").read_text().splitlines()
+            assert lines[0] == "ell_coarse,ell_fine,median_max_distance"
+            assert np.isfinite(float(lines[1].split(",")[2]))
 
     @pytest.mark.parametrize("subcommand, levels, edit, diagnostic", [
         ("simulate", "2,3", ("sublevel = 2", "sublevel = -1"),
@@ -367,7 +381,8 @@ class TestValidate:
         (("preset = sg", "dimension = 2\nmaps = 2\n"
           "map1 = ratio=0.5 translation=0.0,0.0 angle=0.5\n"
           "map2 = ratio=0.5 translation=0.5,0.0"), ("modulus",)),
-        (("name = kuramoto", "name = consensus"), ("rate", "vlasov")),
+        (("name = kuramoto", "name = consensus"), ("rate",)),
+        (("name = kuramoto", "name = kuramoto_inertia"), ("rate", "vlasov")),
         (("kind = deterministic", "kind = bernoulli"), ("rate", "vlasov")),
     ])
     def test_validate_reports_every_refusal(self, tmp_path, capsys, edit, subcommands):
@@ -571,6 +586,20 @@ class TestRunSubcommands:
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "100")
         cfgp = write_config(tmp_path)
         assert main(["project", "--config", cfgp]) == 3
+
+    def test_refused_simulate_writes_no_trajectory(self, tmp_path, monkeypatch):
+        # maps that share no linear part: level 2 makes 81^2 kernel
+        # evaluations, level 5 2187^2, over the budget
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "1000000")
+        cfgp = write_config(tmp_path, levels="2,5", graph="bernoulli")
+        text = Path(cfgp).read_text().replace("preset = sg", "\n".join([
+            "dimension = 2", "maps = 3",
+            "map1 = ratio=0.5 angle=3.141592653589793 translation=0.5,0.4330127018922193",
+            "map2 = ratio=0.5 translation=0.5,0.0",
+            "map3 = ratio=0.5 translation=0.25,0.4330127018922193"]))
+        Path(cfgp).write_text(text)
+        assert main(["simulate", "--config", cfgp]) == 3
+        assert not list((tmp_path / "out").glob("trajectory_*"))
 
     def test_numerical_abort_exit_four(self, tmp_path, capsys):
         # anti-damping: the velocities grow by a factor of about 1e298 a step

@@ -1,6 +1,8 @@
 import itertools
 import math
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fractalips import (
     consensus_model,
     graph_product,
     integrate_ips,
+    integrate_levels,
     integrate_series,
     kuramoto_inertia_model,
     kuramoto_model,
@@ -36,13 +39,14 @@ from fractalips import (
     sample_bernoulli,
     stack_graphs,
 )
-from fractalips import dynamics
-from fractalips.analysis import traj_error
+from fractalips import analysis, cli, dynamics
+from fractalips.analysis import traj_error, vlasov_self_convergence
 from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, step_count
 from fractalips.experiments import (
     bernoulli_gap_medians,
     kuramoto_fields,
     kuramoto_refinement_errors,
+    uniform_phase_sampler,
 )
 from fractalips.geometry import default_anchor
 from fractalips.symbolic import level_weights
@@ -853,9 +857,9 @@ class TestIntegrateSeries:
     def test_levels_match_per_level_runs(self, sg_measure, monkeypatch):
         systems = sg_levels(sg_measure, range(2, 7))
         assert isinstance(systems[-1][0].weights, BlockGraph)
-        model = kuramoto_model(1.3, np.concatenate([om.values for _, om, _ in systems]))
+        models = [kuramoto_model(1.3, omega) for _, omega, _ in systems]
         calls = self.record_calls(monkeypatch)
-        series = integrate_series(model, [c for c, _, _ in systems],
+        series = integrate_series(models, [c for c, _, _ in systems],
                                   [init for _, _, init in systems], **self.STEPS)
         # levels 2-5 (0.53 MB of graphs) as one union of 360 cells, then
         # level 6's BlockGraph (1.89 MB) alone
@@ -868,7 +872,7 @@ class TestIntegrateSeries:
 
     def test_stacks_match_each_member_alone(self, sg_measure, monkeypatch):
         systems = sg_levels(sg_measure, range(2, 6), seeds=(1, 2, 3, 4, 5))
-        model = kuramoto_model(0.5, np.concatenate([om.values for _, om, _ in systems]))
+        models = [kuramoto_model(0.5, omega) for _, omega, _ in systems]
         calls = self.record_calls(monkeypatch)
         groups, rhs = set(), dynamics._rhs
 
@@ -877,7 +881,7 @@ class TestIntegrateSeries:
             return rhs(model, weights, t, u)
 
         monkeypatch.setattr(dynamics, "_rhs", recording)
-        series = integrate_series(model, [c for c, _, _ in systems],
+        series = integrate_series(models, [c for c, _, _ in systems],
                                   [init for _, _, init in systems], **self.STEPS)
         # levels 2-4 as one union of 6 members; level 5's stack (2.83 MB)
         # alone, in two groups of 3 members
@@ -897,16 +901,17 @@ class TestIntegrateSeries:
         factory = {
             "kuramoto_inertia": lambda omega: kuramoto_inertia_model(0.8, 0.5, omega),
             "consensus": lambda omega: consensus_model(2.5),
-            "one params row": lambda omega: kuramoto_model(0.8, 0.3),
+            # one row per system, each its own value
+            "one params row": lambda omega: kuramoto_model(0.8, omega[0]),
         }[name]
         rng = np.random.Generator(np.random.Philox(5))
         couplings = [c for c, _, _ in sg_levels(sg_measure, (2, 3))]
-        state_dim = factory(0.0).state_dim
         omegas = [rng.uniform(-1.0, 1.0, 3**c.level) for c in couplings]
+        state_dim = factory(omegas[0]).state_dim
         # two members, each with its own initial field
         inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, (3**c.level, state_dim)))
                   for _ in range(2)] for c in couplings]
-        series = integrate_series(factory(np.concatenate(omegas)), couplings, inits,
+        series = integrate_series([factory(omega) for omega in omegas], couplings, inits,
                                   **self.STEPS)
         for trajs, coupling, omega, init in zip(series, couplings, omegas, inits):
             alone = integrate_ips(factory(omega), coupling, init, **self.STEPS)
@@ -948,6 +953,17 @@ class TestIntegrateSeries:
             np.testing.assert_array_equal(per_seed[li], gaps)
             assert medians[li] == np.median(gaps)
 
+    @pytest.mark.parametrize("other", ["consensus", "two components"])
+    def test_models_that_differ_beyond_params_are_refused(self, sg_measure, other):
+        couplings = [c for c, _, _ in sg_levels(sg_measure, (2, 3))]
+        inits = [PiecewiseConstantField(3, c.level, np.zeros(3**c.level)) for c in couplings]
+        second = {
+            "consensus": consensus_model(1.0),
+            "two components": replace(kuramoto_model(1.0), state_dim=2),
+        }[other]
+        with pytest.raises(ValueError, match="share one model"):
+            integrate_series([kuramoto_model(1.0), second], couplings, inits, **self.STEPS)
+
     def test_one_stacked_graph_over_budget_serves_every_member(self):
         # a stack of one graph is not cut into member groups
         n = 3**6
@@ -977,6 +993,121 @@ class TestIntegrateSeries:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalAbortError, match=rf"in member 4 \({n} of {n} cells\)$"):
                 integrate_ips(model, coupling, [calm] * 4 + [hot, calm], T=10.0, dt=0.5)
+
+
+def per_level_loop(meas, kernel, levels, sublevel, model_builder, init_builder, T, dt,
+                   output_stride, graph_seeds=None, symmetric=True):
+    """``integrate_levels`` as one projection, graph and ``integrate_ips``
+    call per level, in the order of ``levels``: the path it replaced."""
+    out = []
+    for m in levels:
+        km = project_kernel(meas, kernel, m, sublevel)
+        graph = (assemble_deterministic(km, meas) if graph_seeds is None
+                 else stack_graphs(km, meas, graph_seeds, symmetric))
+        out.append(integrate_ips(model_builder(m), graph, init_builder(m), T, dt,
+                                 output_stride))
+    return out
+
+
+# the simulate benchmark's inline IFS, whose maps share no linear part
+ROTATED_SIMULATE = """
+[ifs]
+dimension = 2
+maps = 3
+map1 = ratio=0.5 angle=3.141592653589793 translation=0.5,0.4330127018922193
+map2 = ratio=0.5 translation=0.5,0.0
+map3 = ratio=0.5 translation=0.25,0.4330127018922193
+
+[levels]
+levels = 4,5
+
+[graph]
+kind = {kind}
+
+[seeds]
+seeds = 1,2,3
+
+[time]
+T = 0.1
+dt = 0.01
+output_stride = 3
+"""
+
+
+class TestIntegrateLevels:
+    """``integrate_levels`` and the pipelines that call it against the
+    per-level loop it replaced, byte for byte."""
+
+    STEPS = dict(T=0.1, dt=1e-2, output_stride=3)
+
+    @pytest.mark.parametrize("graph_seeds", [None, (None, 1)])
+    def test_finest_first_and_no_kernel_matrix_held(self, sg_measure, monkeypatch,
+                                                    graph_seeds):
+        projected, original = [], dynamics.project_kernel
+
+        def recording(meas, kernel, m, sublevel):
+            km = original(meas, kernel, m, sublevel)
+            projected.append((m, weakref.ref(km)))
+            return km
+
+        def model(m):
+            # every graph is built before the first model, and every kernel
+            # matrix is gone by then
+            assert [ref() for _, ref in projected] == [None] * 3
+            return kuramoto_model(1.0, 0.0)
+
+        monkeypatch.setattr(dynamics, "project_kernel", recording)
+        series = integrate_levels(
+            sg_measure, builtin_kernels(2)["expdist"], [2, 3, 4], 1, model,
+            lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)), **self.STEPS,
+            graph_seeds=graph_seeds)
+        assert [m for m, _ in projected] == [4, 3, 2]
+        # a shared graph returns one trajectory per level, a stack one per member
+        levels = [[t.level for t in (s if graph_seeds else [s])] for s in series]
+        assert levels == [[m] * (2 if graph_seeds else 1) for m in (2, 3, 4)]
+
+    def test_vlasov_table_equals_the_per_level_loop(self, sg_measure, monkeypatch):
+        # levels 4 and 5 run as one union, level 6's BlockGraph alone; each
+        # level's model carries its own frequency field
+        omega_fn, _ = kuramoto_fields(3, 2)
+        runs = {}
+        for name, integrate in (("levels", integrate_levels), ("loop", per_level_loop)):
+            runs[name] = []
+
+            def recording(*args, integrate=integrate, into=runs[name], **kwargs):
+                into.extend(integrate(*args, **kwargs))
+                return into
+
+            monkeypatch.setattr(analysis, "integrate_levels", recording)
+            runs[name].append(vlasov_self_convergence(
+                sg_measure,
+                lambda level: kuramoto_model(0.7, martingale_level(sg_measure, omega_fn,
+                                                                   level, 2)),
+                builtin_kernels(2)["expdist"], uniform_phase_sampler, m=2, ells=(2, 3, 4),
+                seeds=(1, 2), **self.STEPS))
+        *series, table = runs["levels"]
+        *alone, expected = runs["loop"]
+        assert table.distances.tobytes() == expected.distances.tobytes()
+        for trajs, reference in zip(series, alone, strict=True):
+            for traj, ref in zip(trajs, reference, strict=True):
+                assert traj.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "deterministic"])
+    def test_simulate_files_equal_the_per_level_loop(self, tmp_path, monkeypatch, kind):
+        # Bernoulli stacks of three seeds, or the deterministic stack of one
+        path = tmp_path / "simulate.ini"
+        path.write_text(ROTATED_SIMULATE.format(kind=kind))
+        cfg = cli.parse_config(path)
+        assert cli.validate(cfg, "simulate") == []
+        new, old = tmp_path / "levels", tmp_path / "loop"
+        new.mkdir()
+        old.mkdir()
+        outputs = cli.run_simulate(cfg, new)
+        monkeypatch.setattr(cli, "integrate_levels", per_level_loop)
+        assert cli.run_simulate(cfg, old) == outputs
+        assert len(outputs) == (12 if kind == "bernoulli" else 4)
+        for name in outputs:
+            assert (new / name).read_bytes() == (old / name).read_bytes()
 
 
 class TestBernoulliConcentration:

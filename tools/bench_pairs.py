@@ -18,10 +18,13 @@ with their median and quartiles, the fraction of pairs the working tree won
 (ties count for neither), and the operations attempted and failed on each
 side.
 
-Both sides run with ``PYTHONDONTWRITEBYTECODE=1`` and an empty
-``PYTHONPYCACHEPREFIX`` of their own per run, so neither loads a ``.pyc``
-that the other lacks: loading the package from bytecode moves peak RSS by
-megabytes.
+Each side has a ``PYTHONPYCACHEPREFIX`` of its own, kept for the whole
+script and filled by one untimed run of each workload before its pairs, so
+both sides load every module, numpy's and the package's, from bytecode they
+compiled themselves: neither loads a ``.pyc`` that the other lacks (loading
+the package from bytecode moves peak RSS by megabytes), and no timed run
+compiles a module from source (``np.median``'s first call compiles
+``numpy.ma``, about 7.5 MB of transient RSS).
 """
 
 from __future__ import annotations
@@ -60,14 +63,15 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int | None) -> dict:
-    """One ``perfbench/run.py`` run; per-metric medians over its operations."""
+def run_once(checkout: Path, workload: str, seed: int | None, pycache: Path) -> dict:
+    """One ``perfbench/run.py`` run, reading and writing bytecode under
+    ``pycache``; per-metric medians over its operations."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    with tempfile.TemporaryDirectory() as pycache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
-        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = json.loads(
         (checkout / "perfbench" / "out" / f"result-{workload}-trace0.json").read_text()
@@ -124,16 +128,21 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = Path(tmp)
+        parent_dir = Path(tmp) / "parent"
+        parent_dir.mkdir()
         sha = export(args.parent, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in sides}
         report = {}
         for workload in workloads:
+            for side in sides:  # untimed: compiles what the workload imports
+                run_once(sides[side], workload, args.seed, caches[side])
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed))
+                    runs[side].append(run_once(sides[side], workload, args.seed,
+                                               caches[side]))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"{json.dumps(runs[side][-1])}", flush=True)
             report[workload] = summarize(runs)
@@ -144,7 +153,8 @@ def main() -> int:
         "protocol": (
             f"{args.pairs} pairs per workload of `python3 perfbench/run.py --workload W`"
             f" (seed: {seed}), one run on an export of the parent commit and one on"
-            " the working tree, alternating which runs first; each run's value is"
+            " the working tree, alternating which runs first, after one untimed run"
+            " per side that fills that side's own bytecode cache; each run's value is"
             " its median over the operations that passed; medians and quartiles"
             " are over the runs; change_wins is the fraction of pairs in which the"
             " working tree's value was lower"
