@@ -14,10 +14,13 @@ from fractalips.analysis import vlasov_self_convergence
 from fractalips.experiments import uniform_phase_sampler
 
 meas = SelfSimilarMeasure.uniform(preset("sg"))
+# one model for every level (its frequencies are zero), so the levels run as
+# one union of systems
+model = kuramoto_model(1.0, 0.0)
 
 table = vlasov_self_convergence(
     meas,
-    lambda level: kuramoto_model(1.0, 0.0),
+    lambda level: model,
     builtin_kernels(2)["expdist"],
     uniform_phase_sampler,
     m=2,

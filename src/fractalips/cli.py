@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,9 @@ class ExperimentConfig:
         if self.kernel_name == "constant":
             return kernels["constant"](self.kernel_value)
         return kernels[self.kernel_name]
+
+    def model(self):  # built once per run: only its params change with the level
+        return builtin_models()[self.model_name](self.coupling_strength, self.damping, 0.0)
 
     def test_function(self):
         return _test_functions(self.ifs.dimension)[self.function_name]
@@ -306,8 +309,7 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         diags.append(
             "modulus mode requires an IFS whose maps share a common linear part"
         )
-    # rate_fit drops levels 0 and 1, the modulus fit keeps them; a repeated
-    # level adds no point to either fit
+    # rate_fit drops levels 0 and 1, the modulus fit keeps them
     fitted = sorted({m for m in cfg.levels if m >= 2 or subcommand == "modulus"})
     if subcommand in ("rate", "project", "modulus") and len(fitted) < 3:
         diags.append(f"{subcommand} mode needs at least 3 levels to fit a rate; "
@@ -319,10 +321,9 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
                      "zero for the constant function 'one'")
     if subcommand == "vlasov" and len(cfg.ell_levels) < 2:
         diags.append("vlasov mode needs at least 2 refinement levels")
-    models = builtin_models()
-    if cfg.model_name not in models:
+    if cfg.model_name not in builtin_models():
         diags.append(f"unknown model {cfg.model_name!r}")
-    elif subcommand == "vlasov" and models[cfg.model_name](0.0, 0.0, 0.0).state_dim != 1:
+    elif subcommand == "vlasov" and cfg.model().state_dim != 1:
         diags.append(f"vlasov mode compares scalar states only, and {cfg.model_name!r} "
                      "has more than one state component")
     if subcommand == "rate" and cfg.model_name != "kuramoto":
@@ -337,6 +338,8 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         low = min(value, default=least) if isinstance(value, tuple) else value
         if least is not None and low < least:
             diags.append(f"{key} must be >= {least}, not {low}")
+        if isinstance(value, tuple) and len(set(value)) < len(value):
+            diags.append(f"{key} repeats a value: {','.join(map(str, value))}")
         # step_count owns the rules of the time grid
         if (isinstance(value, float) and not math.isfinite(value)
                 and f.name not in ("T", "dt")):
@@ -483,12 +486,11 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
     return ["transfer_step.csv", "graphon_pixels.csv"]
 
 
-def _build_model(cfg: ExperimentConfig, meas, omega_fn, m: int):
-    """The configured model at level m, with its frequencies projected there."""
-    omega = 0.0
-    if cfg.omega_mode == "field":
-        omega = martingale_level(meas, omega_fn, m, cfg.sublevel)
-    return builtin_models()[cfg.model_name](cfg.coupling_strength, cfg.damping, omega)
+def _level_models(cfg: ExperimentConfig, meas, omega_fn, model):
+    """``model`` at level m: with the omega field projected there, if it has params."""
+    if model.params is None or cfg.omega_mode != "field":
+        return lambda m: model
+    return lambda m: replace(model, params=martingale_level(meas, omega_fn, m, cfg.sublevel))
 
 
 def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
@@ -496,25 +498,25 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     omega_fn, phase_fn = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
     graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else (None,)
     levels = sorted(cfg.levels)
-    models = {m: _build_model(cfg, meas, omega_fn, m) for m in levels}
+    model = cfg.model()
 
     def initial(m):
         # the phases fill the first state component; the others start at 0
         phases = martingale_level(meas, phase_fn, m, cfg.sublevel).values
         return PiecewiseConstantField(
-            meas.k, m, np.pad(phases, ((0, 0), (0, models[m].state_dim - 1)))
+            meas.k, m, np.pad(phases, ((0, 0), (0, model.state_dim - 1)))
         )
 
     # the kernel, frequencies and phases depend on the level only; the graph
     # seeds share them
-    series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel, models.get, initial,
-                              cfg.T, cfg.dt, cfg.output_stride, graph_seeds,
-                              cfg.graph_symmetric)
+    series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel,
+                              _level_models(cfg, meas, omega_fn, model), initial, cfg.T,
+                              cfg.dt, cfg.output_stride, graph_seeds, cfg.graph_symmetric)
     outputs = []
     for m, trajs in zip(levels, series):
         for seed, traj in zip(graph_seeds, trajs):
             stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
-            outputs += _write_trajectory(out, stem, traj, models[m], seed, cfg)
+            outputs += _write_trajectory(out, stem, traj, model, seed, cfg)
     return outputs
 
 
@@ -581,7 +583,7 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     m = min(cfg.levels)
     omega_fn, _ = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
     table = vlasov_self_convergence(
-        meas, lambda level: _build_model(cfg, meas, omega_fn, level), cfg.kernel(),
+        meas, _level_models(cfg, meas, omega_fn, cfg.model()), cfg.kernel(),
         uniform_phase_sampler, m, cfg.ell_levels, cfg.T, cfg.dt, cfg.seeds, cfg.sublevel,
         cfg.output_stride)
     pairs = np.array(table.ell_pairs)

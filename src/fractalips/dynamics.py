@@ -540,21 +540,18 @@ def integrate_series(models, couplings, initials, T: float, dt: float,
                      output_stride: int = 1) -> list:
     """What ``integrate_ips(models[i], couplings[i], initials[i], ...)``
     returns for each system, in order, on one time grid.  Consecutive systems
-    with the same member count and layout (shared graphs or stacks) whose
-    graphs fit ``DENSE_GRAPH_BYTES`` together run as one: the N cells of their
-    disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
-    trajectory keeps its bits.  A union runs the drift and coupling of its
-    first model on the params of each, so the models may differ in their
-    params only; ValueError when they differ in name or state_dim.
+    whose models are equal but for their params (of one width), with the same
+    member count and layout (shared graphs or stacks), whose graphs fit
+    ``DENSE_GRAPH_BYTES`` together run as one, on the params of each: the N
+    cells of their disjoint union at level 1, on a ``BlockDiagonal`` graph, so
+    every trajectory keeps its bits.  Any other system runs alone.
     """
-    if len({(model.name, model.state_dim) for model in models}) > 1:
-        raise ValueError("the systems of a series must share one model: "
-                         "their names or state dimensions differ")
     ensembles = [_ensemble(*system) for system in zip(models, couplings, initials, strict=True)]
     starts = [0, *accumulate(c.k**c.level for c in couplings)]
     batches, used = [], 0
-    for i, c in enumerate(couplings):
-        key, used = (ensembles[i][1], c.weights.ndim), used + c.weights.nbytes
+    for i, (model, c, e) in enumerate(zip(models, couplings, ensembles)):
+        key = (e[1], c.weights.ndim, replace(model, params=None), np.shape(model.params)[1:])
+        used += c.weights.nbytes
         if not batches or batches[-1][0] != key or used > DENSE_GRAPH_BYTES:
             batches.append((key, []))
             used = c.weights.nbytes

@@ -7,6 +7,8 @@ Lipschitz and consistent across refinement levels).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .analysis import traj_error
@@ -73,9 +75,10 @@ def kuramoto_refinement_errors(
     omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
     omega_fine = martingale_level(meas, omega_fn, needed[-1], sublevel)
     phase_fine = martingale_level(meas, phase_fn, needed[-1], sublevel)
+    model = kuramoto_model(coupling_strength)
     series = integrate_levels(
         meas, kernel, needed, sublevel,
-        lambda m: kuramoto_model(coupling_strength, coarsen(omega_fine, m, meas.p)),
+        lambda m: replace(model, params=coarsen(omega_fine, m, meas.p)),
         lambda m: coarsen(phase_fine, m, meas.p), T, dt, output_stride)
     trajs = dict(zip(needed, series))
     errors = np.array(
@@ -104,12 +107,12 @@ def bernoulli_gap_medians(
     levels = sorted(int(m) for m in levels)
     seeds = tuple(int(s) for s in seeds)
     omega_fn, phase_fn = kuramoto_fields(field_seed, meas.ifs.dimension)
+    model = kuramoto_model(coupling_strength)
     # member 0 of each level is the deterministic system, members 1.. its
     # Bernoulli draws
     series = integrate_levels(
         meas, kernel, levels, sublevel,
-        lambda m: kuramoto_model(coupling_strength,
-                                 martingale_level(meas, omega_fn, m, sublevel)),
+        lambda m: replace(model, params=martingale_level(meas, omega_fn, m, sublevel)),
         lambda m: martingale_level(meas, phase_fn, m, sublevel), T, dt, output_stride,
         graph_seeds=(None, *seeds))
     per_seed = np.array([[traj_error(base, t, meas).max_error for t in draws]

@@ -13,6 +13,7 @@ from fractalips import ConfigError
 from fractalips.cli import (
     SUBCOMMANDS,
     _columns,
+    _level_models,
     _write_trajectory,
     main,
     parse_config,
@@ -20,6 +21,8 @@ from fractalips.cli import (
     write_csv,
 )
 from fractalips.dynamics import Trajectory
+from fractalips.experiments import kuramoto_fields
+from fractalips.transfer import martingale_level
 
 BASE_CONFIG = """
 [experiment]
@@ -364,6 +367,27 @@ class TestValidate:
         assert diagnostic in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("subcommand, edit, diagnostic", [
+        ("simulate", ("levels = 2,3,4", "levels = 2,2,3"),
+         "levels.levels repeats a value: 2,2,3"),
+        ("vlasov", ("ell_levels = 1,2", "ell_levels = 1,1,2"),
+         "levels.ell_levels repeats a value: 1,1,2"),
+        ("vlasov", ("seeds = 1,2", "seeds = 3,3"), "seeds.seeds repeats a value: 3,3"),
+    ])
+    def test_repeated_value_is_refused(self, tmp_path, capsys, subcommand, edit, diagnostic):
+        # run past validate, simulate integrates level 2 twice and lists its
+        # files twice in the manifest; vlasov writes a (1, 1) pair of zero
+        # distances, or one row per seed twice
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text()
+        assert text.count(edit[0]) == 1
+        Path(cfgp).write_text(text.replace(edit[0], edit[1]))
+        assert main([subcommand, "--config", cfgp]) == 2
+        assert f"error: {diagnostic}" in capsys.readouterr().err.splitlines()
+        assert not (tmp_path / "out").exists()
+        assert main(["validate", "--config", cfgp]) == 0
+        assert diagnostic in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("subcommand, levels, p, function", [
         ("modulus", "0,1,2", "natural", "expdiff"),  # the modulus fit keeps 0, 1
         ("project", "2,3,4", "0.6,0.2,0.2", "one"),  # skewed p: no modulus fit
@@ -555,6 +579,28 @@ class TestRunSubcommands:
             assert main(["simulate", "--config", cfgp]) == 0
             csvs[strength] = (tmp_path / strength / "trajectory_m2.csv").read_bytes()
         assert csvs["1.0"] != csvs["3.0"]
+
+    @pytest.mark.parametrize("model, omega, projected", [
+        ("kuramoto", "field", True),
+        ("kuramoto", "zero", False),
+        ("kuramoto_inertia", "field", True),
+        ("consensus", "field", False),  # it has no params to hold frequencies
+    ])
+    def test_levels_share_the_one_model(self, tmp_path, model, omega, projected):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text().replace("name = kuramoto", f"name = {model}")
+        Path(cfgp).write_text(text.replace("omega = field", f"omega = {omega}"))
+        cfg = parse_config(cfgp)
+        one = cfg.model()
+        omega_fn, _ = kuramoto_fields(cfg.seeds[0], 2, cfg.omega_scale)
+        level_model = _level_models(cfg, cfg.measure(), omega_fn, one)
+        for m in (2, 3):
+            at_m = level_model(m)
+            assert (at_m is one) != projected
+            assert (at_m.drift, at_m.coupling_term) == (one.drift, one.coupling_term)
+            if projected:
+                np.testing.assert_array_equal(
+                    at_m.params, martingale_level(cfg.measure(), omega_fn, m, 2).values)
 
     def test_vlasov_outputs(self, tmp_path):
         cfgp = write_config(tmp_path)

@@ -857,7 +857,8 @@ class TestIntegrateSeries:
     def test_levels_match_per_level_runs(self, sg_measure, monkeypatch):
         systems = sg_levels(sg_measure, range(2, 7))
         assert isinstance(systems[-1][0].weights, BlockGraph)
-        models = [kuramoto_model(1.3, omega) for _, omega, _ in systems]
+        model = kuramoto_model(1.3)
+        models = [replace(model, params=omega) for _, omega, _ in systems]
         calls = self.record_calls(monkeypatch)
         series = integrate_series(models, [c for c, _, _ in systems],
                                   [init for _, _, init in systems], **self.STEPS)
@@ -872,7 +873,8 @@ class TestIntegrateSeries:
 
     def test_stacks_match_each_member_alone(self, sg_measure, monkeypatch):
         systems = sg_levels(sg_measure, range(2, 6), seeds=(1, 2, 3, 4, 5))
-        models = [kuramoto_model(0.5, omega) for _, omega, _ in systems]
+        model = kuramoto_model(0.5)
+        models = [replace(model, params=omega) for _, omega, _ in systems]
         calls = self.record_calls(monkeypatch)
         groups, rhs = set(), dynamics._rhs
 
@@ -897,32 +899,65 @@ class TestIntegrateSeries:
                 np.testing.assert_array_equal(traj.values, alone.values)
 
     @pytest.mark.parametrize("name", ["kuramoto_inertia", "consensus", "one params row"])
-    def test_models_in_a_union_match_per_system_runs(self, sg_measure, name):
-        factory = {
-            "kuramoto_inertia": lambda omega: kuramoto_inertia_model(0.8, 0.5, omega),
-            "consensus": lambda omega: consensus_model(2.5),
+    def test_models_in_a_union_match_per_system_runs(self, sg_measure, monkeypatch, name):
+        # one model, built once, with each system's params
+        model = {
+            "kuramoto_inertia": kuramoto_inertia_model(0.8, 0.5),
+            "consensus": consensus_model(2.5),
+            "one params row": kuramoto_model(0.8),
+        }[name]
+        level_model = {
+            "kuramoto_inertia": lambda omega: replace(model, params=omega),
+            "consensus": lambda omega: model,
             # one row per system, each its own value
-            "one params row": lambda omega: kuramoto_model(0.8, omega[0]),
+            "one params row": lambda omega: replace(model, params=omega[0]),
         }[name]
         rng = np.random.Generator(np.random.Philox(5))
         couplings = [c for c, _, _ in sg_levels(sg_measure, (2, 3))]
         omegas = [rng.uniform(-1.0, 1.0, 3**c.level) for c in couplings]
-        state_dim = factory(omegas[0]).state_dim
         # two members, each with its own initial field
-        inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, (3**c.level, state_dim)))
+        inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, (3**c.level,
+                                                                         model.state_dim)))
                   for _ in range(2)] for c in couplings]
-        series = integrate_series([factory(omega) for omega in omegas], couplings, inits,
+        calls = self.record_calls(monkeypatch)
+        series = integrate_series([level_model(omega) for omega in omegas], couplings, inits,
                                   **self.STEPS)
+        assert calls == [(int, (36, 36))]  # levels 2 and 3 as one union
+        monkeypatch.undo()
         for trajs, coupling, omega, init in zip(series, couplings, omegas, inits):
-            alone = integrate_ips(factory(omega), coupling, init, **self.STEPS)
+            alone = integrate_ips(level_model(omega), coupling, init, **self.STEPS)
             for a, b in zip(trajs, alone, strict=True):
                 np.testing.assert_array_equal(a.values, b.values)
 
-    def test_refinement_errors_equal_the_per_level_loop(self, sg_measure):
+    def test_union_with_a_block_graph_matches_each_system_alone(self, sg_measure,
+                                                                monkeypatch):
+        # level 4's dense graph (52 KB) and level 6's BlockGraph (1.89 MB) fit
+        # DENSE_GRAPH_BYTES together
+        systems = sg_levels(sg_measure, (4, 6))
+        assert isinstance(systems[1][0].weights, BlockGraph)
+        rng = np.random.Generator(np.random.Philox(11))
+        model = kuramoto_model(1.1)
+        models = [replace(model, params=omega) for _, omega, _ in systems]
+        inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, 3**c.level))
+                  for _ in range(2)] for c, _, _ in systems]
+        calls = self.record_calls(monkeypatch)
+        series = integrate_series(models, [c for c, _, _ in systems], inits, **self.STEPS)
+        assert calls == [(int, (810, 810))]
+        monkeypatch.undo()
+        for trajs, (coupling, omega, _), init in zip(series, systems, inits, strict=True):
+            alone = integrate_ips(replace(model, params=omega), coupling, init, **self.STEPS)
+            for a, b in zip(trajs, alone, strict=True):
+                assert (a.k, a.level) == (3, coupling.level)
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_refinement_errors_equal_the_per_level_loop(self, sg_measure, monkeypatch):
         kern = builtin_kernels(2)["expdist"]
         steps = dict(T=0.1, dt=1e-2, output_stride=3)
+        calls = self.record_calls(monkeypatch)
         levels, errors, trajs = kuramoto_refinement_errors(
             sg_measure, kern, [2, 3, 4, 5], coupling_strength=1.3, seed=4, **steps)
+        # levels 2-5 as one union, level 6's BlockGraph alone
+        assert calls == [(int, (360, 360)), (int, (729, 729))]
         omega_fn, phase_fn = kuramoto_fields(4, 2)
         omega_fine = martingale_level(sg_measure, omega_fn, 6, 2)
         phase_fine = martingale_level(sg_measure, phase_fn, 6, 2)
@@ -935,13 +970,16 @@ class TestIntegrateSeries:
         np.testing.assert_array_equal(
             errors, [traj_error(alone[m], alone[m + 1], sg_measure).max_error for m in levels])
 
-    def test_gap_medians_equal_the_per_level_loop(self, sg_measure):
+    def test_gap_medians_equal_the_per_level_loop(self, sg_measure, monkeypatch):
         kern = builtin_kernels(2)["expdist"]
         seeds = (1, 2, 3, 4, 5)
         steps = dict(T=0.1, dt=1e-2, output_stride=3)
+        calls = self.record_calls(monkeypatch)
         _, medians, per_seed = bernoulli_gap_medians(
             sg_measure, kern, [2, 3, 4, 5], seeds, coupling_strength=0.5, field_seed=2,
             **steps)
+        # levels 2-4 as one union of 6 members, level 5's stack alone
+        assert calls == [(int, (6, 117, 117)), (int, (6, 243, 243))]
         omega_fn, phase_fn = kuramoto_fields(2, 2)
         for li, m in enumerate(range(2, 6)):
             graphs = stack_graphs(project_kernel(sg_measure, kern, m, 2), sg_measure,
@@ -953,16 +991,34 @@ class TestIntegrateSeries:
             np.testing.assert_array_equal(per_seed[li], gaps)
             assert medians[li] == np.median(gaps)
 
-    @pytest.mark.parametrize("other", ["consensus", "two components"])
-    def test_models_that_differ_beyond_params_are_refused(self, sg_measure, other):
+    @pytest.mark.parametrize("pair", ["K = 1 and K = 2", "kuramoto and consensus",
+                                      "one and two components", "params and none",
+                                      "params of two widths"])
+    def test_models_that_differ_beyond_params_run_apart(self, sg_measure, monkeypatch, pair):
+        # equal names and state dimensions, or equal drift and coupling
+        # objects, do not make a union: each system runs its own model
+        consensus = consensus_model(1.0)
+        models = {
+            "K = 1 and K = 2": [kuramoto_model(1.0, 0.0), kuramoto_model(2.0, 0.0)],
+            "kuramoto and consensus": [kuramoto_model(1.0, 0.0), consensus],
+            "one and two components": [consensus, replace(consensus, state_dim=2)],
+            "params and none": [replace(consensus, params=0.5), consensus],
+            "params of two widths": [replace(consensus, params=np.zeros((1, 2))),
+                                     replace(consensus, params=0.5)],
+        }[pair]
         couplings = [c for c, _, _ in sg_levels(sg_measure, (2, 3))]
-        inits = [PiecewiseConstantField(3, c.level, np.zeros(3**c.level)) for c in couplings]
-        second = {
-            "consensus": consensus_model(1.0),
-            "two components": replace(kuramoto_model(1.0), state_dim=2),
-        }[other]
-        with pytest.raises(ValueError, match="share one model"):
-            integrate_series([kuramoto_model(1.0), second], couplings, inits, **self.STEPS)
+        rng = np.random.Generator(np.random.Philox(3))
+        inits = [PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, (3**c.level,
+                                                                        model.state_dim)))
+                 for c, model in zip(couplings, models)]
+        steps = dict(T=1.0, dt=1e-2, output_stride=10)
+        calls = self.record_calls(monkeypatch)
+        series = integrate_series(models, couplings, inits, **steps)
+        assert calls == [(int, (9, 9)), (int, (27, 27))]
+        monkeypatch.undo()
+        for traj, model, coupling, init in zip(series, models, couplings, inits, strict=True):
+            alone = integrate_ips(model, coupling, init, **steps)
+            np.testing.assert_array_equal(traj.values, alone.values)
 
     def test_one_stacked_graph_over_budget_serves_every_member(self):
         # a stack of one graph is not cut into member groups
@@ -1034,6 +1090,32 @@ output_stride = 3
 """
 
 
+MODELS = ("kuramoto", "kuramoto_inertia", "consensus")
+# levels 2 and 3 of sg, for simulate, and for vlasov 3 and 4 (m = 2, l = 1, 2)
+PLAN_CONFIG = """
+[ifs]
+preset = sg
+
+[model]
+name = {model}
+
+[levels]
+levels = 2,3
+ell_levels = 1,2
+
+[graph]
+kind = {kind}
+
+[seeds]
+seeds = 1,2,3
+
+[time]
+T = 0.1
+dt = 0.01
+output_stride = 3
+"""
+
+
 class TestIntegrateLevels:
     """``integrate_levels`` and the pipelines that call it against the
     per-level loop it replaced, byte for byte."""
@@ -1068,8 +1150,10 @@ class TestIntegrateLevels:
 
     def test_vlasov_table_equals_the_per_level_loop(self, sg_measure, monkeypatch):
         # levels 4 and 5 run as one union, level 6's BlockGraph alone; each
-        # level's model carries its own frequency field
+        # level's model is the one model with its own frequency field
         omega_fn, _ = kuramoto_fields(3, 2)
+        model = kuramoto_model(0.7)
+        calls = TestIntegrateSeries.record_calls(monkeypatch)
         runs = {}
         for name, integrate in (("levels", integrate_levels), ("loop", per_level_loop)):
             runs[name] = []
@@ -1081,16 +1165,36 @@ class TestIntegrateLevels:
             monkeypatch.setattr(analysis, "integrate_levels", recording)
             runs[name].append(vlasov_self_convergence(
                 sg_measure,
-                lambda level: kuramoto_model(0.7, martingale_level(sg_measure, omega_fn,
-                                                                   level, 2)),
+                lambda level: replace(model, params=martingale_level(sg_measure, omega_fn,
+                                                                     level, 2)),
                 builtin_kernels(2)["expdist"], uniform_phase_sampler, m=2, ells=(2, 3, 4),
                 seeds=(1, 2), **self.STEPS))
+        # per_level_loop calls integrate_ips by its own name, which is not recorded
+        assert calls == [(int, (324, 324)), (int, (729, 729))]
         *series, table = runs["levels"]
         *alone, expected = runs["loop"]
         assert table.distances.tobytes() == expected.distances.tobytes()
         for trajs, reference in zip(series, alone, strict=True):
             for traj, ref in zip(trajs, reference, strict=True):
                 assert traj.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("subcommand, kind, union, model", [
+        # the stack of one graph, or one draw per seed
+        *[("simulate", "deterministic", (1, 36, 36), model) for model in MODELS],
+        *[("simulate", "bernoulli", (3, 36, 36), model) for model in MODELS],
+        # levels 3 and 4, one field per seed; vlasov takes scalar states only
+        ("vlasov", "deterministic", (108, 108), "kuramoto"),
+        ("vlasov", "deterministic", (108, 108), "consensus"),
+    ])
+    def test_cli_runs_keep_their_unions(self, tmp_path, monkeypatch, subcommand, kind,
+                                        union, model):
+        # the configured model is built once, so its levels run as one union
+        path = tmp_path / "plan.ini"
+        path.write_text(PLAN_CONFIG.format(model=model, kind=kind))
+        calls = TestIntegrateSeries.record_calls(monkeypatch)
+        assert cli.main([subcommand, "--config", str(path), "--output",
+                         str(tmp_path / "out")]) == 0
+        assert calls == [(int, union)]
 
     @pytest.mark.parametrize("kind", ["bernoulli", "deterministic"])
     def test_simulate_files_equal_the_per_level_loop(self, tmp_path, monkeypatch, kind):

@@ -9,15 +9,17 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are fifteen small ones written here (three models,
+thread. The configs are sixteen small ones written here (three models,
 each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
 graph; the symmetric Bernoulli one again at level 5 alone with five seeds,
-whose stack of graphs is integrated in groups of members; a Cantor set with
-a non-uniform measure; an inline IFS with unequal ratios under its natural
-measure, whose weights come from the similarity dimension, at sublevel 2
-and at sublevel 0; an inline 3-D tetrahedral gasket, whose kernel distances
-sum three axes; and a nan kernel value with an infinite horizon, which every
-subcommand refuses) and the ``refine``, ``meanfield`` and ``simulate``
+whose stack of graphs is integrated in groups of members; the deterministic
+Kuramoto one again with ``ell_levels = 2,4``, whose ``vlasov`` integrates
+level 4's dense graph and level 6's ``BlockGraph`` as one union; a Cantor
+set with a non-uniform measure; an inline IFS with unequal ratios under its
+natural measure, whose weights come from the similarity dimension, at
+sublevel 2 and at sublevel 0; an inline 3-D tetrahedral gasket, whose kernel
+distances sum three axes; and a nan kernel value with an infinite horizon,
+which every subcommand refuses) and the ``refine``, ``meanfield`` and ``simulate``
 configs of ``perfbench/workloads.py`` at their default seeds. ``modulus``
 exits 2 on the unequal-ratio IFS, which has no common linear part.
 
@@ -150,6 +152,10 @@ def configs() -> dict:
     # DENSE_GRAPH_BYTES, so simulate integrates it in groups of members
     out["bernoulli_groups"] = out["kuramoto_bernoulli"].replace(
         "levels = 2,3,4\n", "levels = 5\n").replace("seeds = 1,2\n", "seeds = 1,2,3,4,5\n")
+    # vlasov at levels 4 and 6 (m = 2): 52 KB of dense graph and a 1.89 MB
+    # BlockGraph, one union within DENSE_GRAPH_BYTES
+    out["vlasov_blockgraph_union"] = out["kuramoto_deterministic"].replace(
+        "ell_levels = 1,2\n", "ell_levels = 2,4\n")
     # non-finite floats, which every subcommand refuses
     out["nonfinite"] = out["kuramoto_deterministic"].replace(
         "name = expdist\n", "name = constant\nvalue = nan\n").replace(
