@@ -32,7 +32,6 @@ from .dynamics import (
     graph_product,
     integrate_ips,
     integrate_levels,
-    integrate_series,
     kuramoto_inertia_model,
     kuramoto_model,
     pairwise_coupling,

@@ -309,14 +309,14 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
         diags.append(
             "modulus mode requires an IFS whose maps share a common linear part"
         )
+    # project fits the modulus, and a rate, only where _fits_modulus holds
+    modulus_fit = subcommand == "modulus" or subcommand == "project" and _fits_modulus(cfg)
     # rate_fit drops levels 0 and 1, the modulus fit keeps them
     fitted = sorted({m for m in cfg.levels if m >= 2 or subcommand == "modulus"})
-    if subcommand in ("rate", "project", "modulus") and len(fitted) < 3:
+    if (modulus_fit or subcommand == "rate") and len(fitted) < 3:
         diags.append(f"{subcommand} mode needs at least 3 levels to fit a rate; "
                      f"it fits levels {fitted}")
-    if cfg.function_name == "one" and (
-        subcommand == "modulus" or subcommand == "project" and _fits_modulus(cfg)
-    ):
+    if cfg.function_name == "one" and modulus_fit:
         diags.append(f"{subcommand} mode fits the decay of the modulus, which is "
                      "zero for the constant function 'one'")
     if subcommand == "vlasov" and len(cfg.ell_levels) < 2:

@@ -41,9 +41,9 @@ class ModelSpec:
     ``coupling_term(G, u)`` returns sum_v G_wv D(u_w, u_v) for every member
     as an (E, n, s) array.  G is either one (n, n) graph that every member
     shares (an array or a ``BlockGraph``) or an (E, n, n) stack with one
-    graph per member, and under ``integrate_series`` a ``BlockDiagonal`` of
-    either; ``graph_product`` applies all of them.  ``pairwise_coupling``
-    builds it from a broadcasting D, for arrays and ``BlockGraph``s.
+    graph per member, and for a batch of ``integrate_levels`` a
+    ``BlockDiagonal`` of either; ``graph_product`` applies all of them.
+    ``pairwise_coupling`` builds it from a broadcasting D, for every layout.
     ``params`` holds optional per-cell constants such as oscillator
     frequencies (they obey d(lambda)/dt = 0), given as a field, an array or
     a constant.  A constant or a 1-D array becomes one column, one value per
@@ -103,7 +103,7 @@ class BlockGraph:
 class BlockDiagonal:
     """Independent systems side by side, their graphs on the diagonal: all
     shared (n_i, n_i) graphs or all (E, n_i, n_i) stacks, (N, N) or (E, N, N)
-    as a whole.  ``integrate_series`` builds one for a batch of systems."""
+    as a whole.  ``integrate_levels`` builds one for a batch of levels."""
 
     blocks: tuple
 
@@ -419,6 +419,10 @@ def pairwise_coupling(interaction: Callable, bound: float, state_dim: int = 1) -
         )
 
     def coupling_term(G, u):
+        if isinstance(G, BlockDiagonal):  # each block on its own slice of the cells
+            cuts = [0, *accumulate(g.shape[-1] for g in G.blocks)]
+            return np.concatenate([coupling_term(g, u[..., lo:hi, :])
+                                   for g, lo, hi in zip(G.blocks, cuts, cuts[1:])], axis=-2)
         dvals = np.asarray(interaction(u[..., :, None, :], u[..., None, :, :]))
         return np.einsum("...wv,...wvs->...ws", np.asarray(G), dvals)
 
@@ -536,17 +540,35 @@ def integrate_ips(
     return trajs if listed else trajs[0]
 
 
-def integrate_series(models, couplings, initials, T: float, dt: float,
-                     output_stride: int = 1) -> list:
-    """What ``integrate_ips(models[i], couplings[i], initials[i], ...)``
-    returns for each system, in order, on one time grid.  Consecutive systems
-    whose models are equal but for their params (of one width), with the same
-    member count and layout (shared graphs or stacks), whose graphs fit
-    ``DENSE_GRAPH_BYTES`` together run as one, on the params of each: the N
-    cells of their disjoint union at level 1, on a ``BlockDiagonal`` graph, so
-    every trajectory keeps its bits.  Any other system runs alone.
+def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
+                     model_builder, init_builder, T: float, dt: float,
+                     output_stride: int, graph_seeds=None, symmetric: bool = True) -> list:
+    """What ``integrate_ips`` returns for the level-m Galerkin system of each
+    m in ``levels``, in order: model_builder(m), the graph of the kernel
+    projected at level m and init_builder(m).  The graph is
+    ``assemble_deterministic``'s when ``graph_seeds`` is None, else
+    ``stack_graphs(km, meas, graph_seeds, symmetric)``.  The levels are
+    projected finest first, so a level the budget refuses fails before any
+    work, and no kernel matrix outlives its graph.
+
+    Consecutive levels whose models are equal but for their params (of one
+    width), with the same member count and layout (shared graphs or stacks),
+    whose graphs fit ``DENSE_GRAPH_BYTES`` together run as one
+    ``integrate_ips`` call, on the params of each: the N cells of their
+    disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
+    trajectory keeps its bits.  Any other level runs alone.
     """
-    ensembles = [_ensemble(*system) for system in zip(models, couplings, initials, strict=True)]
+    def graph(m):
+        km = project_kernel(meas, kernel, m, sublevel)
+        if graph_seeds is None:
+            return assemble_deterministic(km, meas)
+        return stack_graphs(km, meas, graph_seeds, symmetric)
+
+    levels = list(levels)
+    graphs = {m: graph(m) for m in sorted(set(levels), reverse=True)}
+    models, couplings = [model_builder(m) for m in levels], [graphs[m] for m in levels]
+    ensembles = [_ensemble(model, c, init_builder(m))
+                 for model, c, m in zip(models, couplings, levels)]
     starts = [0, *accumulate(c.k**c.level for c in couplings)]
     batches, used = [], 0
     for i, (model, c, e) in enumerate(zip(models, couplings, ensembles)):
@@ -561,13 +583,13 @@ def integrate_series(models, couplings, initials, T: float, dt: float,
         lo, hi = starts[batch[0]], starts[batch[-1] + 1]
         model, coupling, fields = models[batch[0]], couplings[batch[0]], ensembles[batch[0]][0]
         if len(batch) > 1:
-            if model.params is not None:  # one row serves each cell of its system
+            if model.params is not None:  # one row serves each cell of its level
                 model = replace(model, params=np.concatenate([np.broadcast_to(
                     models[i].params, (starts[i + 1] - starts[i], model.params.shape[1]))
                     for i in batch]))
             graph = BlockDiagonal(tuple(couplings[i].weights for i in batch))
             coupling = CouplingGraph(hi - lo, 1, graph)
-            # a system's one field serves each member, as in integrate_ips
+            # a level's one field serves each member, as in integrate_ips
             sets = [ensembles[i][0] for i in batch]
             fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
                 [f[e % len(f)].values for f in sets])) for e in range(max(map(len, sets)))]
@@ -577,29 +599,6 @@ def integrate_series(models, couplings, initials, T: float, dt: float,
             split = [Trajectory(c.k, c.level, t.times, t.values[:, a:b]) for t in trajs]
             results.append(split if ensembles[i][2] else split[0])
     return results
-
-
-def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
-                     model_builder, init_builder, T: float, dt: float,
-                     output_stride: int, graph_seeds=None, symmetric: bool = True) -> list:
-    """``integrate_series`` on the level-m Galerkin system of each m in
-    ``levels``, in order: model_builder(m), the graph of the kernel projected
-    at level m and init_builder(m).  The graph is ``assemble_deterministic``'s
-    when ``graph_seeds`` is None, else ``stack_graphs(km, meas, graph_seeds,
-    symmetric)``.  The levels are projected finest first, so a level the
-    budget refuses fails before any work, and no kernel matrix outlives its
-    graph.
-    """
-    def graph(m):
-        km = project_kernel(meas, kernel, m, sublevel)
-        if graph_seeds is None:
-            return assemble_deterministic(km, meas)
-        return stack_graphs(km, meas, graph_seeds, symmetric)
-
-    levels = list(levels)
-    graphs = {m: graph(m) for m in sorted(set(levels), reverse=True)}
-    return integrate_series([model_builder(m) for m in levels], [graphs[m] for m in levels],
-                            [init_builder(m) for m in levels], T, dt, output_stride)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from fractalips.cli import (
     validate,
     write_csv,
 )
-from fractalips.dynamics import Trajectory
+from fractalips.dynamics import Trajectory, project_kernel
 from fractalips.experiments import kuramoto_fields
-from fractalips.transfer import martingale_level
+from fractalips.transfer import kernel_to_graphon, martingale_level, transfer_to_interval
 
 BASE_CONFIG = """
 [experiment]
@@ -218,7 +218,8 @@ seeds = 4,5
             parse_config(path)
 
     @pytest.mark.parametrize(
-        "line", ["ratio=abc translation=0.0", "ratio=0.5 translation=0.0 junk"]
+        "line", ["ratio=abc translation=0.0", "ratio=0.5 translation=0.0 junk",
+                 "ratio=0.5 matrix=0.5,0,0 translation=0.0"]
     )
     def test_bad_map_line_is_config_error(self, tmp_path, line):
         path = tmp_path / "bad.ini"
@@ -244,6 +245,28 @@ seeds = 4,5
             assert main([subcommand, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert f"translation={value},0.0" in err and "must be finite" in err
+
+    def test_matrix_map_lines_equal_the_homothety_form(self, tmp_path):
+        # sg's maps written inline, as homotheties or with their matrix
+        maps = ("dimension = 2\nmaps = 3\n"
+                "map1 = ratio=0.5 {matrix}translation=0.0,0.0\n"
+                "map2 = ratio=0.5 {matrix}translation=0.25,0.4330127018922193\n"
+                "map3 = ratio=0.5 {matrix}translation=0.5,0.0")
+        runs = {}
+        for name, matrix in (("homothety", ""), ("matrix", "matrix=0.5,0,0,0.5 ")):
+            cfgp = write_config(tmp_path, name=f"{name}.ini", out=name, levels="2,3")
+            text = Path(cfgp).read_text()
+            Path(cfgp).write_text(text.replace("preset = sg", maps.format(matrix=matrix)))
+            assert main(["simulate", "--config", cfgp]) == 0
+            runs[name] = {}
+            for path in sorted((tmp_path / name).iterdir()):
+                data = path.read_bytes()
+                if path.suffix == ".json":  # the config text differs, so its hash does
+                    data = json.loads(data)
+                    data.pop("config_hash"), data.pop("wall_time_s", None)
+                runs[name][path.name] = data
+        assert len(runs["matrix"]) == 5  # two levels, a CSV and a sidecar each
+        assert runs["matrix"] == runs["homothety"]
 
     def test_lone_percent_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -378,6 +401,13 @@ class TestValidate:
         # run past validate, simulate integrates level 2 twice and lists its
         # files twice in the manifest; vlasov writes a (1, 1) pair of zero
         # distances, or one row per seed twice
+        self.assert_refused(tmp_path, capsys, subcommand, edit, diagnostic)
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, subcommand, edit, diagnostic):
+        """With ``edit`` made to the config, the run exits 2 with the
+        diagnostic and makes no output directory, and ``fractalips validate``
+        prints the diagnostic."""
         cfgp = write_config(tmp_path)
         text = Path(cfgp).read_text()
         assert text.count(edit[0]) == 1
@@ -388,9 +418,24 @@ class TestValidate:
         assert main(["validate", "--config", cfgp]) == 0
         assert diagnostic in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("subcommand, edit, diagnostic", [
+        ("integrate", ("[seeds]", "[wibble]\nx = 1\n[seeds]"), "unknown section [wibble]"),
+        ("project", ("name = expdiff", "name = cubic"), "unknown test function 'cubic'"),
+        ("simulate", ("name = expdist", "name = linear"), "unknown kernel 'linear'"),
+        ("simulate", ("kind = deterministic", "kind = lattice"),
+         "unknown graph kind 'lattice'"),
+        ("simulate", ("name = kuramoto", "name = voter"), "unknown model 'voter'"),
+        ("vlasov", ("ell_levels = 1,2", "ell_levels = 2"),
+         "vlasov mode needs at least 2 refinement levels"),
+    ])
+    def test_unknown_name_or_one_ell_level_is_refused(self, tmp_path, capsys, subcommand,
+                                                      edit, diagnostic):
+        self.assert_refused(tmp_path, capsys, subcommand, edit, diagnostic)
+
     @pytest.mark.parametrize("subcommand, levels, p, function", [
         ("modulus", "0,1,2", "natural", "expdiff"),  # the modulus fit keeps 0, 1
         ("project", "2,3,4", "0.6,0.2,0.2", "one"),  # skewed p: no modulus fit
+        ("project", "2,3", "0.6,0.2,0.2", "expdiff"),  # and no rate to fit
     ])
     def test_runs_next_to_those_refused_stay_valid(self, tmp_path, subcommand, levels,
                                                    p, function):
@@ -497,6 +542,45 @@ class TestRunSubcommands:
         Path(cfgp).write_text(text)
         assert main(["project", "--config", cfgp]) == 0
         assert (tmp_path / "out" / "projection.csv").exists()
+
+    def test_project_without_a_modulus_fit_runs_on_two_levels(self, tmp_path):
+        # a skewed p fits no modulus, so the bound and fitted_alpha stay empty
+        cfgp = write_config(tmp_path, levels="2,3")
+        Path(cfgp).write_text(Path(cfgp).read_text().replace("p = natural", "p = 0.6,0.2,0.2"))
+        assert main(["project", "--config", cfgp]) == 0
+        lines = (tmp_path / "out" / "projection.csv").read_text().splitlines()
+        assert lines[0] == "level,p,error,bound,fitted_alpha"
+        assert [line.split(",")[:2] + line.split(",")[3:] for line in lines[1:]] == [
+            ["2", "2", "", ""], ["3", "2", "", ""]]
+        assert all(float(line.split(",")[2]) > 0 for line in lines[1:])
+
+    def test_transfer_writes_the_step_function_and_the_graphon(self, tmp_path):
+        cfgp = write_config(tmp_path)
+        assert main(["transfer", "--config", cfgp]) == 0
+        out = tmp_path / "out"
+        cfg = parse_config(cfgp)
+        meas = cfg.measure()
+        # the top level, 4, for the field; the graphon at level min(4, 4)
+        step = transfer_to_interval(martingale_level(meas, cfg.test_function(), 4, 2), cfg.p)
+        img = kernel_to_graphon(project_kernel(meas, cfg.kernel(), 4, 2), cfg.p)
+
+        def table(name):
+            lines = (out / name).read_text().splitlines()
+            return lines[0], np.array([[float(v) for v in line.split(",")]
+                                       for line in lines[1:]])
+
+        header, rows = table("transfer_step.csv")
+        assert header == "cell_index,left,right,width,value"
+        np.testing.assert_array_equal(rows, np.column_stack([
+            np.arange(step.n_cells), step.breakpoints[:-1], step.breakpoints[1:],
+            step.widths, step.values[:, 0]]))
+        header, rows = table("graphon_pixels.csv")
+        assert header == "row,col,value"
+        n_rows, n_cols = img.values.shape
+        grid = np.indices((n_rows, n_cols)).reshape(2, -1)
+        np.testing.assert_array_equal(rows, np.column_stack([*grid, img.values.ravel()]))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["graphon_pixels.csv", "transfer_step.csv"]
 
     def test_validate_subcommand_exit_zero(self, tmp_path, capsys):
         cfgp = write_config(tmp_path)

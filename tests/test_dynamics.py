@@ -29,7 +29,6 @@ from fractalips import (
     graph_product,
     integrate_ips,
     integrate_levels,
-    integrate_series,
     kuramoto_inertia_model,
     kuramoto_model,
     martingale_level,
@@ -836,8 +835,8 @@ def sg_levels(meas, levels, seeds=None, sublevel=1):
 
 
 class TestIntegrateSeries:
-    """``integrate_series`` against one ``integrate_ips`` call per system,
-    byte for byte."""
+    """``integrate_levels`` on a series of levels against one ``integrate_ips``
+    call per level, byte for byte."""
 
     STEPS = dict(T=0.1, dt=1e-2, output_stride=3)
 
@@ -854,27 +853,36 @@ class TestIntegrateSeries:
         monkeypatch.setattr(dynamics, "integrate_ips", counting)
         return calls
 
+    @staticmethod
+    def integrate(meas, levels, model_builder, init_builder, seeds=None, **steps):
+        """``integrate_levels`` on the graphs of ``sg_levels(meas, levels, seeds)``."""
+        return integrate_levels(meas, builtin_kernels(2)["expdist"], levels, 1,
+                                model_builder, init_builder,
+                                graph_seeds=None if seeds is None else (None, *seeds),
+                                **steps)
+
     def test_levels_match_per_level_runs(self, sg_measure, monkeypatch):
-        systems = sg_levels(sg_measure, range(2, 7))
-        assert isinstance(systems[-1][0].weights, BlockGraph)
+        levels = range(2, 7)
+        systems = dict(zip(levels, sg_levels(sg_measure, levels)))
+        assert isinstance(systems[6][0].weights, BlockGraph)
         model = kuramoto_model(1.3)
-        models = [replace(model, params=omega) for _, omega, _ in systems]
         calls = self.record_calls(monkeypatch)
-        series = integrate_series(models, [c for c, _, _ in systems],
-                                  [init for _, _, init in systems], **self.STEPS)
+        series = self.integrate(sg_measure, levels,
+                                lambda m: replace(model, params=systems[m][1]),
+                                lambda m: systems[m][2], **self.STEPS)
         # levels 2-5 (0.53 MB of graphs) as one union of 360 cells, then
         # level 6's BlockGraph (1.89 MB) alone
         assert calls == [(int, (360, 360)), (int, (729, 729))]
-        for traj, (coupling, omega, init) in zip(series, systems):
+        for traj, (coupling, omega, init) in zip(series, systems.values(), strict=True):
             alone = integrate_ips(kuramoto_model(1.3, omega), coupling, init, **self.STEPS)
             assert (traj.k, traj.level) == (3, coupling.level)
             np.testing.assert_array_equal(traj.times, alone.times)
             np.testing.assert_array_equal(traj.values, alone.values)
 
     def test_stacks_match_each_member_alone(self, sg_measure, monkeypatch):
-        systems = sg_levels(sg_measure, range(2, 6), seeds=(1, 2, 3, 4, 5))
+        levels, seeds = range(2, 6), (1, 2, 3, 4, 5)
+        systems = dict(zip(levels, sg_levels(sg_measure, levels, seeds=seeds)))
         model = kuramoto_model(0.5)
-        models = [replace(model, params=omega) for _, omega, _ in systems]
         calls = self.record_calls(monkeypatch)
         groups, rhs = set(), dynamics._rhs
 
@@ -883,14 +891,15 @@ class TestIntegrateSeries:
             return rhs(model, weights, t, u)
 
         monkeypatch.setattr(dynamics, "_rhs", recording)
-        series = integrate_series(models, [c for c, _, _ in systems],
-                                  [init for _, _, init in systems], **self.STEPS)
+        series = self.integrate(sg_measure, levels,
+                                lambda m: replace(model, params=systems[m][1]),
+                                lambda m: systems[m][2], seeds, **self.STEPS)
         # levels 2-4 as one union of 6 members; level 5's stack (2.83 MB)
         # alone, in two groups of 3 members
         assert calls == [(int, (6, 117, 117)), (int, (6, 243, 243))]
         assert groups == {("BlockDiagonal", 6), ("ndarray", 3)}
         monkeypatch.undo()
-        for trajs, (coupling, omega, init) in zip(series, systems):
+        for trajs, (coupling, omega, init) in zip(series, systems.values(), strict=True):
             assert len(trajs) == 6
             for e, traj in enumerate(trajs):
                 member = CouplingGraph(3, coupling.level, coupling.weights[e:e + 1])
@@ -900,7 +909,7 @@ class TestIntegrateSeries:
 
     @pytest.mark.parametrize("name", ["kuramoto_inertia", "consensus", "one params row"])
     def test_models_in_a_union_match_per_system_runs(self, sg_measure, monkeypatch, name):
-        # one model, built once, with each system's params
+        # one model, built once, with each level's params
         model = {
             "kuramoto_inertia": kuramoto_inertia_model(0.8, 0.5),
             "consensus": consensus_model(2.5),
@@ -909,23 +918,23 @@ class TestIntegrateSeries:
         level_model = {
             "kuramoto_inertia": lambda omega: replace(model, params=omega),
             "consensus": lambda omega: model,
-            # one row per system, each its own value
+            # one row per level, each its own value
             "one params row": lambda omega: replace(model, params=omega[0]),
         }[name]
         rng = np.random.Generator(np.random.Philox(5))
-        couplings = [c for c, _, _ in sg_levels(sg_measure, (2, 3))]
-        omegas = [rng.uniform(-1.0, 1.0, 3**c.level) for c in couplings]
+        couplings = {c.level: c for c, _, _ in sg_levels(sg_measure, (2, 3))}
+        omegas = {m: rng.uniform(-1.0, 1.0, 3**m) for m in couplings}
         # two members, each with its own initial field
-        inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, (3**c.level,
-                                                                         model.state_dim)))
-                  for _ in range(2)] for c in couplings]
+        inits = {m: [PiecewiseConstantField(3, m, rng.uniform(0.0, 1.0, (3**m,
+                                                                        model.state_dim)))
+                     for _ in range(2)] for m in couplings}
         calls = self.record_calls(monkeypatch)
-        series = integrate_series([level_model(omega) for omega in omegas], couplings, inits,
-                                  **self.STEPS)
+        series = self.integrate(sg_measure, (2, 3), lambda m: level_model(omegas[m]),
+                                inits.get, **self.STEPS)
         assert calls == [(int, (36, 36))]  # levels 2 and 3 as one union
         monkeypatch.undo()
-        for trajs, coupling, omega, init in zip(series, couplings, omegas, inits):
-            alone = integrate_ips(level_model(omega), coupling, init, **self.STEPS)
+        for trajs, m in zip(series, couplings, strict=True):
+            alone = integrate_ips(level_model(omegas[m]), couplings[m], inits[m], **self.STEPS)
             for a, b in zip(trajs, alone, strict=True):
                 np.testing.assert_array_equal(a.values, b.values)
 
@@ -933,20 +942,46 @@ class TestIntegrateSeries:
                                                                 monkeypatch):
         # level 4's dense graph (52 KB) and level 6's BlockGraph (1.89 MB) fit
         # DENSE_GRAPH_BYTES together
-        systems = sg_levels(sg_measure, (4, 6))
-        assert isinstance(systems[1][0].weights, BlockGraph)
+        systems = {c.level: (c, omega) for c, omega, _ in sg_levels(sg_measure, (4, 6))}
+        assert isinstance(systems[6][0].weights, BlockGraph)
         rng = np.random.Generator(np.random.Philox(11))
         model = kuramoto_model(1.1)
-        models = [replace(model, params=omega) for _, omega, _ in systems]
-        inits = [[PiecewiseConstantField(3, c.level, rng.uniform(0.0, 1.0, 3**c.level))
-                  for _ in range(2)] for c, _, _ in systems]
+        inits = {m: [PiecewiseConstantField(3, m, rng.uniform(0.0, 1.0, 3**m))
+                     for _ in range(2)] for m in systems}
         calls = self.record_calls(monkeypatch)
-        series = integrate_series(models, [c for c, _, _ in systems], inits, **self.STEPS)
+        series = self.integrate(sg_measure, (4, 6),
+                                lambda m: replace(model, params=systems[m][1]),
+                                inits.get, **self.STEPS)
         assert calls == [(int, (810, 810))]
         monkeypatch.undo()
-        for trajs, (coupling, omega, _), init in zip(series, systems, inits, strict=True):
-            alone = integrate_ips(replace(model, params=omega), coupling, init, **self.STEPS)
+        for trajs, (m, (coupling, omega)) in zip(series, systems.items(), strict=True):
+            alone = integrate_ips(replace(model, params=omega), coupling, inits[m],
+                                  **self.STEPS)
             for a, b in zip(trajs, alone, strict=True):
+                assert (a.k, a.level) == (3, m)
+                assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("seeds, union", [(None, (117, 117)), ((1, 2), (3, 117, 117))],
+                             ids=["shared", "stacks"])
+    def test_pairwise_coupling_in_a_union_matches_each_level_alone(self, sg_measure,
+                                                                   monkeypatch, seeds,
+                                                                   union):
+        # a coupling_term that reads G as a dense array sums each block of
+        # the union on its own cells
+        model = ModelSpec("pairwise", 1, lambda t, u, p: p,
+                          pairwise_coupling(lambda u, v: np.sin(v - u), 1.0))
+        levels = (2, 3, 4)
+        systems = dict(zip(levels, sg_levels(sg_measure, levels, seeds=seeds)))
+        calls = self.record_calls(monkeypatch)
+        series = self.integrate(sg_measure, levels,
+                                lambda m: replace(model, params=systems[m][1]),
+                                lambda m: systems[m][2], seeds, **self.STEPS)
+        assert calls == [(int, union)]  # levels 2-4 as one union
+        monkeypatch.undo()
+        for trajs, (coupling, omega, init) in zip(series, systems.values(), strict=True):
+            alone = integrate_ips(replace(model, params=omega), coupling, init, **self.STEPS)
+            for a, b in zip(*(([t] if seeds is None else t) for t in (trajs, alone)),
+                            strict=True):
                 assert (a.k, a.level) == (3, coupling.level)
                 assert a.values.tobytes() == b.values.tobytes()
 
@@ -1013,7 +1048,8 @@ class TestIntegrateSeries:
                  for c, model in zip(couplings, models)]
         steps = dict(T=1.0, dt=1e-2, output_stride=10)
         calls = self.record_calls(monkeypatch)
-        series = integrate_series(models, couplings, inits, **steps)
+        series = self.integrate(sg_measure, (2, 3), lambda m: models[m - 2],
+                                lambda m: inits[m - 2], **steps)
         assert calls == [(int, (9, 9)), (int, (27, 27))]
         monkeypatch.undo()
         for traj, model, coupling, init in zip(series, models, couplings, inits, strict=True):

@@ -9,7 +9,7 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are sixteen small ones written here (three models,
+thread. The configs are seventeen small ones written here (three models,
 each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
 graph; the symmetric Bernoulli one again at level 5 alone with five seeds,
 whose stack of graphs is integrated in groups of members; the deterministic
@@ -18,7 +18,8 @@ level 4's dense graph and level 6's ``BlockGraph`` as one union; a Cantor
 set with a non-uniform measure; an inline IFS with unequal ratios under its
 natural measure, whose weights come from the similarity dimension, at
 sublevel 2 and at sublevel 0; an inline 3-D tetrahedral gasket, whose kernel
-distances sum three axes; and a nan kernel value with an infinite horizon,
+distances sum three axes; the gasket's maps written inline with
+``matrix=``; and a nan kernel value with an infinite horizon,
 which every subcommand refuses) and the ``refine``, ``meanfield`` and ``simulate``
 configs of ``perfbench/workloads.py`` at their default seeds. ``modulus``
 exits 2 on the unequal-ratio IFS, which has no common linear part.
@@ -115,6 +116,16 @@ map3 = ratio=0.5 translation=0.25,0.4330127018922193,0
 map4 = ratio=0.5 translation=0.25,0.14433756729740643,0.408248290463863
 """
 
+# the gasket's maps, each with its linear part given as a matrix
+MATRIX_IFS = """\
+[ifs]
+dimension = 2
+maps = 3
+map1 = ratio=0.5 matrix=0.5,0,0,0.5 translation=0.0,0.0
+map2 = ratio=0.5 matrix=0.5,0,0,0.5 translation=0.25,0.4330127018922193
+map3 = ratio=0.5 matrix=0.5,0,0,0.5 translation=0.5,0.0
+"""
+
 GRAPHS = {
     "deterministic": ("deterministic", "true"),
     "bernoulli": ("bernoulli", "true"),
@@ -145,6 +156,11 @@ def configs() -> dict:
         "sublevel = 2\n", "sublevel = 0\n")
     out["tetra_3d"] = SMALL_CONFIG.replace(
         "[ifs]\npreset = {preset}\n", TETRA_IFS).format(
+        p="natural", kernel="expdist", model="kuramoto", omega="field",
+        kind="deterministic", symmetric="true",
+    )
+    out["inline_matrix"] = SMALL_CONFIG.replace(
+        "[ifs]\npreset = {preset}\n", MATRIX_IFS).format(
         p="natural", kernel="expdist", model="kuramoto", omega="field",
         kind="deterministic", symmetric="true",
     )
