@@ -43,7 +43,8 @@ from .dynamics import (
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
 from .experiments import (
     kuramoto_fields,
-    kuramoto_refinement_errors,
+    phase_state,
+    refinement_errors,
     uniform_phase_sampler,
 )
 from .geometry import (
@@ -61,11 +62,14 @@ from .quadrature import (
 )
 from .symbolic import DEFAULT_ENUMERATION_CAP, ProbabilityVector
 from .transfer import (
-    PiecewiseConstantField,
     kernel_to_graphon,
     martingale_level,
     transfer_to_interval,
 )
+
+# the finest level whose step picture ``transfer`` writes: 3^6 = 729 cells on sg
+TRANSFER_MAX_LEVEL = 6
+
 
 def _test_functions(d: int) -> dict:
     fns = {
@@ -319,6 +323,9 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
     if cfg.function_name == "one" and modulus_fit:
         diags.append(f"{subcommand} mode fits the decay of the modulus, which is "
                      "zero for the constant function 'one'")
+    if subcommand == "transfer" and max(cfg.levels) > TRANSFER_MAX_LEVEL:
+        diags.append(f"transfer mode writes levels up to {TRANSFER_MAX_LEVEL}, "
+                     f"not {max(cfg.levels)}")
     if subcommand == "vlasov" and len(cfg.ell_levels) < 2:
         diags.append("vlasov mode needs at least 2 refinement levels")
     if cfg.model_name not in builtin_models():
@@ -326,8 +333,6 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
     elif subcommand == "vlasov" and cfg.model().state_dim != 1:
         diags.append(f"vlasov mode compares scalar states only, and {cfg.model_name!r} "
                      "has more than one state component")
-    if subcommand == "rate" and cfg.model_name != "kuramoto":
-        diags.append(f"rate mode runs the kuramoto model only, not {cfg.model_name!r}")
     if subcommand in ("rate", "vlasov") and cfg.graph_kind == "bernoulli":
         diags.append(f"{subcommand} mode integrates the deterministic graph only, "
                      "not a bernoulli one")
@@ -467,8 +472,11 @@ def run_project(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 
 def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
+    """The test function's step picture at the top level, which ``validate``
+    keeps at most ``TRANSFER_MAX_LEVEL``, and the kernel's graphon picture at
+    level min(max(levels), 4)."""
     meas = cfg.measure()
-    m = min(max(cfg.levels), 6)
+    m = min(max(cfg.levels), TRANSFER_MAX_LEVEL)
     fld = martingale_level(meas, cfg.test_function(), m, cfg.sublevel)
     step = transfer_to_interval(fld, cfg.p)
     write_csv(out / "transfer_step.csv",
@@ -500,13 +508,8 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     levels = sorted(cfg.levels)
     model = cfg.model()
 
-    def initial(m):
-        # the phases fill the first state component; the others start at 0
-        phases = martingale_level(meas, phase_fn, m, cfg.sublevel).values
-        return PiecewiseConstantField(
-            meas.k, m, np.pad(phases, ((0, 0), (0, model.state_dim - 1)))
-        )
-
+    initial = lambda m: phase_state(martingale_level(meas, phase_fn, m, cfg.sublevel),
+                                    model.state_dim)
     # the kernel, frequencies and phases depend on the level only; the graph
     # seeds share them
     series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel,
@@ -544,19 +547,9 @@ def _write_trajectory(out: Path, stem: str, traj, model, seed,
 
 
 def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
-    meas = cfg.measure()
-    levels, errors, _ = kuramoto_refinement_errors(
-        meas,
-        cfg.kernel(),
-        cfg.levels,
-        coupling_strength=cfg.coupling_strength,
-        T=cfg.T,
-        dt=cfg.dt,
-        seed=cfg.seeds[0],
-        sublevel=cfg.sublevel,
-        output_stride=cfg.output_stride,
-        omega_scale=cfg.omega_scale if cfg.omega_mode == "field" else 0.0,
-    )
+    levels, errors, _ = refinement_errors(
+        cfg.measure(), cfg.kernel(), cfg.levels, cfg.model(), cfg.T, cfg.dt, cfg.seeds[0],
+        cfg.sublevel, cfg.output_stride, cfg.omega_scale if cfg.omega_mode == "field" else 0.0)
     lam = max(m.ratio for m in cfg.ifs.maps)
     fit = rate_fit(errors, lam, levels=levels)
     # fitted envelope C lambda^(alpha m) with C matched to the worst level

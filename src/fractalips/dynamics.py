@@ -556,7 +556,8 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     whose graphs fit ``DENSE_GRAPH_BYTES`` together run as one
     ``integrate_ips`` call, on the params of each: the N cells of their
     disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
-    trajectory keeps its bits.  Any other level runs alone.
+    trajectory keeps its bits.  Any other level runs alone.  A
+    ``NumericalAbortError`` inside a union names the union's levels.
     """
     def graph(m):
         km = project_kernel(meas, kernel, m, sublevel)
@@ -593,7 +594,13 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
             sets = [ensembles[i][0] for i in batch]
             fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
                 [f[e % len(f)].values for f in sets])) for e in range(max(map(len, sets)))]
-        trajs = integrate_ips(model, coupling, fields, T, dt, output_stride)
+        try:
+            trajs = integrate_ips(model, coupling, fields, T, dt, output_stride)
+        except NumericalAbortError as exc:  # name the levels that the union's cells hold
+            if len(batch) == 1:
+                raise
+            raise NumericalAbortError(f"{exc}, the union of levels " + ", ".join(
+                f"{levels[i]} ({starts[i + 1] - starts[i]} cells)" for i in batch)) from exc
         for i in batch:
             c, a, b = couplings[i], starts[i] - lo, starts[i + 1] - lo
             split = [Trajectory(c.k, c.level, t.times, t.values[:, a:b]) for t in trajs]

@@ -14,7 +14,7 @@ import numpy as np
 from .analysis import traj_error
 from .dynamics import integrate_levels, kuramoto_model
 from .quadrature import SelfSimilarMeasure
-from .transfer import coarsen, martingale_level
+from .transfer import PiecewiseConstantField, coarsen, martingale_level
 
 
 def random_trig_field(seed, dimension: int, amplitude: float = 1.0,
@@ -51,40 +51,47 @@ def kuramoto_fields(seed, dimension: int, omega_scale: float = 1.0):
     )
 
 
-def kuramoto_refinement_errors(
-    meas: SelfSimilarMeasure,
-    kernel,
-    levels,
-    coupling_strength: float = 1.0,
-    T: float = 1.0,
-    dt: float = 1e-3,
-    seed: int = 0,
-    sublevel: int = 2,
-    output_stride: int = 10,
-    omega_scale: float = 1.0,
-):
-    """The continuum-limit self-convergence series e_m = ||u^m - u^(m+1)||.
+def phase_state(phases, state_dim: int):
+    """A state field whose first component is ``phases``; the others are 0."""
+    return PiecewiseConstantField(phases.k, phases.level,
+                                  np.pad(phases.values, ((0, 0), (0, state_dim - 1))))
+
+
+def refinement_errors(meas: SelfSimilarMeasure, kernel, levels, model, T: float = 1.0,
+                      dt: float = 1e-3, seed: int = 0, sublevel: int = 2,
+                      output_stride: int = 10, omega_scale: float = 1.0):
+    """The continuum-limit self-convergence series e_m = ||u^m - u^(m+1)|| of ``model``.
 
     Frequencies and initial phases come from seeded random Lipschitz fields
     projected once at the finest level and coarsened to every coarser level,
     so all systems discretize one and the same pair of data functions.  The
-    frequency field has amplitude ``omega_scale``; 0 makes it exactly zero.
+    frequency field, of amplitude ``omega_scale``, becomes the model's params
+    when it has params and the amplitude is not 0.
     """
     levels = sorted(int(m) for m in levels)
     needed = sorted(set(levels) | {m + 1 for m in levels})
     omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
-    omega_fine = martingale_level(meas, omega_fn, needed[-1], sublevel)
+    level_model = lambda m: model
+    if model.params is not None and omega_scale != 0:
+        omega_fine = martingale_level(meas, omega_fn, needed[-1], sublevel)
+        level_model = lambda m: replace(model, params=coarsen(omega_fine, m, meas.p))
     phase_fine = martingale_level(meas, phase_fn, needed[-1], sublevel)
-    model = kuramoto_model(coupling_strength)
     series = integrate_levels(
-        meas, kernel, needed, sublevel,
-        lambda m: replace(model, params=coarsen(omega_fine, m, meas.p)),
-        lambda m: coarsen(phase_fine, m, meas.p), T, dt, output_stride)
+        meas, kernel, needed, sublevel, level_model,
+        lambda m: phase_state(coarsen(phase_fine, m, meas.p), model.state_dim),
+        T, dt, output_stride)
     trajs = dict(zip(needed, series))
-    errors = np.array(
-        [traj_error(trajs[m], trajs[m + 1], meas).max_error for m in levels]
-    )
+    errors = np.array([traj_error(trajs[m], trajs[m + 1], meas).max_error for m in levels])
     return np.array(levels), errors, trajs
+
+
+def kuramoto_refinement_errors(meas: SelfSimilarMeasure, kernel, levels,
+                               coupling_strength: float = 1.0, T: float = 1.0,
+                               dt: float = 1e-3, seed: int = 0, sublevel: int = 2,
+                               output_stride: int = 10, omega_scale: float = 1.0):
+    """``refinement_errors`` of the Kuramoto model of ``coupling_strength``."""
+    return refinement_errors(meas, kernel, levels, kuramoto_model(coupling_strength),
+                             T, dt, seed, sublevel, output_stride, omega_scale)
 
 
 def bernoulli_gap_medians(

@@ -317,14 +317,14 @@ class TestValidate:
         Path(cfgp).write_text(text.replace("omega = feild", "omega = zero"))
         assert validate(parse_config(cfgp)) == []
 
-    def test_rate_runs_the_kuramoto_model_only(self, tmp_path):
+    def test_rate_runs_the_configured_model(self, tmp_path):
         cfgp = write_config(tmp_path)
         text = Path(cfgp).read_text().replace("name = kuramoto", "name = consensus")
         Path(cfgp).write_text(text)
         cfg = parse_config(cfgp)
-        assert any("kuramoto model only" in d for d in validate(cfg, "rate"))
-        assert validate(cfg, "simulate") == []
-        assert main(["rate", "--config", cfgp]) == 2
+        assert validate(cfg, "rate") == []
+        assert validate(cfg) == []
+        assert main(["rate", "--config", cfgp]) == 0
 
     @pytest.mark.parametrize("model, code", [("kuramoto_inertia", 2), ("consensus", 0)])
     def test_vlasov_refuses_non_scalar_models_only(self, tmp_path, model, code):
@@ -373,13 +373,15 @@ class TestValidate:
          "rate mode integrates the deterministic graph only"),
         ("vlasov", "2", ("kind = deterministic", "kind = bernoulli"),
          "vlasov mode integrates the deterministic graph only"),
+        ("transfer", "2,3,7", None, "transfer mode writes levels up to 6, not 7"),
     ])
     def test_run_that_would_fail_exits_two(self, tmp_path, capsys, subcommand,
                                            levels, edit, diagnostic):
         # run past validate, each of these ends in a traceback (exit 1) or
         # computes something else: for levels 2,2,2 it fits a rate to one
-        # level, for modulus.p = inf it fits omega_p = 1 at every level, and
-        # rate and vlasov run the deterministic graph on a Bernoulli config
+        # level, for modulus.p = inf it fits omega_p = 1 at every level,
+        # rate and vlasov run the deterministic graph on a Bernoulli config,
+        # and transfer writes level 6 for level 7
         cfgp = write_config(tmp_path, levels=levels)
         if edit:
             text = Path(cfgp).read_text()
@@ -450,20 +452,20 @@ class TestValidate:
         (("preset = sg", "dimension = 2\nmaps = 2\n"
           "map1 = ratio=0.5 translation=0.0,0.0 angle=0.5\n"
           "map2 = ratio=0.5 translation=0.5,0.0"), ("modulus",)),
-        (("name = kuramoto", "name = consensus"), ("rate",)),
-        (("name = kuramoto", "name = kuramoto_inertia"), ("rate", "vlasov")),
+        (("name = kuramoto", "name = consensus"), ()),
+        (("name = kuramoto", "name = kuramoto_inertia"), ("vlasov",)),
         (("kind = deterministic", "kind = bernoulli"), ("rate", "vlasov")),
     ])
     def test_validate_reports_every_refusal(self, tmp_path, capsys, edit, subcommands):
         # without a subcommand, validate prints each message that a run
-        # refusing the config prints
+        # refusing the config prints, and "config ok" when no run refuses it
         cfgp = write_config(tmp_path)
         text = Path(cfgp).read_text()
         assert text.count(edit[0]) == 1
         Path(cfgp).write_text(text.replace(edit[0], edit[1]))
         assert main(["validate", "--config", cfgp]) == 0
         report = capsys.readouterr().out.splitlines()
-        assert "config ok" not in report
+        assert ("config ok" in report) == (not subcommands)
         for subcommand in subcommands:
             assert main([subcommand, "--config", cfgp]) == 2
             refusals = capsys.readouterr().err.splitlines()
@@ -626,6 +628,16 @@ class TestRunSubcommands:
         assert zero == unscaled
         assert zero != field
 
+    def test_rate_runs_a_model_with_two_state_components(self, tmp_path):
+        cfgp = write_config(tmp_path)
+        text = Path(cfgp).read_text()
+        Path(cfgp).write_text(text.replace("name = kuramoto", "name = kuramoto_inertia"))
+        assert main(["rate", "--config", cfgp]) == 0
+        lines = (tmp_path / "out" / "rate.csv").read_text().splitlines()
+        assert lines[0] == "level,error,bound,fitted_alpha"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 3, 4]
+        assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+
     def test_simulate_trajectory_schema_and_sidecar(self, tmp_path):
         cfgp = write_config(tmp_path, levels="2")
         assert main(["simulate", "--config", cfgp]) == 0
@@ -739,6 +751,19 @@ class TestRunSubcommands:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["simulate", "--config", cfgp]) == 4
         assert capsys.readouterr().err.startswith("error: non-finite state after step")
+
+    def test_numerical_abort_in_a_union_names_its_levels(self, tmp_path, capsys):
+        # levels 2-4 run as one union of 9 + 27 + 81 cells, which the strong
+        # coupling drives out of the finite range
+        cfgp = write_config(tmp_path, model_extra="")
+        text = Path(cfgp).read_text().replace("T = 0.1", "T = 1.0")
+        Path(cfgp).write_text(text.replace("name = kuramoto", "name = consensus").replace(
+            "coupling_strength = 1.0", "coupling_strength = 1e6"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", "--config", cfgp]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite state after step")
+        assert "of 117 cells), the union of levels 2 (9 cells), 3 (27 cells), 4 (81 cells)" in err
 
     def test_output_path_is_a_file_exit_five(self, tmp_path, capsys):
         cfgp = write_config(tmp_path)

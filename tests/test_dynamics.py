@@ -38,13 +38,14 @@ from fractalips import (
     sample_bernoulli,
     stack_graphs,
 )
-from fractalips import analysis, cli, dynamics
+from fractalips import analysis, cli, dynamics, experiments
 from fractalips.analysis import traj_error, vlasov_self_convergence
 from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, step_count
 from fractalips.experiments import (
     bernoulli_gap_medians,
     kuramoto_fields,
     kuramoto_refinement_errors,
+    refinement_errors,
     uniform_phase_sampler,
 )
 from fractalips.geometry import default_anchor
@@ -1004,6 +1005,35 @@ class TestIntegrateSeries:
             np.testing.assert_array_equal(trajs[m].values, alone[m].values)
         np.testing.assert_array_equal(
             errors, [traj_error(alone[m], alone[m + 1], sg_measure).max_error for m in levels])
+
+    def test_refinement_errors_of_the_kuramoto_model_are_kuramotos(self, sg_measure):
+        kern = builtin_kernels(2)["expdist"]
+        steps = dict(T=0.1, dt=1e-2, seed=4, output_stride=3)
+        levels, errors, trajs = refinement_errors(
+            sg_measure, kern, [2, 3], kuramoto_model(1.3), **steps)
+        k_levels, k_errors, k_trajs = kuramoto_refinement_errors(
+            sg_measure, kern, [2, 3], coupling_strength=1.3, **steps)
+        assert levels.tobytes() == k_levels.tobytes()
+        assert errors.tobytes() == k_errors.tobytes()
+        assert trajs.keys() == k_trajs.keys() == {2, 3, 4}
+        for m in trajs:
+            assert trajs[m].values.tobytes() == k_trajs[m].values.tobytes()
+
+    @pytest.mark.parametrize("model, omega_scale, projections", [
+        (kuramoto_model(1.0), 1.0, 2),
+        (kuramoto_model(1.0), 0.0, 1),
+        (consensus_model(1.0), 1.0, 1),  # no params to hold the frequencies
+    ])
+    def test_refinement_errors_project_the_frequencies_only_where_used(
+            self, sg_measure, monkeypatch, model, omega_scale, projections):
+        calls, original = [], experiments.martingale_level
+        monkeypatch.setattr(experiments, "martingale_level",
+                            lambda *args: calls.append(args[2]) or original(*args))
+        _, errors, _ = refinement_errors(
+            sg_measure, builtin_kernels(2)["expdist"], [2, 3], model, T=0.1, dt=1e-2,
+            output_stride=5, omega_scale=omega_scale)
+        assert calls == [4] * projections  # the finest level only
+        assert np.all(errors > 0)
 
     def test_gap_medians_equal_the_per_level_loop(self, sg_measure, monkeypatch):
         kern = builtin_kernels(2)["expdist"]
