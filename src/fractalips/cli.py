@@ -495,8 +495,8 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 
 def _level_models(cfg: ExperimentConfig, meas, omega_fn, model):
-    """``model`` at level m: with the omega field projected there, if it has params."""
-    if model.params is None or cfg.omega_mode != "field":
+    """``model`` at level m: with a nonzero omega field projected there, if it has params."""
+    if model.params is None or cfg.omega_mode != "field" or cfg.omega_scale == 0:
         return lambda m: model
     return lambda m: replace(model, params=martingale_level(meas, omega_fn, m, cfg.sublevel))
 

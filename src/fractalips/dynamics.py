@@ -73,13 +73,18 @@ class BlockGraph:
     Blocks are cut by the first symbol of the cell words.  ``diagonal`` is
     the shared diagonal block, ``upper`` maps (i, j), i < j, to block (i, j),
     whose transpose is block (j, i), and ``masses`` holds the nu(K_v): k(k -
-    1)/2 + 1 of the k^2 blocks are stored.  ``np.asarray`` gives the dense G.
+    1)/2 + 1 of the k^2 blocks are stored, which ``from_blocks`` takes from a
+    function of (i, j), i <= j.  ``np.asarray`` gives the dense G.
     """
 
     diagonal: np.ndarray
     upper: dict
     masses: np.ndarray
     ndim = 2
+
+    @classmethod
+    def from_blocks(cls, block: Callable, k: int, masses: np.ndarray) -> "BlockGraph":
+        return cls(block(0, 0), {ij: block(*ij) for ij in combinations(range(k), 2)}, masses)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,7 +101,7 @@ class BlockGraph:
             W[i, :, i] = self.diagonal
         for (i, j), C in self.upper.items():
             W[i, :, j], W[j, :, i] = C, C.T
-        return np.multiply(W.reshape(self.shape), self.masses, dtype=dtype)
+        return np.multiply(W.reshape(self.shape), self.masses, out=W.reshape(self.shape))
 
 
 @dataclass(frozen=True)
@@ -186,20 +191,24 @@ def project_kernel(
     ``translation_invariant = True`` (W(x, y) = w(x - y), w even) and the
     maps share a linear part, level-m cells are translates of each other and
     W_wv depends only on the displacement +-delta between K_w and K_v: each
-    class is evaluated once, on one representative pair, and copied to its
-    other pairs, so W is exactly symmetric (ValueError if w is not even).
-    Otherwise every pair is its own class.  Each row w is one block: K_w's
-    nodes against the nodes of the cells of the classes w holds.
+    class is evaluated once, on its first pair, and W is filled from the
+    blocks of a ``BlockGraph``, so it is exactly symmetric (ValueError if w
+    is not even).  Otherwise every pair is its own class.  Each row's pairs
+    are one batch: K_w's nodes against the nodes of the cells of its classes.
     """
+    return KernelMatrix(meas.k, m, np.asarray(_projection(meas, kernel, m, sublevel)))
+
+
+def _projection(meas: SelfSimilarMeasure, kernel, m: int, sublevel: int):
+    """``project_kernel``'s W: grouped, as a ``BlockGraph`` of unit masses."""
     k = meas.k
     n_cells = check_level_size(k, m)
     n_sub = k**sublevel
-    n_fine = n_cells * n_sub
     invariant = getattr(kernel, "translation_invariant", False)
-    grouped = invariant and has_common_linear_part(meas.ifs)
+    grouped = invariant and m > 0 and has_common_linear_part(meas.ifs)  # level 0: no blocks
     # the budget charges the evaluations made: grouping compares all
     # n_cells^2 anchor pairs, then evaluates n_sub^2 pairs per class
-    check_eval_budget(n_cells * n_cells if grouped else n_fine * n_fine)
+    check_eval_budget(n_cells**2 if grouped else (n_cells * n_sub) ** 2)
     pts = attractor_points(meas.ifs, m + sublevel)
     # sub-cylinder masses relative to the largest one, normalized once at
     # the end: uniform p gives weights of exactly 1, so a constant kernel
@@ -211,7 +220,7 @@ def project_kernel(
 
     if grouped:
         # x_w = f_w(anchor) = A^m anchor + t_w, so x_w - x_v = t_w - t_v
-        first, inverse = _displacement_classes(pts[::n_sub])
+        first, number = _class_table(pts[::n_sub], n_cells // k)
         check_eval_budget((len(first) + 1) * n_sub * n_sub)  # + 1: evenness check
         rows, cols = np.divmod(first, n_cells)
         # first is ascending, so each row's representatives are contiguous
@@ -219,7 +228,6 @@ def project_kernel(
         blocks = ((rows[lo], cols[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
     else:
         # no translation structure: every pair is its own class
-        inverse = slice(None)
         blocks = ((w, slice(None)) for w in range(n_cells))
     values = np.concatenate([_block_sums(kernel, cells, q, [w], c)[0] for w, c in blocks])
     if grouped:
@@ -231,10 +239,12 @@ def project_kernel(
         pair = values[n_cells - 1], values[-n_cells]
     if invariant and abs(pair[1] - pair[0]) > 1e-12 * abs(pair[0]):
         raise ValueError("a translation_invariant kernel must be even: W(x, y) = W(y, x)")
-    entries = values[inverse].reshape(n_cells, n_cells)
-    del inverse  # at most two n^2 arrays at once: divide in place
-    entries /= q.sum() ** 2
-    return KernelMatrix(k, m, entries)
+    values /= q.sum() ** 2
+    if not grouped:
+        return values.reshape(n_cells, n_cells)
+    if not np.all(np.isfinite(values)):  # as KernelMatrix checks W
+        raise ValueError("kernel entries must be finite")
+    return BlockGraph.from_blocks(lambda *ij: values[number(*ij)], k, np.ones(n_cells))
 
 
 def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
@@ -250,12 +260,16 @@ def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
     return np.einsum("aubv,u,v->ab", block, q, q)
 
 
-def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _class_table(t: np.ndarray, b: int):
     """Group the ordered pairs (w, v) of the points t by +-(t_w - t_v), so
-    that (w, v) and (v, w) share a class.
+    that (w, v) and (v, w) share a class, b x b pairs at a time.
 
     Returns, in ascending order, the flat index w * n + v of the first pair
-    of each class, and for every pair the number of its class.
+    of each class, and ``number(i, j)``, the classes of block (i, j), i <=
+    j.  Only block (0, 0) and the blocks i < j are keyed: the diagonal blocks
+    repeat (0, 0), as t_w = f_w(anchor) under one linear part.  An axis ranks
+    the displacements of its distinct coordinates, if at most b, else those
+    of the keyed blocks.
     Displacements are rounded to a grid of 2^-40 times the largest one: far
     above the rounding of the coordinates, and below the gap between
     distinct displacements of the lattice presets at every level the
@@ -264,33 +278,44 @@ def _displacement_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their entries then differ by at most the kernel's Lipschitz constant
     times the step.
     """
-    n = len(t)
-    axes = [np.unique(c, return_inverse=True) for c in t.T]
-    scale = max(float(vals[-1] - vals[0]) for vals, _ in axes) or 1.0
-    key, span = None, 1
-    for vals, idx in axes:
-        # ranks of the displacements of distinct coordinates; rint is odd, so
-        # -d ranks (levels - 1) - rank(d) and -delta keys (span - 1) - key
-        grid = np.rint(np.subtract.outer(vals, vals) * (2.0**40 / scale))
-        levels, rank = np.unique(grid, return_inverse=True)
-        rank = rank.reshape(grid.shape)[idx[:, None], idx].ravel()
-        if key is None:
-            key = rank
-        else:  # in place, so that at most two n^2 arrays are held
-            key *= len(levels)
-            key += rank
-        del rank
+    n, step = len(t), 2.0**40 / (float(np.ptp(t, axis=0).max()) or 1.0)
+    keyed = [(0, 0), *combinations(range(n // b), 2)]
+
+    def ranked(f, count):  # f on all pairs: on the keyed ones, and mirrored, count - 1 - f
+        seen = np.unique(np.concatenate([np.unique(f(i, j)) for i, j in keyed]))
+        return np.union1d(seen, count - 1 - seen)
+
+    def keys(i, j, fold=True):  # rint is odd, so -delta keys (span - 1) - key
+        key = np.zeros((b, b), dtype=np.int64)
+        for rank, count, levels in stages:
+            key *= count
+            key += rank(i, j)
+            key = key if levels is None else levels.searchsorted(key)
+        return np.minimum(key, span - 1 - key, out=key) if fold else key
+
+    stages, span = [], 1  # per axis: its ranks, their count, the levels of the keys
+    for x in t.T:
+        vals, idx = np.unique(x, return_inverse=True)
+        if len(vals) <= b:
+            levels, r = np.unique(np.rint((vals[:, None] - vals) * step), return_inverse=True)
+            r, c = r.reshape(len(vals), -1), idx.reshape(-1, b)
+            rank = lambda i, j, r=r, c=c: r[c[i, :, None], c[j]]
+        else:
+            grid = lambda i, j, x=x.reshape(-1, b): np.rint((x[i, :, None] - x[j]) * step)
+            levels = ranked(grid, 1)  # mirrored to -d
+            rank = lambda i, j, g=grid, lv=levels: lv.searchsorted(g(i, j))
+        stages.append([rank, len(levels), None])
         span *= len(levels)
-        if span > n * n:  # ranking the keys keeps that symmetry
-            levels, key = np.unique(key, return_inverse=True)
+        if span > n * n:  # ranking the keys, mirrored, keeps that symmetry
+            stages[-1][2] = levels = ranked(lambda i, j: keys(i, j, fold=False), span)
             span = len(levels)
-    np.minimum(key, span - 1 - key, out=key)
+
+    within = np.arange(b)[:, None] * n + np.arange(b)  # flat offsets inside a block
     first = np.full(span, n * n)
-    np.minimum.at(first, key, np.arange(n * n))
-    first = np.sort(first[first < n * n])
-    number = np.empty(span, dtype=np.int64)
-    number[key[first]] = np.arange(len(first))
-    return first, number[key]
+    for i, j in keyed:
+        np.minimum.at(first, keys(i, j), within + (i * n + j) * b)
+    number = np.argsort(np.argsort(first))  # keys in the order of their first pairs
+    return np.sort(first)[:np.count_nonzero(first < n * n)], lambda i, j: number[keys(i, j)]
 
 
 def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> CouplingGraph:
@@ -299,7 +324,7 @@ def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> Coupli
     The diagonal is kept; the coupling sum runs over all level-m words.  A
     graph over ``DENSE_GRAPH_BYTES`` whose W is exactly symmetric with k
     exactly equal diagonal blocks, as grouped projection makes it, is kept
-    as a ``BlockGraph``.
+    as the ``BlockGraph`` that ``integrate_levels`` builds without W.
     """
     W, k = km.entries, km.k
     masses = meas.weights(km.level)
@@ -307,8 +332,7 @@ def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> Coupli
         blocks = W.reshape(k, len(W) // k, k, len(W) // k)
         same = all(np.array_equal(blocks[i, :, i], blocks[0, :, 0]) for i in range(1, k))
         if same and np.array_equal(W, W.T):
-            upper = {(i, j): blocks[i, :, j].copy() for i, j in combinations(range(k), 2)}
-            graph = BlockGraph(blocks[0, :, 0].copy(), upper, masses)
+            graph = BlockGraph.from_blocks(lambda i, j: blocks[i, :, j].copy(), k, masses)
             return CouplingGraph(k, km.level, graph)
     # Fortran order is the layout CouplingGraph keeps for one graph: no copy
     return CouplingGraph(k, km.level, np.multiply(W, masses[None, :], order="F"))
@@ -546,7 +570,8 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     """What ``integrate_ips`` returns for the level-m Galerkin system of each
     m in ``levels``, in order: model_builder(m), the graph of the kernel
     projected at level m and init_builder(m).  The graph is
-    ``assemble_deterministic``'s when ``graph_seeds`` is None, else
+    ``assemble_deterministic``'s when ``graph_seeds`` is None (its
+    ``BlockGraph`` built from the class table, without W), else
     ``stack_graphs(km, meas, graph_seeds, symmetric)``.  The levels are
     projected finest first, so a level the budget refuses fails before any
     work, and no kernel matrix outlives its graph.
@@ -560,6 +585,11 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     ``NumericalAbortError`` inside a union names the union's levels.
     """
     def graph(m):
+        if graph_seeds is None and 8 * meas.k**(2 * m) > DENSE_GRAPH_BYTES:
+            W = _projection(meas, kernel, m, sublevel)  # grouped: its blocks, never W
+            if isinstance(W, BlockGraph):
+                return CouplingGraph(meas.k, m, replace(W, masses=meas.weights(m)))
+            return assemble_deterministic(KernelMatrix(meas.k, m, W), meas)
         km = project_kernel(meas, kernel, m, sublevel)
         if graph_seeds is None:
             return assemble_deterministic(km, meas)

@@ -698,6 +698,22 @@ class TestRunSubcommands:
                 np.testing.assert_array_equal(
                     at_m.params, martingale_level(cfg.measure(), omega_fn, m, 2).values)
 
+    def test_zero_frequency_field_is_not_projected(self, tmp_path, monkeypatch):
+        # simulate on sg levels 2 and 3 projects the initial phases at each
+        # level, and the frequencies only when their amplitude is not 0
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return martingale_level(*args, **kwargs)
+
+        monkeypatch.setattr(fractalips.cli, "martingale_level", counting)
+        for scale, levels in (("1.0", [2, 3, 2, 3]), ("0", [2, 3])):
+            calls.clear()
+            cfgp = write_config(tmp_path, levels="2,3", model_extra=f"omega_scale = {scale}")
+            assert main(["simulate", "--config", cfgp]) == 0
+            assert sorted(calls) == sorted(levels)
+
     def test_vlasov_outputs(self, tmp_path):
         cfgp = write_config(tmp_path)
         assert main(["vlasov", "--config", cfgp]) == 0

@@ -349,6 +349,24 @@ class TestAssemble:
                                       expected[None])
 
 
+def table_graph(meas, kernel, m, sublevel):
+    """The deterministic graph that ``integrate_levels`` integrates for
+    level m alone: for a grouped level over DENSE_GRAPH_BYTES, the
+    BlockGraph it builds from the class table, without W."""
+    graphs, original = [], dynamics.integrate_ips
+
+    def recording(model, coupling, *args):
+        graphs.append(coupling.weights)
+        return original(model, coupling, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "integrate_ips", recording)
+        integrate_levels(meas, kernel, [m], sublevel, lambda m: kuramoto_model(1.0),
+                         lambda m: PiecewiseConstantField(meas.k, m, np.zeros(meas.k**m)),
+                         T=0.0, dt=1.0, output_stride=1)
+    return graphs[0]
+
+
 # level-m graphs over DENSE_GRAPH_BYTES: k = 3 and 2, uniform and skewed p
 BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), ("cantor", 10))
                for uniform in (True, False)]
@@ -356,27 +374,71 @@ BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), 
 
 @pytest.fixture(scope="module", params=BLOCK_CASES, ids=lambda c: f"{c[0]}-m{c[1]}-{c[2]}")
 def block_case(request):
-    """(measure, grouped kernel projection, dense graph) of one block case."""
+    """(measure, grouped kernel projection, dense graph, table-built graph)
+    of one block case."""
     name, m, uniform = request.param
     ifs = preset(name)
     meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform else skewed_p(ifs.k))
-    km = project_kernel(meas, builtin_kernels(ifs.dimension)["expdist"], m, 1)
-    return meas, km, km.entries * meas.weights(m)[None, :]
+    kernel = builtin_kernels(ifs.dimension)["expdist"]
+    km = project_kernel(meas, kernel, m, 1)
+    return meas, km, km.entries * meas.weights(m)[None, :], table_graph(meas, kernel, m, 1)
 
 
 class TestBlockGraph:
     @pytest.mark.parametrize("rows", [2, 4, 20])
     def test_product_matches_dense(self, block_case, rows):
-        meas, km, dense = block_case
+        meas, km, dense, table = block_case
         graph = assemble_deterministic(km, meas).weights
-        assert isinstance(graph, BlockGraph)
-        assert graph.shape == dense.shape and graph.ndim == 2
-        np.testing.assert_array_equal(np.asarray(graph), dense)
         rng = np.random.Generator(np.random.Philox(rows))
         x = rng.uniform(0.0, 1.0, (2, rows, len(dense)))
-        np.testing.assert_allclose(
-            graph_product(graph, x), graph_product(dense, x), rtol=1e-13, atol=0
-        )
+        for g in (graph, table):
+            assert isinstance(g, BlockGraph)
+            assert g.shape == dense.shape and g.ndim == 2
+            assert np.asarray(g).tobytes() == dense.tobytes()
+            np.testing.assert_allclose(
+                graph_product(g, x), graph_product(dense, x), rtol=1e-13, atol=0
+            )
+        # the table builds assemble_deterministic's blocks, bit for bit
+        assert table.upper.keys() == graph.upper.keys()
+        for a, b in zip((table.diagonal, *table.upper.values()),
+                        (graph.diagonal, *graph.upper.values())):
+            assert a.tobytes() == b.tobytes()
+
+    def test_table_build_holds_no_dense_w(self, sg_measure):
+        # sg at level 6, sublevel 2: W is 729^2 float64 (4.05 MiB), and the
+        # build holds neither W nor an n^2 class index beside the BlockGraph
+        # (1.8 MiB)
+        kernel = builtin_kernels(2)["expdist"]
+        tracemalloc.start()
+        try:
+            graph = table_graph(sg_measure, kernel, 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(graph, BlockGraph)
+        assert peak < 8 * 729**2
+
+    def test_table_build_keeps_the_budget_and_the_refusals(self, sg_measure, monkeypatch):
+        # sg at level 6, sublevel 3: grouping compares 729^2 = 531,441 anchor
+        # pairs, then evaluates 6,049 classes and one evenness check of 27 x 27
+        # node pairs (4,410,450)
+        kernel = builtin_kernels(2)["expdist"]
+        monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "4410450")
+        assert isinstance(table_graph(sg_measure, kernel, 6, 3), BlockGraph)
+        for budget, charge in ((4410449, 4410450), (531440, 531441)):
+            monkeypatch.setenv("FRACTALIPS_MAX_EVALS", str(budget))
+            with pytest.raises(BudgetExceededError, match=f"^{charge} function evaluations"):
+                table_graph(sg_measure, kernel, 6, 3)
+        monkeypatch.delenv("FRACTALIPS_MAX_EVALS")
+
+        def odd(x, y):
+            return (x - y)[..., 0]
+
+        odd.translation_invariant = True
+        with pytest.raises(ValueError, match="must be even"):
+            table_graph(sg_measure, odd, 6, 1)
+        with pytest.raises(ValueError, match="kernel entries must be finite"):
+            table_graph(sg_measure, builtin_kernels(2)["constant"](math.nan), 6, 1)
 
     @pytest.mark.parametrize("name", sorted(builtin_models()))
     def test_integration_matches_dense(self, name):

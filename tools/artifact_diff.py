@@ -9,7 +9,7 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are seventeen small ones written here (three models,
+thread. The configs are nineteen small ones written here (three models,
 each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
 graph; the symmetric Bernoulli one again at level 5 alone with five seeds,
 whose stack of graphs is integrated in groups of members; the deterministic
@@ -19,7 +19,10 @@ set with a non-uniform measure; an inline IFS with unequal ratios under its
 natural measure, whose weights come from the similarity dimension, at
 sublevel 2 and at sublevel 0; an inline 3-D tetrahedral gasket, whose kernel
 distances sum three axes; the gasket's maps written inline with
-``matrix=``; and a nan kernel value with an infinite horizon,
+``matrix=``; ``rate`` reaching level 6, and its ``BlockGraph`` built from
+the displacement classes, on the gasket with a skewed measure and a zero
+frequency amplitude and on ``interval-3``; and a nan kernel value with an
+infinite horizon,
 which every subcommand refuses) and the ``refine``, ``meanfield`` and ``simulate``
 configs of ``perfbench/workloads.py`` at their default seeds. ``modulus``
 exits 2 on the unequal-ratio IFS, which has no common linear part.
@@ -172,6 +175,18 @@ def configs() -> dict:
     # BlockGraph, one union within DENSE_GRAPH_BYTES
     out["vlasov_blockgraph_union"] = out["kuramoto_deterministic"].replace(
         "ell_levels = 1,2\n", "ell_levels = 2,4\n")
+    # skewed p and a frequency field of amplitude 0 on sg: rate reaches level
+    # 6, whose BlockGraph integrate_levels builds from the class table
+    out["sg_skewed_table"] = out["kuramoto_deterministic"].replace(
+        "p = natural\n", "p = 0.5,0.3,0.2\n").replace(
+        "levels = 2,3,4\n", "levels = 2,3,4,5\n").replace(
+        "omega = field\n", "omega = field\nomega_scale = 0\n")
+    # a 1-D lattice, whose displacement classes are keyed by the displacement
+    # itself: rate reaches level 6, a BlockGraph of 729 cells
+    out["interval3_table"] = SMALL_CONFIG.format(
+        preset="interval-3", p="natural", kernel="expdist", model="kuramoto",
+        omega="field", kind="deterministic", symmetric="true",
+    ).replace("levels = 2,3,4\n", "levels = 2,3,4,5\n")
     # non-finite floats, which every subcommand refuses
     out["nonfinite"] = out["kuramoto_deterministic"].replace(
         "name = expdist\n", "name = constant\nvalue = nan\n").replace(
