@@ -351,6 +351,11 @@ def sample_bernoulli(
     entry of 1 + eps is drawn like 1 and one of -eps like 0.  With
     ``symmetric`` the strict upper triangle is sampled and mirrored; the
     diagonal is sampled once.  Deterministic per seed.
+
+    The draws, the edges, the mirror and the mass scaling share one n x n
+    array, which a symmetric draw returns as its transpose, in the Fortran
+    order ``CouplingGraph`` keeps; an asymmetric draw holds a second n x n
+    array, ``CouplingGraph``'s Fortran-order copy.
     """
     P = km.entries
     if P.min() < -1e-12 or P.max() > 1.0 + 1e-12:
@@ -359,13 +364,14 @@ def sample_bernoulli(
             f"got range [{P.min():.3g}, {P.max():.3g}]"
         )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draw = rng.random(P.shape)
-    xi = (draw < P).astype(np.float64)
+    xi = rng.random(P.shape)
+    np.less(xi, P, out=xi)
     if symmetric:
-        upper = np.triu(xi, k=1)
-        xi = upper + upper.T + np.diag(np.diag(xi))
-    masses = meas.weights(km.level)
-    return CouplingGraph(km.k, km.level, np.multiply(xi, masses[None, :], order="F"))
+        for row in range(1, len(xi)):
+            xi[row, :row] = xi[:row, row]
+        xi = xi.T  # the same entries, since xi is symmetric
+    xi *= meas.weights(km.level)
+    return CouplingGraph(km.k, km.level, xi)
 
 
 def stack_graphs(
@@ -376,7 +382,8 @@ def stack_graphs(
     Member i gets the deterministic graph of ``assemble_deterministic`` when
     ``seeds[i]`` is None and the Bernoulli draw of ``sample_bernoulli`` with
     that seed otherwise.  The stack is filled one graph at a time, so no
-    second copy of the member graphs is ever held.
+    second copy of the member graphs is ever held: beside the E n x n stack
+    a Bernoulli member holds only its draw, at most two n x n arrays.
     """
     seeds = tuple(seeds)
     n = km.entries.shape[0]

@@ -523,6 +523,48 @@ class TestSampleBernoulli:
         np.testing.assert_allclose(xi, xi.T, atol=1e-12)
         assert set(np.round(xi.ravel(), 6)) <= {0.0, 1.0}
 
+    @staticmethod
+    def reference(km, meas, seed, symmetric):
+        """The draw by whole-matrix operations: compare, mirror with triu,
+        scale by the masses into a Fortran-order copy."""
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        xi = (rng.random(km.entries.shape) < km.entries).astype(np.float64)
+        if symmetric:
+            upper = np.triu(xi, k=1)
+            xi = upper + upper.T + np.diag(np.diag(xi))
+        return np.multiply(xi, meas.weights(km.level)[None, :], order="F")
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("p", [None, (0.5, 0.3, 0.2)], ids=["uniform", "skewed"])
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_in_place_draw_matches_whole_matrix_reference(self, m, p, symmetric):
+        # level 6 is over DENSE_GRAPH_BYTES
+        ifs = preset("sg")
+        meas = SelfSimilarMeasure(
+            ifs, ProbabilityVector.uniform(3) if p is None else ProbabilityVector(p)
+        )
+        km = project_kernel(meas, builtin_kernels(2)["expdist"], m, 1)
+        for seed in (0, 17):
+            graph = sample_bernoulli(km, meas, seed, symmetric).weights
+            expected = self.reference(km, meas, seed, symmetric)
+            assert graph.flags.f_contiguous and graph.shape == expected.shape
+            assert graph.tobytes(order="A") == expected.tobytes(order="A")
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_draw_holds_at_most_two_dense_arrays(self, sg_measure, symmetric):
+        # sg at level 6: beyond its KernelMatrix (729^2 float64, 4.05 MiB) a
+        # symmetric draw holds the one array it returns, an asymmetric one
+        # also CouplingGraph's Fortran-order copy
+        km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
+        tracemalloc.start()
+        try:
+            graph = sample_bernoulli(km, sg_measure, 3, symmetric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.weights.shape == (729, 729)
+        assert peak <= 2.1 * 8 * 729**2
+
     def test_seed_determinism(self, sg_measure):
         km = KernelMatrix(3, 2, np.full((9, 9), 0.3))
         a = sample_bernoulli(km, sg_measure, 7)

@@ -9,12 +9,14 @@ The parent commit's committed files are exported to a temporary directory
 artifacts (integrate, project, transfer, simulate, rate, vlasov, modulus)
 then runs on every config below, once with the parent's ``src`` and once
 with the working tree's, each in a fresh process with BLAS pinned to one
-thread. The configs are nineteen small ones written here (three models,
+thread. The configs are twenty small ones written here (three models,
 each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
 graph; the symmetric Bernoulli one again at level 5 alone with five seeds,
-whose stack of graphs is integrated in groups of members; the deterministic
-Kuramoto one again with ``ell_levels = 2,4``, whose ``vlasov`` integrates
-level 4's dense graph and level 6's ``BlockGraph`` as one union; a Cantor
+whose stack of graphs is integrated in groups of members; the asymmetric
+Bernoulli one again at level 6 alone with a skewed measure, whose draws are
+over ``DENSE_GRAPH_BYTES``; the deterministic Kuramoto one again with
+``ell_levels = 2,4``, whose ``vlasov`` integrates level 4's dense graph and
+level 6's ``BlockGraph`` as one union; a Cantor
 set with a non-uniform measure; an inline IFS with unequal ratios under its
 natural measure, whose weights come from the similarity dimension, at
 sublevel 2 and at sublevel 0; an inline 3-D tetrahedral gasket, whose kernel
@@ -187,6 +189,12 @@ def configs() -> dict:
         preset="interval-3", p="natural", kernel="expdist", model="kuramoto",
         omega="field", kind="deterministic", symmetric="true",
     ).replace("levels = 2,3,4\n", "levels = 2,3,4,5\n")
+    # asymmetric Bernoulli draws on sg at level 6 under a skewed measure:
+    # each 729 x 729 draw (4.25 MB, over DENSE_GRAPH_BYTES) is copied into
+    # Fortran order, then into the stack of two
+    out["bernoulli_asym_level6"] = out["kuramoto_bernoulli_asym"].replace(
+        "p = natural\n", "p = 0.5,0.3,0.2\n").replace(
+        "levels = 2,3,4\n", "levels = 6\n").replace("T = 0.1\n", "T = 0.05\n")
     # non-finite floats, which every subcommand refuses
     out["nonfinite"] = out["kuramoto_deterministic"].replace(
         "name = expdist\n", "name = constant\nvalue = nan\n").replace(
