@@ -55,11 +55,13 @@ def traj_error(
     if coarse.state_dim != fine.state_dim:
         raise ValueError("state dimensions differ")
     delta = fine.level - coarse.level
-    cvals = np.repeat(coarse.values, coarse.k**delta, axis=1)
-    diff = cvals - fine.values
-    masses = meas.weights(fine.level)
-    sq = np.sum(diff * diff, axis=2)  # (T, n_fine)
-    errs = np.sqrt(np.maximum(pairwise_sum(masses[None, :] * sq, axis=1), 0.0))
+    # one temporary of the fine trajectory's size: the differences are
+    # squared in place
+    diff = np.repeat(coarse.values, coarse.k**delta, axis=1)
+    np.subtract(diff, fine.values, out=diff)
+    sq = np.sum(np.multiply(diff, diff, out=diff), axis=2)  # (T, n_fine)
+    sq *= meas.weights(fine.level)
+    errs = np.sqrt(np.maximum(pairwise_sum(sq, axis=1), 0.0))
     return TrajectoryError(coarse.times, errs, float(errs.max()))
 
 

@@ -25,10 +25,16 @@ from .quadrature import SelfSimilarMeasure
 from .symbolic import check_eval_budget, check_level_size, level_weights
 from .transfer import KernelMatrix, PiecewiseConstantField
 
-# the per-core L2 budget, both for the largest graph kept dense and for the
-# graph bytes one RK4 loop reads: on sg at level 6 the dense graph (4.25 MB)
-# overflows a 2 MiB L2 cache, and a BlockGraph (1.9 MB) fits
+# the per-core L2 budget for the largest graph kept dense: on sg at level 6
+# the dense graph (4.25 MB) overflows a 2 MiB L2 cache
 DENSE_GRAPH_BYTES = 2 << 20
+# the graph bytes of a union of levels that runs as one RK4 loop: four
+# fifths of that budget (1.68 MB), so that the rest of the loop's data stays
+# in the cache beside them.  Measured on the benchmark (10 pairs each):
+# levels 2-5 of sg (0.53 MB) and level 6's factored BlockGraph (1.34 MB)
+# ran 7 % slower as one loop than as two, while the simulate workload's
+# union of Bernoulli stacks (1.57 MB) ran slower as two loops.
+LOOP_GRAPH_BYTES = DENSE_GRAPH_BYTES * 4 // 5
 
 
 @dataclass
@@ -74,7 +80,10 @@ class BlockGraph:
     the shared diagonal block, ``upper`` maps (i, j), i < j, to block (i, j),
     whose transpose is block (j, i), and ``masses`` holds the nu(K_v): k(k -
     1)/2 + 1 of the k^2 blocks are stored, which ``from_blocks`` takes from a
-    function of (i, j), i <= j.  ``np.asarray`` gives the dense G.
+    function of (i, j), i <= j.  An upper block is either the block itself or,
+    in the graph a ``CouplingGraph`` keeps, its low-rank factors (U, V) with
+    U V within ``GRAPH_TOL`` of it (see ``_compressed``).  ``np.asarray``
+    gives the dense G, which is W's exactly only when every block is stored.
     """
 
     diagonal: np.ndarray
@@ -91,8 +100,10 @@ class BlockGraph:
         return (len(self.masses),) * 2
 
     @property
-    def nbytes(self) -> int:  # the blocks a product reads
-        return (1 + len(self.upper)) * self.diagonal.nbytes
+    def nbytes(self) -> int:  # the blocks and factors a product reads
+        return self.diagonal.nbytes + sum(
+            sum(f.nbytes for f in C) if isinstance(C, tuple) else C.nbytes
+            for C in self.upper.values())
 
     def __array__(self, dtype=None, copy=None):
         b = len(self.diagonal)
@@ -100,8 +111,113 @@ class BlockGraph:
         for i in range(len(W)):
             W[i, :, i] = self.diagonal
         for (i, j), C in self.upper.items():
-            W[i, :, j], W[j, :, i] = C, C.T
+            W[i, :, j] = C[0] @ C[1] if isinstance(C, tuple) else C
+            W[j, :, i] = W[i, :, j].T
         return np.multiply(W.reshape(self.shape), self.masses, out=W.reshape(self.shape))
+
+
+# a CouplingGraph stores an upper block of a BlockGraph as factors U V that
+# keep the graph within GRAPH_TOL of its blocks in the row-sum norm,
+# ||G~ - G||_inf <= GRAPH_TOL ||G||_inf, so every product G~ x is within
+# GRAPH_TOL ||G||_inf ||x||_inf of G x; ACA_TOL is the Frobenius-estimate
+# stop of the cross approximation that builds them
+GRAPH_TOL = 1e-12
+ACA_TOL = 3e-14
+
+
+def _compressed(G: BlockGraph) -> BlockGraph:
+    """G with each upper block that adaptive cross approximation compresses
+    stored as its factors (U, V), the others as they are.
+
+    The tolerance of a block is its share of GRAPH_TOL ||G||_inf: each
+    block-row meets k - 1 upper blocks or their transposes, so a block is
+    factored only if U V changes no row sum of |G - G~| of either block-row
+    by more than GRAPH_TOL ||G||_inf / (k - 1), checked exactly against the
+    block.  A graph that holds factors already is returned as it is.
+    """
+    b, k = len(G.diagonal), len(G.masses) // len(G.diagonal)
+    if k < 2 or any(isinstance(C, tuple) for C in G.upper.values()):
+        return G
+    nu = G.masses.reshape(k, b)
+    # the row sums of |G|, block-row by block-row: D's, then each upper
+    # block's and its transpose's
+    sums = _abs_sums(lambda lo, hi: G.diagonal[lo:hi], b, nu[0], nu.T)[0].T  # (k, b)
+    for (i, j), C in G.upper.items():
+        rows, cols = _abs_sums(lambda lo, hi: C[lo:hi], b, nu[i], nu[j])
+        sums[i] += rows
+        sums[j] += cols
+    bound = GRAPH_TOL * sums.max() / (k - 1)
+    return replace(G, upper={(i, j): _low_rank(C, nu[i], nu[j], bound)
+                             for (i, j), C in G.upper.items()})
+
+
+def _low_rank(C: np.ndarray, left: np.ndarray, right: np.ndarray, bound: float):
+    """Factors (U, V) of C, U V within ``bound`` of C in the weighted row sums
+    of ``_abs_sums(C - U V, left, right)``, or C itself when that takes a
+    rank above a third of its smaller side (the factors would hold more than
+    two thirds of its bytes).
+
+    Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
+    86, 2000): each term is a residual row of C scaled by its largest entry
+    and the residual column through that entry, and the next row is the free
+    one where that column is largest.  It stops when a term's Frobenius norm
+    falls below ACA_TOL times the running estimate of ||U V||_F; that last,
+    negligible term is dropped, and the factors are kept only if they pass
+    the exact check.
+    """
+    p, q = C.shape
+    cap = min(p, q) // 3
+    UV = np.empty((cap, p + q))  # one buffer for both factors
+    U, V = UV[:, :p], UV[:, p:]  # term r is U[r] V[r]^T
+    free = np.ones(p, dtype=bool)
+    r, i, frob = 0, 0, 0.0
+    while r < cap and free.any():
+        free[i] = False
+        row = C[i] - U[:r, i] @ V[:r]
+        j = np.argmax(np.abs(row))
+        if row[j] == 0.0:  # row i is reproduced already
+            i = np.argmax(free)
+            continue
+        V[r] = row / row[j]
+        U[r] = C[:, j] - V[:r, j] @ U[:r]
+        size = (U[r] @ U[r]) * (V[r] @ V[r])
+        frob += size + 2.0 * (U[:r] @ U[r]) @ (V[:r] @ V[r])
+        if size <= ACA_TOL * ACA_TOL * frob:
+            break
+        i = np.argmax(np.where(free, np.abs(U[r]), -1.0))
+        r += 1
+    if r < cap and _fits(C, U[:r], V[:r], left, right, bound):
+        # shrunk in place, not copied: a copy leaves the buffer's heap space
+        # behind as a hole among live arrays, which raised the peak RSS of
+        # the benchmark pipelines; no view of the buffer is left to move
+        del U, V
+        UV.resize((r, p + q), refcheck=False)
+        return UV[:, :p].T, UV[:, p:]
+    return C
+
+
+def _fits(C, U, V, left, right, bound) -> bool:
+    """Whether both weighted row sums of |C - U^T V| stay within ``bound``."""
+    def residual(lo, hi):
+        e = U[:, lo:hi].T @ V
+        return np.subtract(C[lo:hi], e, out=e)
+
+    rows, cols = _abs_sums(residual, len(C), left, right)
+    return rows.max() <= bound and cols.max() <= bound
+
+
+def _abs_sums(rows: Callable, n: int, left: np.ndarray, right: np.ndarray):
+    """|B| right and left |B| for the n-row matrix B whose rows lo:hi
+    ``rows(lo, hi)`` returns, taken 2^13 entries at a time so that no
+    temporary holds more (64 KiB; at 256 KiB they raised the peak RSS of
+    the benchmark pipelines that build these graphs)."""
+    step = max(1, (1 << 13) // len(right))
+    out, back = [], 0.0
+    for lo in range(0, n, step):
+        a = np.abs(rows(lo, lo + step))
+        out.append(a @ right)
+        back = back + left[lo:lo + step] @ a
+    return np.concatenate(out), back
 
 
 @dataclass(frozen=True)
@@ -129,8 +245,9 @@ class CouplingGraph:
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member.  A shared graph may also be a ``BlockGraph``, and
-    either layout a ``BlockDiagonal`` of independent systems.
+    graph per member.  A shared graph may also be a ``BlockGraph``, whose
+    upper blocks are kept as low-rank factors where ``_compressed`` finds
+    them, and either layout a ``BlockDiagonal`` of independent systems.
     """
 
     k: int
@@ -139,7 +256,9 @@ class CouplingGraph:
 
     def __post_init__(self):
         w = self.weights
-        if not isinstance(w, (BlockGraph, BlockDiagonal)):
+        if isinstance(w, BlockGraph):
+            object.__setattr__(self, "weights", _compressed(w))
+        elif not isinstance(w, BlockDiagonal):
             # the layouts graph_product reads fastest (OpenBLAS, one thread):
             # a shared graph with its transpose C-contiguous, for the GEMM of
             # all members' rows; a stack C-contiguous, for each member's two
@@ -357,6 +476,16 @@ def sample_bernoulli(
     order ``CouplingGraph`` keeps; an asymmetric draw holds a second n x n
     array, ``CouplingGraph``'s Fortran-order copy.
     """
+    xi = _draw_edges(km, seed, symmetric, np.empty(km.entries.shape))
+    if symmetric:
+        xi = xi.T  # the same entries, since xi is symmetric
+    xi *= meas.weights(km.level)
+    return CouplingGraph(km.k, km.level, xi)
+
+
+def _draw_edges(km: KernelMatrix, seed: int, symmetric: bool, out: np.ndarray) -> np.ndarray:
+    """``sample_bernoulli``'s edges xi in {0, 1}, drawn into the C-order
+    array ``out`` and, with ``symmetric``, mirrored from its upper triangle."""
     P = km.entries
     if P.min() < -1e-12 or P.max() > 1.0 + 1e-12:
         raise ValueError(
@@ -364,14 +493,12 @@ def sample_bernoulli(
             f"got range [{P.min():.3g}, {P.max():.3g}]"
         )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xi = rng.random(P.shape)
-    np.less(xi, P, out=xi)
+    rng.random(out=out)
+    np.less(out, P, out=out)
     if symmetric:
-        for row in range(1, len(xi)):
-            xi[row, :row] = xi[:row, row]
-        xi = xi.T  # the same entries, since xi is symmetric
-    xi *= meas.weights(km.level)
-    return CouplingGraph(km.k, km.level, xi)
+        for row in range(1, len(out)):
+            out[row, :row] = out[:row, row]
+    return out
 
 
 def stack_graphs(
@@ -379,21 +506,21 @@ def stack_graphs(
 ) -> CouplingGraph:
     """One graph per ensemble member, stacked into one (E, n, n) coupling.
 
-    Member i gets the deterministic graph of ``assemble_deterministic`` when
-    ``seeds[i]`` is None and the Bernoulli draw of ``sample_bernoulli`` with
-    that seed otherwise.  The stack is filled one graph at a time, so no
-    second copy of the member graphs is ever held: beside the E n x n stack
-    a Bernoulli member holds only its draw, at most two n x n arrays.
+    Member i is the dense deterministic graph W_wv nu(K_v) when ``seeds[i]``
+    is None and the Bernoulli draw of ``sample_bernoulli`` with that seed
+    otherwise.  Each member is written straight into its slice of the
+    stack, in C order, so beside the E n x n stack nothing of graph size is
+    held.
     """
     seeds = tuple(seeds)
-    n = km.entries.shape[0]
-    weights = np.empty((len(seeds), n, n))
-    for i, seed in enumerate(seeds):
-        weights[i] = (
-            assemble_deterministic(km, meas)
-            if seed is None
-            else sample_bernoulli(km, meas, seed, symmetric)
-        ).weights
+    masses = meas.weights(km.level)
+    weights = np.empty((len(seeds),) + km.entries.shape)
+    for member, seed in zip(weights, seeds):
+        if seed is None:
+            np.multiply(km.entries, masses, out=member)
+        else:
+            _draw_edges(km, seed, symmetric, member)
+            member *= masses
     return CouplingGraph(km.k, km.level, weights)
 
 
@@ -404,7 +531,8 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     which reads G once; an (E, n, n) stack multiplies each member's rows by
     its own graph in one batched matmul.  A ``BlockGraph`` folds the masses
     into x, since G_wv = W_wv nu_v, and makes one GEMM of its diagonal block
-    with every block-row, then two per upper block C (C and C^T).  A
+    with every block-row, then two per upper block C (C and C^T), or for
+    factors C ~ U V four thin ones, (z_j V^T) U^T and (z_i U) V.  A
     ``BlockDiagonal`` writes each block's product, as its system alone makes
     it, into the block's slice of the output.
     """
@@ -425,8 +553,13 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
         z = (x * G.masses).reshape(-1, len(G.masses) // b, b)
         y = (z.reshape(-1, b) @ G.diagonal).reshape(z.shape)
         for (i, j), C in G.upper.items():
-            y[:, i] += z[:, j] @ C.T
-            y[:, j] += z[:, i] @ C
+            if isinstance(C, tuple):
+                U, V = C
+                y[:, i] += (z[:, j] @ V.T) @ U.T
+                y[:, j] += (z[:, i] @ U) @ V
+            else:
+                y[:, i] += z[:, j] @ C.T
+                y[:, j] += z[:, i] @ C
         return y.reshape(x.shape)
     if G.ndim == 2:
         return (x.reshape(-1, x.shape[-1]) @ G.swapaxes(-1, -2)).reshape(x.shape)
@@ -585,11 +718,15 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
 
     Consecutive levels whose models are equal but for their params (of one
     width), with the same member count and layout (shared graphs or stacks),
-    whose graphs fit ``DENSE_GRAPH_BYTES`` together run as one
+    whose graphs fit ``LOOP_GRAPH_BYTES`` together run as one
     ``integrate_ips`` call, on the params of each: the N cells of their
     disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
-    trajectory keeps its bits.  Any other level runs alone.  A
-    ``NumericalAbortError`` inside a union names the union's levels.
+    trajectory keeps the bits of its level run alone.  A ``BlockGraph``
+    counts the bytes it stores, the low-rank factors of its upper blocks
+    where ``CouplingGraph`` keeps them: sg level 6 (1.34 MB) joins level 4
+    (1.40 MB together) but not levels 2-5 (1.87 MB).  Any other level runs
+    alone.  A ``NumericalAbortError`` inside a union names the union's
+    levels.
     """
     def graph(m):
         if graph_seeds is None and 8 * meas.k**(2 * m) > DENSE_GRAPH_BYTES:
@@ -612,7 +749,7 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     for i, (model, c, e) in enumerate(zip(models, couplings, ensembles)):
         key = (e[1], c.weights.ndim, replace(model, params=None), np.shape(model.params)[1:])
         used += c.weights.nbytes
-        if not batches or batches[-1][0] != key or used > DENSE_GRAPH_BYTES:
+        if not batches or batches[-1][0] != key or used > LOOP_GRAPH_BYTES:
             batches.append((key, []))
             used = c.weights.nbytes
         batches[-1][1].append(i)

@@ -372,37 +372,106 @@ BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), 
                for uniform in (True, False)]
 
 
+def exact_graph(meas, kernel, m, sublevel):
+    """The BlockGraph of the exact blocks that the grouped projection
+    returns, with the level's masses: what a CouplingGraph factors."""
+    return replace(dynamics._projection(meas, kernel, m, sublevel), masses=meas.weights(m))
+
+
+def stored(graph):
+    """The arrays a BlockGraph holds: its diagonal block, then each upper
+    block or its factors."""
+    return [graph.diagonal, *(f for C in graph.upper.values()
+                              for f in (C if isinstance(C, tuple) else (C,)))]
+
+
 @pytest.fixture(scope="module", params=BLOCK_CASES, ids=lambda c: f"{c[0]}-m{c[1]}-{c[2]}")
 def block_case(request):
-    """(measure, grouped kernel projection, dense graph, table-built graph)
-    of one block case."""
+    """(measure, grouped kernel projection, dense graph, table-built graph,
+    exact blocks) of one block case."""
     name, m, uniform = request.param
     ifs = preset(name)
     meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform else skewed_p(ifs.k))
     kernel = builtin_kernels(ifs.dimension)["expdist"]
     km = project_kernel(meas, kernel, m, 1)
-    return meas, km, km.entries * meas.weights(m)[None, :], table_graph(meas, kernel, m, 1)
+    return (meas, km, km.entries * meas.weights(m)[None, :], table_graph(meas, kernel, m, 1),
+            exact_graph(meas, kernel, m, 1))
 
 
 class TestBlockGraph:
     @pytest.mark.parametrize("rows", [2, 4, 20])
     def test_product_matches_dense(self, block_case, rows):
-        meas, km, dense, table = block_case
+        meas, km, dense, table, exact = block_case
         graph = assemble_deterministic(km, meas).weights
         rng = np.random.Generator(np.random.Philox(rows))
         x = rng.uniform(0.0, 1.0, (2, rows, len(dense)))
+        # the projection's exact blocks are the dense graph, bit for bit
+        assert np.asarray(exact).tobytes() == dense.tobytes()
         for g in (graph, table):
             assert isinstance(g, BlockGraph)
             assert g.shape == dense.shape and g.ndim == 2
-            assert np.asarray(g).tobytes() == dense.tobytes()
             np.testing.assert_allclose(
                 graph_product(g, x), graph_product(dense, x), rtol=1e-13, atol=0
             )
-        # the table builds assemble_deterministic's blocks, bit for bit
+        # the table builds assemble_deterministic's blocks and factors, bit for bit
         assert table.upper.keys() == graph.upper.keys()
-        for a, b in zip((table.diagonal, *table.upper.values()),
-                        (graph.diagonal, *graph.upper.values())):
+        for a, b in zip(stored(table), stored(graph), strict=True):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name, m", [("sg", 6), ("sg", 7), ("interval-3", 6),
+                                         ("cantor", 10)])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "skewed"])
+    def test_factored_product_is_within_the_bound(self, name, m, uniform):
+        # ||G~ x - G x||_inf <= 1e-12 ||G||_inf ||x||_inf against the exact
+        # blocks; expdist is positive, so ||G||_inf is the largest row sum
+        ifs = preset(name)
+        meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
+                                  else skewed_p(ifs.k))
+        exact = exact_graph(meas, builtin_kernels(ifs.dimension)["expdist"], m, 1)
+        graph = CouplingGraph(ifs.k, m, exact).weights
+        assert all(isinstance(C, tuple) for C in graph.upper.values())
+        assert graph.nbytes < exact.nbytes
+        norm = graph_product(exact, np.ones((1, 1, exact.shape[0]))).max()
+        rng = np.random.Generator(np.random.Philox(m))
+        for rows in (2, 20):
+            x = rng.uniform(-1.0, 1.0, (2, rows, exact.shape[0]))
+            error = np.abs(graph_product(graph, x) - graph_product(exact, x)).max()
+            assert error <= 1e-12 * norm * np.abs(x).max()
+
+    def test_factors_are_what_nbytes_counts(self, sg_measure):
+        exact = exact_graph(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
+        graph = CouplingGraph(3, 6, exact).weights
+        assert graph.nbytes == sum(a.nbytes for a in stored(graph))
+        ranks = [U.shape[1] for U, _ in graph.upper.values()]
+        assert graph.nbytes == 243**2 * 8 + sum(ranks) * 2 * 243 * 8
+        # a third of the block's side at most: the factors hold at most two
+        # thirds of its bytes
+        assert graph.nbytes <= 1.4e6 and max(ranks) <= 243 // 3
+        assert CouplingGraph(3, 6, graph).weights is graph  # factored once
+        np.testing.assert_allclose(np.asarray(graph), np.asarray(exact), rtol=1e-11, atol=0)
+
+    def test_a_block_whose_rank_does_not_pay_stays_dense(self, sg_measure):
+        # an even, translation-invariant kernel whose profile oscillates
+        # across the gasket: its off-diagonal blocks have no low rank
+        def wave(x, y):
+            return np.cos(40.0 * np.sqrt(((x - y) ** 2).sum(axis=-1)))
+
+        wave.translation_invariant = True
+        exact = exact_graph(sg_measure, wave, 6, 1)
+        graph = CouplingGraph(3, 6, exact).weights
+        assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
+        assert graph.nbytes == exact.nbytes
+        for a, b in zip(stored(graph), stored(exact), strict=True):
+            assert a is b
+
+    def test_factors_that_fail_the_exact_check_are_not_kept(self, sg_measure, monkeypatch):
+        # a loose stop leaves ranks far too low for GRAPH_TOL, so the exact
+        # check refuses every block's factors
+        monkeypatch.setattr(dynamics, "ACA_TOL", 1e-3)
+        exact = exact_graph(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
+        graph = CouplingGraph(3, 6, exact).weights
+        for a, b in zip(stored(graph), stored(exact), strict=True):
+            assert a is b
 
     def test_table_build_holds_no_dense_w(self, sg_measure):
         # sg at level 6, sublevel 2: W is 729^2 float64 (4.05 MiB), and the
@@ -471,8 +540,9 @@ class TestBlockGraph:
         assert isinstance(sample_bernoulli(km, sg_measure, 1).weights, np.ndarray)
         stack = stack_graphs(km, sg_measure, (None, 1))
         assert isinstance(stack.weights, np.ndarray)
+        # the deterministic member is W diag(nu) itself, not the factored graph
         np.testing.assert_array_equal(
-            stack.weights[0], np.asarray(assemble_deterministic(km, sg_measure).weights)
+            stack.weights[0], km.entries * sg_measure.weights(6)[None, :]
         )
 
 
@@ -487,6 +557,26 @@ class TestStackGraphs:
         for i, seed in ((1, 3), (2, 8)):
             single = sample_bernoulli(km, sg_measure, seed, symmetric=False)
             np.testing.assert_array_equal(stack.weights[i], single.weights)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_members_are_drawn_into_the_stack(self, sg_measure, symmetric):
+        # sg at level 6: beyond its KernelMatrix (729^2 float64, 4.05 MiB) the
+        # build of three Bernoulli members holds the stack and nothing of
+        # graph size besides, and each member keeps sample_bernoulli's bits
+        km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
+        seeds = (1, 2, 3)
+        sample_bernoulli(KernelMatrix(3, 1, np.zeros((3, 3))), sg_measure, 0)  # imports Philox
+        tracemalloc.start()
+        try:
+            stack = stack_graphs(km, sg_measure, seeds, symmetric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.weights.shape == (3, 729, 729) and stack.weights.flags.c_contiguous
+        assert peak <= 3.1 * 8 * 729**2
+        for member, seed in zip(stack.weights, seeds, strict=True):
+            single = sample_bernoulli(km, sg_measure, seed, symmetric).weights
+            assert member.tobytes() == single.tobytes(order="C")
 
 
 class TestSampleBernoulli:
@@ -976,7 +1066,8 @@ class TestIntegrateSeries:
                                 lambda m: replace(model, params=systems[m][1]),
                                 lambda m: systems[m][2], **self.STEPS)
         # levels 2-5 (0.53 MB of graphs) as one union of 360 cells, then
-        # level 6's BlockGraph (1.89 MB) alone
+        # level 6's factored BlockGraph (1.34 MB; 1.87 MB together is over
+        # LOOP_GRAPH_BYTES) alone
         assert calls == [(int, (360, 360)), (int, (729, 729))]
         for traj, (coupling, omega, init) in zip(series, systems.values(), strict=True):
             alone = integrate_ips(kuramoto_model(1.3, omega), coupling, init, **self.STEPS)
@@ -1045,8 +1136,8 @@ class TestIntegrateSeries:
 
     def test_union_with_a_block_graph_matches_each_system_alone(self, sg_measure,
                                                                 monkeypatch):
-        # level 4's dense graph (52 KB) and level 6's BlockGraph (1.89 MB) fit
-        # DENSE_GRAPH_BYTES together
+        # level 4's dense graph (52 KB) and level 6's factored BlockGraph
+        # (1.33 MB) fit LOOP_GRAPH_BYTES together
         systems = {c.level: (c, omega) for c, omega, _ in sg_levels(sg_measure, (4, 6))}
         assert isinstance(systems[6][0].weights, BlockGraph)
         rng = np.random.Generator(np.random.Philox(11))

@@ -12,8 +12,10 @@ graph that its ``graph`` step builds, and no RK4 step. The graph is the
 deterministic one, or with ``--seeds`` the stack of one Bernoulli graph per
 seed (symmetric draws unless ``--asymmetric``). It prints the seconds of
 that call and the child's peak RSS (``ru_maxrss``) at its end, the import
-of numpy and of the package included. With ``--parent`` the same build
-runs first on that commit's committed files, exported as
+of numpy and of the package included, then the bytes the built graph
+stores and, for a ``BlockGraph``, the rank of each upper block's factors or
+"dense" for a block stored as it is. With ``--parent`` the same build runs
+first on that commit's committed files, exported as
 ``tools/bench_pairs.py`` exports them.
 """
 
@@ -33,7 +35,11 @@ CHILD = """
 import json, resource, sys, time
 import numpy as np
 from fractalips import (PiecewiseConstantField, SelfSimilarMeasure, builtin_kernels,
-                        integrate_levels, kuramoto_model, preset)
+                        dynamics, integrate_levels, kuramoto_model, preset)
+
+graphs, integrate_ips = [], dynamics.integrate_ips
+dynamics.integrate_ips = lambda model, coupling, *args: (
+    graphs.append(coupling.weights) or integrate_ips(model, coupling, *args))
 
 name, m, sublevel = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 seeds = [int(s) for s in sys.argv[4].split(",")] if sys.argv[4] else None
@@ -45,8 +51,12 @@ integrate_levels(meas, kernel, [m], sublevel, lambda m: kuramoto_model(1.0),
                  lambda m: PiecewiseConstantField(meas.k, m, np.zeros(meas.k**m)),
                  T=0.0, dt=1.0, output_stride=1, graph_seeds=seeds, symmetric=symmetric)
 seconds = time.perf_counter() - start
+(graph,) = graphs
+ranks = [C[0].shape[1] if isinstance(C, tuple) else "dense"
+         for C in getattr(graph, "upper", {}).values()]
 print(json.dumps({"seconds": seconds,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "layout": type(graph).__name__, "nbytes": graph.nbytes, "ranks": ranks}))
 """
 
 
@@ -85,9 +95,12 @@ def main() -> int:
                            not args.asymmetric)
             graph = (f"{'asymmetric' if args.asymmetric else 'symmetric'} Bernoulli seeds "
                      f"{args.seeds}" if args.seeds else "deterministic")
+            ranks = ", ".join(map(str, result["ranks"]))
             print(f"{side}: {args.preset} level {args.level} sublevel {args.sublevel} "
                   f"{graph}: "
-                  f"peak RSS {result['peak_rss_mb']:.1f} MB, {result['seconds']:.3f} s",
+                  f"peak RSS {result['peak_rss_mb']:.1f} MB, {result['seconds']:.3f} s; "
+                  f"{result['layout']} of {result['nbytes']:,} B"
+                  + (f", upper blocks {ranks}" if ranks else ""),
                   flush=True)
     return 0
 
