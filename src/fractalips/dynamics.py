@@ -79,21 +79,19 @@ class BlockGraph:
     Blocks are cut by the first symbol of the cell words.  ``diagonal`` is
     the shared diagonal block, ``upper`` maps (i, j), i < j, to block (i, j),
     whose transpose is block (j, i), and ``masses`` holds the nu(K_v): k(k -
-    1)/2 + 1 of the k^2 blocks are stored, which ``from_blocks`` takes from a
-    function of (i, j), i <= j.  An upper block is either the block itself or,
-    in the graph a ``CouplingGraph`` keeps, its low-rank factors (U, V) with
-    U V within ``GRAPH_TOL`` of it (see ``_compressed``).  ``np.asarray``
-    gives the dense G, which is W's exactly only when every block is stored.
+    1)/2 + 1 of the k^2 blocks are stored.  The grouped kernel projection
+    builds it from its class table, and ``integrate_levels`` factors it once
+    with ``_compressed``: an upper block is either the block itself or its
+    low-rank factors (U, V) with U V within ``GRAPH_TOL`` of it.
+    ``np.asarray`` gives the dense G, which is W's exactly only when every
+    block is stored; ``project_kernel`` fills W that way, and
+    ``pairwise_coupling`` densifies a factored graph.
     """
 
     diagonal: np.ndarray
     upper: dict
     masses: np.ndarray
     ndim = 2
-
-    @classmethod
-    def from_blocks(cls, block: Callable, k: int, masses: np.ndarray) -> "BlockGraph":
-        return cls(block(0, 0), {ij: block(*ij) for ij in combinations(range(k), 2)}, masses)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,11 +131,9 @@ def _compressed(G: BlockGraph) -> BlockGraph:
     block-row meets k - 1 upper blocks or their transposes, so a block is
     factored only if U V changes no row sum of |G - G~| of either block-row
     by more than GRAPH_TOL ||G||_inf / (k - 1), checked exactly against the
-    block.  A graph that holds factors already is returned as it is.
+    block.
     """
     b, k = len(G.diagonal), len(G.masses) // len(G.diagonal)
-    if k < 2 or any(isinstance(C, tuple) for C in G.upper.values()):
-        return G
     nu = G.masses.reshape(k, b)
     # the row sums of |G|, block-row by block-row: D's, then each upper
     # block's and its transpose's
@@ -245,9 +241,9 @@ class CouplingGraph:
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member.  A shared graph may also be a ``BlockGraph``, whose
-    upper blocks are kept as low-rank factors where ``_compressed`` finds
-    them, and either layout a ``BlockDiagonal`` of independent systems.
+    graph per member.  A shared graph may also be a ``BlockGraph``, and
+    either layout a ``BlockDiagonal`` of independent systems; both are
+    stored as they are given.
     """
 
     k: int
@@ -256,9 +252,7 @@ class CouplingGraph:
 
     def __post_init__(self):
         w = self.weights
-        if isinstance(w, BlockGraph):
-            object.__setattr__(self, "weights", _compressed(w))
-        elif not isinstance(w, BlockDiagonal):
+        if not isinstance(w, (BlockGraph, BlockDiagonal)):
             # the layouts graph_product reads fastest (OpenBLAS, one thread):
             # a shared graph with its transpose C-contiguous, for the GEMM of
             # all members' rows; a stack C-contiguous, for each member's two
@@ -363,7 +357,9 @@ def _projection(meas: SelfSimilarMeasure, kernel, m: int, sublevel: int):
         return values.reshape(n_cells, n_cells)
     if not np.all(np.isfinite(values)):  # as KernelMatrix checks W
         raise ValueError("kernel entries must be finite")
-    return BlockGraph.from_blocks(lambda *ij: values[number(*ij)], k, np.ones(n_cells))
+    return BlockGraph(values[number(0, 0)],
+                      {ij: values[number(*ij)] for ij in combinations(range(k), 2)},
+                      np.ones(n_cells))
 
 
 def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
@@ -440,21 +436,12 @@ def _class_table(t: np.ndarray, b: int):
 def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> CouplingGraph:
     """Scale kernel averages by the cell masses: entry (w, v) = W_wv nu(K_v).
 
-    The diagonal is kept; the coupling sum runs over all level-m words.  A
-    graph over ``DENSE_GRAPH_BYTES`` whose W is exactly symmetric with k
-    exactly equal diagonal blocks, as grouped projection makes it, is kept
-    as the ``BlockGraph`` that ``integrate_levels`` builds without W.
+    The diagonal is kept; the coupling sum runs over all level-m words.  The
+    graph is dense, in the Fortran order that ``CouplingGraph`` keeps for
+    one graph, so it is not copied.
     """
-    W, k = km.entries, km.k
     masses = meas.weights(km.level)
-    if W.nbytes > DENSE_GRAPH_BYTES:  # a level-0 W has no k x k blocks
-        blocks = W.reshape(k, len(W) // k, k, len(W) // k)
-        same = all(np.array_equal(blocks[i, :, i], blocks[0, :, 0]) for i in range(1, k))
-        if same and np.array_equal(W, W.T):
-            graph = BlockGraph.from_blocks(lambda i, j: blocks[i, :, j].copy(), k, masses)
-            return CouplingGraph(k, km.level, graph)
-    # Fortran order is the layout CouplingGraph keeps for one graph: no copy
-    return CouplingGraph(k, km.level, np.multiply(W, masses[None, :], order="F"))
+    return CouplingGraph(km.k, km.level, np.multiply(km.entries, masses, order="F"))
 
 
 def sample_bernoulli(
@@ -532,9 +519,10 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     its own graph in one batched matmul.  A ``BlockGraph`` folds the masses
     into x, since G_wv = W_wv nu_v, and makes one GEMM of its diagonal block
     with every block-row, then two per upper block C (C and C^T), or for
-    factors C ~ U V four thin ones, (z_j V^T) U^T and (z_i U) V.  A
-    ``BlockDiagonal`` writes each block's product, as its system alone makes
-    it, into the block's slice of the output.
+    the factors C ~ U V that ``integrate_levels`` keeps four thin ones,
+    (z_j V^T) U^T and (z_i U) V.  A ``BlockDiagonal`` writes each block's
+    product, as its system alone makes it, into the block's slice of the
+    output.
     """
     if isinstance(G, BlockDiagonal):
         y, lo = np.empty(x.shape), 0
@@ -709,10 +697,12 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
                      output_stride: int, graph_seeds=None, symmetric: bool = True) -> list:
     """What ``integrate_ips`` returns for the level-m Galerkin system of each
     m in ``levels``, in order: model_builder(m), the graph of the kernel
-    projected at level m and init_builder(m).  The graph is
-    ``assemble_deterministic``'s when ``graph_seeds`` is None (its
-    ``BlockGraph`` built from the class table, without W), else
-    ``stack_graphs(km, meas, graph_seeds, symmetric)``.  The levels are
+    projected at level m and init_builder(m).  With ``graph_seeds`` the
+    graph is ``stack_graphs(km, meas, graph_seeds, symmetric)``.  Without,
+    it is ``assemble_deterministic``'s W diag(nu), except for a grouped
+    projection over ``DENSE_GRAPH_BYTES``: that level's ``BlockGraph`` is
+    built from the class table, without W, and factored here by
+    ``_compressed``, the one place that factors a graph.  The levels are
     projected finest first, so a level the budget refuses fails before any
     work, and no kernel matrix outlives its graph.
 
@@ -723,7 +713,7 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
     trajectory keeps the bits of its level run alone.  A ``BlockGraph``
     counts the bytes it stores, the low-rank factors of its upper blocks
-    where ``CouplingGraph`` keeps them: sg level 6 (1.34 MB) joins level 4
+    where ``_compressed`` keeps them: sg level 6 (1.34 MB) joins level 4
     (1.40 MB together) but not levels 2-5 (1.87 MB).  Any other level runs
     alone.  A ``NumericalAbortError`` inside a union names the union's
     levels.
@@ -732,7 +722,8 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
         if graph_seeds is None and 8 * meas.k**(2 * m) > DENSE_GRAPH_BYTES:
             W = _projection(meas, kernel, m, sublevel)  # grouped: its blocks, never W
             if isinstance(W, BlockGraph):
-                return CouplingGraph(meas.k, m, replace(W, masses=meas.weights(m)))
+                return CouplingGraph(meas.k, m,
+                                     _compressed(replace(W, masses=meas.weights(m))))
             return assemble_deterministic(KernelMatrix(meas.k, m, W), meas)
         km = project_kernel(meas, kernel, m, sublevel)
         if graph_seeds is None:

@@ -351,13 +351,15 @@ class TestAssemble:
 
 def table_graph(meas, kernel, m, sublevel):
     """The deterministic graph that ``integrate_levels`` integrates for
-    level m alone: for a grouped level over DENSE_GRAPH_BYTES, the
-    BlockGraph it builds from the class table, without W."""
-    graphs, original = [], dynamics.integrate_ips
+    level m alone: W diag(nu), or for a grouped level over
+    DENSE_GRAPH_BYTES the factored BlockGraph it builds from the class
+    table, without W.  The level runs through the package's own
+    ``integrate_ips``, so a test that records that call does not see it."""
+    graphs = []
 
     def recording(model, coupling, *args):
         graphs.append(coupling.weights)
-        return original(model, coupling, *args)
+        return integrate_ips(model, coupling, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "integrate_ips", recording)
@@ -367,6 +369,11 @@ def table_graph(meas, kernel, m, sublevel):
     return graphs[0]
 
 
+def level_graph(meas, kernel, m, sublevel):
+    """``table_graph`` as the CouplingGraph that ``integrate_ips`` takes."""
+    return CouplingGraph(meas.k, m, table_graph(meas, kernel, m, sublevel))
+
+
 # level-m graphs over DENSE_GRAPH_BYTES: k = 3 and 2, uniform and skewed p
 BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), ("cantor", 10))
                for uniform in (True, False)]
@@ -374,7 +381,7 @@ BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), 
 
 def exact_graph(meas, kernel, m, sublevel):
     """The BlockGraph of the exact blocks that the grouped projection
-    returns, with the level's masses: what a CouplingGraph factors."""
+    returns, with the level's masses: what ``_compressed`` factors."""
     return replace(dynamics._projection(meas, kernel, m, sublevel), masses=meas.weights(m))
 
 
@@ -402,7 +409,7 @@ class TestBlockGraph:
     @pytest.mark.parametrize("rows", [2, 4, 20])
     def test_product_matches_dense(self, block_case, rows):
         meas, km, dense, table, exact = block_case
-        graph = assemble_deterministic(km, meas).weights
+        graph = dynamics._compressed(exact)
         rng = np.random.Generator(np.random.Philox(rows))
         x = rng.uniform(0.0, 1.0, (2, rows, len(dense)))
         # the projection's exact blocks are the dense graph, bit for bit
@@ -413,7 +420,7 @@ class TestBlockGraph:
             np.testing.assert_allclose(
                 graph_product(g, x), graph_product(dense, x), rtol=1e-13, atol=0
             )
-        # the table builds assemble_deterministic's blocks and factors, bit for bit
+        # the table builds the exact blocks' factors, bit for bit
         assert table.upper.keys() == graph.upper.keys()
         for a, b in zip(stored(table), stored(graph), strict=True):
             assert a.tobytes() == b.tobytes()
@@ -428,7 +435,7 @@ class TestBlockGraph:
         meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
                                   else skewed_p(ifs.k))
         exact = exact_graph(meas, builtin_kernels(ifs.dimension)["expdist"], m, 1)
-        graph = CouplingGraph(ifs.k, m, exact).weights
+        graph = dynamics._compressed(exact)
         assert all(isinstance(C, tuple) for C in graph.upper.values())
         assert graph.nbytes < exact.nbytes
         norm = graph_product(exact, np.ones((1, 1, exact.shape[0]))).max()
@@ -440,14 +447,14 @@ class TestBlockGraph:
 
     def test_factors_are_what_nbytes_counts(self, sg_measure):
         exact = exact_graph(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
-        graph = CouplingGraph(3, 6, exact).weights
+        graph = dynamics._compressed(exact)
         assert graph.nbytes == sum(a.nbytes for a in stored(graph))
         ranks = [U.shape[1] for U, _ in graph.upper.values()]
         assert graph.nbytes == 243**2 * 8 + sum(ranks) * 2 * 243 * 8
         # a third of the block's side at most: the factors hold at most two
         # thirds of its bytes
         assert graph.nbytes <= 1.4e6 and max(ranks) <= 243 // 3
-        assert CouplingGraph(3, 6, graph).weights is graph  # factored once
+        assert CouplingGraph(3, 6, graph).weights is graph  # stored as it is
         np.testing.assert_allclose(np.asarray(graph), np.asarray(exact), rtol=1e-11, atol=0)
 
     def test_a_block_whose_rank_does_not_pay_stays_dense(self, sg_measure):
@@ -458,7 +465,7 @@ class TestBlockGraph:
 
         wave.translation_invariant = True
         exact = exact_graph(sg_measure, wave, 6, 1)
-        graph = CouplingGraph(3, 6, exact).weights
+        graph = dynamics._compressed(exact)
         assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
         assert graph.nbytes == exact.nbytes
         for a, b in zip(stored(graph), stored(exact), strict=True):
@@ -469,7 +476,7 @@ class TestBlockGraph:
         # check refuses every block's factors
         monkeypatch.setattr(dynamics, "ACA_TOL", 1e-3)
         exact = exact_graph(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
-        graph = CouplingGraph(3, 6, exact).weights
+        graph = dynamics._compressed(exact)
         for a, b in zip(stored(graph), stored(exact), strict=True):
             assert a is b
 
@@ -512,8 +519,7 @@ class TestBlockGraph:
     @pytest.mark.parametrize("name", sorted(builtin_models()))
     def test_integration_matches_dense(self, name):
         meas = SelfSimilarMeasure.uniform(preset("sg"))
-        km = project_kernel(meas, builtin_kernels(2)["expdist"], 6, 1)
-        blocks = assemble_deterministic(km, meas)
+        blocks = level_graph(meas, builtin_kernels(2)["expdist"], 6, 1)
         assert isinstance(blocks.weights, BlockGraph)
         dense = CouplingGraph(3, 6, np.asarray(blocks.weights))
         model = builtin_models()[name](*TestBuiltinModels.FACTORY_ARGS[name])
@@ -525,18 +531,24 @@ class TestBlockGraph:
             np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
     def test_other_graphs_stay_dense(self, sg_measure):
-        kern = builtin_kernels(2)["expdist"]
-        km = project_kernel(sg_measure, kern, 6, 1)
-        plain = project_kernel(sg_measure, lambda x, y: kern(x, y), 6, 1)
-        rotated = SelfSimilarMeasure.uniform(ROTATED)
-        unrelated = project_kernel(rotated, kern, 6, 1)
-        small = project_kernel(sg_measure, kern, 5, 1)
+        # integrate_levels' graph step makes the one layout decision: only a
+        # grouped level over DENSE_GRAPH_BYTES becomes a BlockGraph
+        kern, line = builtin_kernels(2)["expdist"], builtin_kernels(1)["expdist"]
         cantor = SelfSimilarMeasure.uniform(preset("cantor"))
-        at_limit = project_kernel(cantor, builtin_kernels(1)["expdist"], 9, 1)
-        assert at_limit.entries.nbytes == DENSE_GRAPH_BYTES
-        for k, meas in ((plain, sg_measure), (unrelated, rotated), (small, sg_measure),
-                        (at_limit, cantor)):
-            assert isinstance(assemble_deterministic(k, meas).weights, np.ndarray)
+        assert 8 * 2**(2 * 9) == DENSE_GRAPH_BYTES  # cantor level 9, at the limit
+        for meas, kernel, m in ((sg_measure, lambda x, y: kern(x, y), 6),
+                                (SelfSimilarMeasure.uniform(ROTATED), kern, 6),
+                                (sg_measure, kern, 5), (cantor, line, 9)):
+            assert isinstance(table_graph(meas, kernel, m, 1), np.ndarray)
+        assert isinstance(table_graph(cantor, line, 10, 1), BlockGraph)
+        km = project_kernel(sg_measure, kern, 6, 1)
+        # assemble_deterministic is W diag(nu) exactly, in the layout kept
+        graph = assemble_deterministic(km, sg_measure).weights
+        assert graph.flags.f_contiguous
+        assert graph.tobytes() == (km.entries * sg_measure.weights(6)).tobytes()
+        # and a CouplingGraph keeps the BlockGraph it is given
+        exact = exact_graph(sg_measure, kern, 6, 1)
+        assert CouplingGraph(3, 6, exact).weights is exact
         assert isinstance(sample_bernoulli(km, sg_measure, 1).weights, np.ndarray)
         stack = stack_graphs(km, sg_measure, (None, 1))
         assert isinstance(stack.weights, np.ndarray)
@@ -1021,9 +1033,9 @@ def sg_levels(meas, levels, seeds=None, sublevel=1):
     omega_fn, phase_fn = kuramoto_fields(0, 2)
     out = []
     for m in levels:
-        km = project_kernel(meas, kern, m, sublevel)
-        coupling = (assemble_deterministic(km, meas) if seeds is None
-                    else stack_graphs(km, meas, (None, *seeds)))
+        coupling = (level_graph(meas, kern, m, sublevel) if seeds is None
+                    else stack_graphs(project_kernel(meas, kern, m, sublevel), meas,
+                                      (None, *seeds)))
         out.append((coupling, martingale_level(meas, omega_fn, m, sublevel),
                     martingale_level(meas, phase_fn, m, sublevel)))
     return out
@@ -1194,7 +1206,7 @@ class TestIntegrateSeries:
         phase_fine = martingale_level(sg_measure, phase_fn, 6, 2)
         alone = {}
         for m in range(2, 7):
-            coupling = assemble_deterministic(project_kernel(sg_measure, kern, m, 2), sg_measure)
+            coupling = level_graph(sg_measure, kern, m, 2)
             model = kuramoto_model(1.3, coarsen(omega_fine, m, sg_measure.p))
             alone[m] = integrate_ips(model, coupling, coarsen(phase_fine, m, sg_measure.p), **steps)
             np.testing.assert_array_equal(trajs[m].values, alone[m].values)
@@ -1318,9 +1330,9 @@ def per_level_loop(meas, kernel, levels, sublevel, model_builder, init_builder, 
     call per level, in the order of ``levels``: the path it replaced."""
     out = []
     for m in levels:
-        km = project_kernel(meas, kernel, m, sublevel)
-        graph = (assemble_deterministic(km, meas) if graph_seeds is None
-                 else stack_graphs(km, meas, graph_seeds, symmetric))
+        graph = (level_graph(meas, kernel, m, sublevel) if graph_seeds is None
+                 else stack_graphs(project_kernel(meas, kernel, m, sublevel), meas,
+                                   graph_seeds, symmetric))
         out.append(integrate_ips(model_builder(m), graph, init_builder(m), T, dt,
                                  output_stride))
     return out

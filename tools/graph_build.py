@@ -17,6 +17,11 @@ stores and, for a ``BlockGraph``, the rank of each upper block's factors or
 "dense" for a block stored as it is. With ``--parent`` the same build runs
 first on that commit's committed files, exported as
 ``tools/bench_pairs.py`` exports them.
+
+As in ``tools/bench_pairs.py``, each side has a ``PYTHONPYCACHEPREFIX`` of
+its own, filled by one untimed build before the measured one, so neither
+side compiles a module from source in the build it reports, and neither
+loads bytecode that the other lacks.
 """
 
 from __future__ import annotations
@@ -60,12 +65,14 @@ print(json.dumps({"seconds": seconds,
 """
 
 
-def build(src: Path, preset: str, level: int, sublevel: int, seeds: str,
+def build(src: Path, pycache: Path, preset: str, level: int, sublevel: int, seeds: str,
           symmetric: bool) -> dict:
-    """The child's seconds and peak RSS for one build with ``src``; ``seeds``
-    is "" for the deterministic graph."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    """The child's seconds and peak RSS for one build with ``src``, reading
+    and writing bytecode under ``pycache``; ``seeds`` is "" for the
+    deterministic graph."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(pycache),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, preset, str(level), str(sublevel), seeds,
          "symmetric" if symmetric else "asymmetric"],
@@ -90,9 +97,11 @@ def main() -> int:
         if args.parent:
             sides[f"parent {export(args.parent, Path(tmp))}"] = Path(tmp) / "src"
         sides["working tree"] = ROOT / "src"
-        for side, src in sides.items():
-            result = build(src, args.preset, args.level, args.sublevel, args.seeds,
-                           not args.asymmetric)
+        for i, (side, src) in enumerate(sides.items()):
+            pycache = Path(tmp) / f"pycache-{i}"
+            for _ in range(2):  # the first, untimed, fills the side's bytecode cache
+                result = build(src, pycache, args.preset, args.level, args.sublevel,
+                               args.seeds, not args.asymmetric)
             graph = (f"{'asymmetric' if args.asymmetric else 'symmetric'} Bernoulli seeds "
                      f"{args.seeds}" if args.seeds else "deterministic")
             ranks = ", ".join(map(str, result["ranks"]))
