@@ -54,14 +54,20 @@ def traj_error(
         raise ValueError("time grids do not match")
     if coarse.state_dim != fine.state_dim:
         raise ValueError("state dimensions differ")
-    delta = fine.level - coarse.level
-    # one temporary of the fine trajectory's size: the differences are
-    # squared in place
-    diff = np.repeat(coarse.values, coarse.k**delta, axis=1)
-    np.subtract(diff, fine.values, out=diff)
-    sq = np.sum(np.multiply(diff, diff, out=diff), axis=2)  # (T, n_fine)
-    sq *= meas.weights(fine.level)
-    errs = np.sqrt(np.maximum(pairwise_sum(sq, axis=1), 0.0))
+    repeats = coarse.k ** (fine.level - coarse.level)
+    weights = meas.weights(fine.level)
+    errs = np.empty(len(fine.times))
+    # each row's sum is its own, so the rows go 2^13 state entries at a time
+    # (the rule of dynamics._abs_sums) and no temporary has the size of the
+    # fine trajectory; the differences are squared in place
+    step = max(1, (1 << 13) // fine.values[0].size)
+    for lo in range(0, len(errs), step):
+        diff = np.repeat(coarse.values[lo:lo + step], repeats, axis=1)
+        np.subtract(diff, fine.values[lo:lo + step], out=diff)
+        sq = np.sum(np.multiply(diff, diff, out=diff), axis=2)  # (rows, n_fine)
+        sq *= weights
+        errs[lo:lo + step] = pairwise_sum(sq, axis=1)
+    np.sqrt(np.maximum(errs, 0.0, out=errs), out=errs)
     return TrajectoryError(coarse.times, errs, float(errs.max()))
 
 
@@ -160,6 +166,16 @@ class ModulusReport:
     lip_norm: float
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """The least-squares slope of y against x, in closed form: what
+    ``np.polyfit(x, y, 1)[0]`` returns up to rounding, without its LAPACK
+    call."""
+    if np.unique(x).size < 2:
+        raise ValueError("a slope needs at least two distinct x values")
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
+
+
 def lipschitz_norm_estimate(levels, omega, lam: float) -> ModulusReport:
     """Least-squares decay exponent of log omega against m log lambda, and
     the generalized Lipschitz norm sup_m lambda^(-alpha m) omega(m) at the
@@ -171,9 +187,7 @@ def lipschitz_norm_estimate(levels, omega, lam: float) -> ModulusReport:
         raise ValueError("need at least 3 levels with positive omega to fit")
     if not np.all(keep):
         warnings.warn("dropping non-positive omega values from the fit")
-    x = levels[keep] * np.log(lam)
-    y = np.log(omega[keep])
-    alpha = float(np.polyfit(x, y, 1)[0])
+    alpha = _slope(levels[keep] * np.log(lam), np.log(omega[keep]))
     lip = float(np.max(omega[keep] * lam ** (-alpha * levels[keep])))
     return ModulusReport(fitted_alpha=alpha, lip_norm=lip)
 
@@ -231,9 +245,7 @@ def rate_fit(
             f"floor {floor:.3g}"
         )
         errs[bad] = floor
-    x = levels[keep] * np.log(lam)
-    y = np.log(errs[keep])
-    alpha = float(np.polyfit(x, y, 1)[0])
+    alpha = _slope(levels[keep] * np.log(lam), np.log(errs[keep]))
     capped = alpha > 1.0 + 1e-9
     alpha_capped = min(alpha, 1.0)
     bound = None
@@ -357,23 +369,23 @@ def vlasov_self_convergence(
     trajs = dict(zip(ells, series))
     times = trajs[ells[0]][0].times
     # atoms[ell]: (seeds, times, coarse cells, k^ell), each cell's states
-    # sorted.  Uniform atoms and k^lo dividing k^hi make W1 the mean gap
-    # between the hi sorted states and the lo ones repeated k^(hi-lo) times.
-    atoms = {
-        ell: np.sort(
-            np.stack([tr.values[..., 0] for tr in trajs[ell]]).reshape(
-                len(seeds), len(times), k**m, k**ell
-            ),
-            axis=-1,
-        )
-        for ell in ells
-    }
+    # sorted in place.  Uniform atoms and k^lo dividing k^hi make W1 the mean
+    # gap between the hi sorted states and the lo ones repeated k^(hi-lo)
+    # times; every pair's gaps go into the one buffer of the finest pair.
+    shape = (len(seeds), len(times), k**m)
+    atoms = {}
+    for ell in ells:
+        atoms[ell] = np.stack([tr.values[..., 0] for tr in trajs[ell]]).reshape(
+            *shape, k**ell)
+        atoms[ell].sort(axis=-1)
+    buffer = np.empty(atoms[ells[-1]].size)
     pairs = tuple(zip(ells[:-1], ells[1:]))
     per_pair = []
     for lo, hi in pairs:
-        w1 = np.mean(
-            np.abs(np.repeat(atoms[lo], k ** (hi - lo), axis=-1) - atoms[hi]), axis=-1
-        )  # (seeds, times, coarse cells)
+        gaps = buffer[:atoms[hi].size].reshape(atoms[hi].shape)
+        np.subtract(atoms[lo][..., None], atoms[hi].reshape(*shape, k**lo, -1),
+                    out=gaps.reshape(*shape, k**lo, -1))
+        w1 = np.mean(np.abs(gaps, out=gaps), axis=-1)  # (seeds, times, coarse cells)
         per_pair.append(pairwise_sum(coarse_masses * w1, axis=-1))
     return VlasovConvergenceTable(
         times=times,

@@ -362,7 +362,24 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
 # artifact writing
 
 
-def _columns(template: str, *columns) -> list[str]:
+@dataclass(frozen=True)
+class _Lines:
+    """A sized iterable of CSV lines, each formatted as it is read, so that
+    ``write_csv`` streams them and no list of all of them is held."""
+
+    line: str
+    columns: tuple  # broadcast views, one per %-field
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        # .flat walks the broadcast views without copying them to full size
+        return map(self.line.__mod__, zip(*(c.flat for c in self.columns)))
+
+
+def _columns(template: str, *columns) -> _Lines:
     """CSV lines from columns broadcast to one shape, each line formatted by
     one %-template: ``%d`` for integers, ``%.17g`` for floats (as
     ``format(x, ".17g")``) and ``%s`` for text, which must need no quoting;
@@ -380,12 +397,12 @@ def _columns(template: str, *columns) -> list[str]:
                 parts[i] = "%s"
             items.append(col)
     line = ",".join(parts) + csv.excel.lineterminator
-    # .flat walks the broadcast views without copying them to full size
-    return list(map(line.__mod__, zip(*(c.flat for c in np.broadcast_arrays(*items)))))
+    return _Lines(line, tuple(np.broadcast_arrays(*items)), math.prod(shape))
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Write the header and ``rows``, the lines made by ``_columns``."""
+    """Write the header and ``rows``, any sized iterable of lines (those of
+    ``_columns``), line by line."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(rows)
@@ -504,20 +521,21 @@ def _level_models(cfg: ExperimentConfig, meas, omega_fn, model):
 def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     omega_fn, phase_fn = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
-    graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else (None,)
+    graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else None
     levels = sorted(cfg.levels)
     model = cfg.model()
 
     initial = lambda m: phase_state(martingale_level(meas, phase_fn, m, cfg.sublevel),
                                     model.state_dim)
     # the kernel, frequencies and phases depend on the level only; the graph
-    # seeds share them
+    # seeds share them, and a deterministic run integrates the shared graph
+    # of rate and vlasov, one trajectory per level
     series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel,
                               _level_models(cfg, meas, omega_fn, model), initial, cfg.T,
                               cfg.dt, cfg.output_stride, graph_seeds, cfg.graph_symmetric)
     outputs = []
     for m, trajs in zip(levels, series):
-        for seed, traj in zip(graph_seeds, trajs):
+        for seed, traj in zip(graph_seeds, trajs) if graph_seeds else [(None, trajs)]:
             stem = f"trajectory_m{m}" + ("" if seed is None else f"_seed{seed}")
             outputs += _write_trajectory(out, stem, traj, model, seed, cfg)
     return outputs

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fractalips import (
     translation_vector,
     vlasov_self_convergence,
 )
-from fractalips.analysis import _modulus_single_level, wasserstein_distance
+from fractalips.analysis import _modulus_single_level, _slope, wasserstein_distance
 from fractalips.geometry import attractor_points
 from fractalips.quadrature import (
     cell_means,
@@ -104,6 +105,56 @@ class TestTrajError:
         a_ref = make_traj(3, 3, times, np.repeat(a.values, 3, axis=1))
         ba = traj_error(b, a_ref, sg_measure).max_error
         assert ab == pytest.approx(ba, rel=1e-12)
+
+
+def one_shot_traj_error(coarse, fine, meas):
+    """The errors of ``traj_error`` from one temporary of the fine
+    trajectory's size, the formula its row blocks replaced."""
+    diff = np.repeat(coarse.values, coarse.k ** (fine.level - coarse.level), axis=1)
+    np.subtract(diff, fine.values, out=diff)
+    sq = np.sum(np.multiply(diff, diff, out=diff), axis=2)
+    sq *= meas.weights(fine.level)
+    return np.sqrt(np.maximum(pairwise_sum(sq, axis=1), 0.0))
+
+
+class TestTrajErrorBlocks:
+    @pytest.mark.parametrize("name, level, p", [
+        ("sg", 4, None), ("sg", 4, (0.6, 0.3, 0.1)),
+        ("cantor", 8, None), ("cantor", 11, (0.7, 0.3)),
+    ])
+    def test_row_blocks_keep_the_one_shot_bits(self, name, level, p):
+        # 23 times: several row blocks and a short last one, or at cantor
+        # level 13 one row per block (2^13 cells of 2 components)
+        ifs = preset(name)
+        meas = (SelfSimilarMeasure.uniform(ifs) if p is None
+                else SelfSimilarMeasure(ifs, ProbabilityVector(p)))
+        rng = np.random.default_rng(level)
+        times = np.linspace(0.0, 1.0, 23)
+        for state_dim in (1, 2):
+            coarse = make_traj(ifs.k, level, times,
+                               rng.normal(size=(23, ifs.k**level, state_dim)))
+            for gap in (0, 1, 2):
+                fine = make_traj(ifs.k, level + gap, times,
+                                 rng.normal(size=(23, ifs.k ** (level + gap), state_dim)))
+                rep = traj_error(coarse, fine, meas)
+                expected = one_shot_traj_error(coarse, fine, meas)
+                assert rep.errors.tobytes() == expected.tobytes(), (state_dim, gap)
+                assert rep.max_error == expected.max()
+
+    def test_traced_peak_stays_far_below_the_fine_trajectory(self, sg_measure):
+        # sg levels 5 and 6 at 101 times: the fine trajectory takes 0.56 MiB,
+        # and the one-shot formula peaked at 2.54 MiB
+        rng = np.random.default_rng(0)
+        times = np.linspace(0.0, 1.0, 101)
+        coarse = make_traj(3, 5, times, rng.random((101, 243, 1)))
+        fine = make_traj(3, 6, times, rng.random((101, 729, 1)))
+        tracemalloc.start()
+        try:
+            traj_error(coarse, fine, sg_measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
 
 class TestProjectionError:
@@ -244,6 +295,29 @@ class TestLipschitzNormEstimate:
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValueError):
             lipschitz_norm_estimate([2, 3], [0.1, 0.05], lam=0.5)
+
+
+class TestSlope:
+    """The closed-form least-squares slope behind both rate fits."""
+
+    def test_equals_polyfit(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5, 9):
+            x = np.sort(rng.choice(np.arange(2, 12), n, replace=False)) * np.log(
+                rng.uniform(0.2, 0.7))
+            y = np.log(rng.uniform(1e-9, 1.0, n))
+            np.testing.assert_allclose(_slope(x, y), np.polyfit(x, y, 1)[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [[2.0, 2.0, 2.0], [1.5], []])
+    def test_fewer_than_two_distinct_x_refused(self, x):
+        with pytest.raises(ValueError):
+            _slope(np.array(x), np.ones(len(x)))
+
+    def test_repeated_levels_refused_by_both_fits(self):
+        with pytest.raises(ValueError):
+            rate_fit([0.1, 0.2, 0.3], 0.5, levels=[3, 3, 3])
+        with pytest.raises(ValueError):
+            lipschitz_norm_estimate([3, 3, 3], [0.1, 0.2, 0.3], lam=0.5)
 
 
 class TestRateFit:
@@ -558,6 +632,45 @@ class TestVlasovSelfConvergence:
                     expected[si, pi, ti] = pairwise_sum(masses * np.array(acc))
         assert np.all(expected > 0)
         np.testing.assert_allclose(table.distances, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name, m, p", [
+        ("sg", 1, None), ("sg", 1, (0.6, 0.3, 0.1)),
+        ("cantor", 2, None), ("cantor", 2, (0.7, 0.3)),
+    ])
+    def test_table_keeps_the_one_shot_bits(self, name, m, p, monkeypatch):
+        # reference: the table from sorted copies of the stacked atoms and
+        # fresh repeated, subtracted and absolute arrays, which the in-place
+        # sort and the one gap buffer replaced; ells 1, 2, 4 take level gaps
+        # 1 and 2, the first pair in a part of the finest pair's buffer
+        from fractalips import analysis, builtin_kernels
+
+        ifs = preset(name)
+        meas = (SelfSimilarMeasure.uniform(ifs) if p is None
+                else SelfSimilarMeasure(ifs, ProbabilityVector(p)))
+        integrate = analysis.integrate_levels
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.extend(integrate(*args, **kwargs))
+            return runs
+
+        monkeypatch.setattr(analysis, "integrate_levels", recording)
+        ells, seeds = (1, 2, 4), (4, 5)
+        table = vlasov_self_convergence(
+            meas, lambda level: kuramoto_model(1.0, 0.0),
+            builtin_kernels(ifs.dimension)["expdist"],
+            lambda rng, ci, n: rng.random((n, 1)),
+            m=m, ells=ells, T=0.2, dt=0.01, seeds=seeds, sublevel=2, output_stride=5)
+        k, shape = ifs.k, (len(seeds), len(table.times), ifs.k**m)
+        atoms = {ell: np.sort(np.stack([tr.values[..., 0] for tr in trajs]).reshape(
+            *shape, k**ell), axis=-1) for ell, trajs in zip(ells, runs)}
+        expected = np.stack([
+            pairwise_sum(meas.weights(m) * np.mean(np.abs(
+                np.repeat(atoms[lo], k ** (hi - lo), axis=-1) - atoms[hi]), axis=-1),
+                axis=-1)
+            for lo, hi in table.ell_pairs], axis=1)
+        assert np.all(expected > 0)
+        assert table.distances.tobytes() == expected.tobytes()
 
 
 class TestStationaryMean:

@@ -828,28 +828,32 @@ class TestWriteCsv:
             "scalar": ("%d,%.17g", 3, 0.1),
         }
         for name, (template, *columns) in cases.items():
+            # a sized iterable, which yields its lines again on every pass
             lines = _columns(template, *columns)
-            assert isinstance(lines, list), name
             assert len(lines) == np.broadcast(*columns).size, name
-            assert lines == materialized(template, *columns), name
+            assert list(lines) == materialized(template, *columns), name
+            assert list(lines) == materialized(template, *columns), name
 
     def test_trajectory_builds_no_full_size_index_columns(self, tmp_path):
-        # a level-5 trajectory on sg: 101 times x 243 cells, 24,543 lines,
-        # which take 2.4 MiB themselves; full-size time, cell and component
-        # columns take the peak past 4.9 MiB, and the text of a full-size
-        # value column formatted before the lines past 4.2 MiB
-        rng = np.random.Generator(np.random.Philox(5))
-        traj = Trajectory(3, 5, np.linspace(0.0, 1.0, 101),
-                          rng.uniform(-1.0, 1.0, (101, 243, 1)))
+        # level-5 and level-6 trajectories on sg: 101 times x 243 or 729
+        # cells, 24,543 or 73,629 lines.  Held as one list, the lines took
+        # the write's peak to 2.5 and 7.3 MiB; streamed, it stays near
+        # 0.2 MiB at both levels, with no full-size column or list of lines
         cfg = parse_config(write_config(tmp_path))
         model = fractalips.builtin_models()["kuramoto"](1.0, 1.0, 0.0)
-        tracemalloc.start()
-        try:
-            _write_trajectory(tmp_path, "traj", traj, model, None, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+        for level in (5, 6):
+            rng = np.random.Generator(np.random.Philox(5))
+            traj = Trajectory(3, level, np.linspace(0.0, 1.0, 101),
+                              rng.uniform(-1.0, 1.0, (101, 3**level, 1)))
+            tracemalloc.start()
+            try:
+                _write_trajectory(tmp_path, "traj", traj, model, None, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**19, level
+            lines = (tmp_path / "traj.csv").read_bytes().splitlines()
+            assert len(lines) == 1 + traj.values.size, level
 
 
 class TestDeterminism:

@@ -1452,8 +1452,8 @@ class TestIntegrateLevels:
                 assert traj.values.tobytes() == ref.values.tobytes()
 
     @pytest.mark.parametrize("subcommand, kind, union, model", [
-        # the stack of one graph, or one draw per seed
-        *[("simulate", "deterministic", (1, 36, 36), model) for model in MODELS],
+        # the shared graph, or one draw per seed
+        *[("simulate", "deterministic", (36, 36), model) for model in MODELS],
         *[("simulate", "bernoulli", (3, 36, 36), model) for model in MODELS],
         # levels 3 and 4, one field per seed; vlasov takes scalar states only
         ("vlasov", "deterministic", (108, 108), "kuramoto"),
@@ -1471,7 +1471,7 @@ class TestIntegrateLevels:
 
     @pytest.mark.parametrize("kind", ["bernoulli", "deterministic"])
     def test_simulate_files_equal_the_per_level_loop(self, tmp_path, monkeypatch, kind):
-        # Bernoulli stacks of three seeds, or the deterministic stack of one
+        # Bernoulli stacks of three seeds, or the shared deterministic graph
         path = tmp_path / "simulate.ini"
         path.write_text(ROTATED_SIMULATE.format(kind=kind))
         cfg = cli.parse_config(path)
