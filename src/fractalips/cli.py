@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     lipschitz_norm_estimate,
+    median,
     modulus_profile,
     projection_error,
     rate_fit,
@@ -606,7 +607,7 @@ def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     write_csv(out / "vlasov_summary.csv",
               ("ell_coarse", "ell_fine", "median_max_distance"),
               _columns("%d,%d,%.17g", pairs[:, 0], pairs[:, 1],
-                       np.median(worst, axis=0)))
+                       median(worst, axis=0)))
     return ["vlasov.csv", "vlasov_summary.csv"]
 
 

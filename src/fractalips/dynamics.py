@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate, combinations
 from typing import Callable
 
@@ -79,13 +80,12 @@ class BlockGraph:
     Blocks are cut by the first symbol of the cell words.  ``diagonal`` is
     the shared diagonal block, ``upper`` maps (i, j), i < j, to block (i, j),
     whose transpose is block (j, i), and ``masses`` holds the nu(K_v): k(k -
-    1)/2 + 1 of the k^2 blocks are stored.  The grouped kernel projection
-    builds it from its class table, and ``integrate_levels`` factors it once
-    with ``_compressed``: an upper block is either the block itself or its
-    low-rank factors (U, V) with U V within ``GRAPH_TOL`` of it.
-    ``np.asarray`` gives the dense G, which is W's exactly only when every
-    block is stored; ``project_kernel`` fills W that way, and
-    ``pairwise_coupling`` densifies a factored graph.
+    1)/2 + 1 of the k^2 blocks are stored.  ``_compressed`` builds it from
+    the class gather of the grouped kernel projection: an upper block is
+    either the block itself or its low-rank factors (U, V) with U V within
+    ``GRAPH_TOL`` of it.  ``np.asarray`` gives the dense G, which is W
+    diag(nu) exactly only when every block is stored; ``pairwise_coupling``
+    densifies a factored graph that way.
     """
 
     diagonal: np.ndarray
@@ -123,35 +123,43 @@ GRAPH_TOL = 1e-12
 ACA_TOL = 3e-14
 
 
-def _compressed(G: BlockGraph) -> BlockGraph:
-    """G with each upper block that adaptive cross approximation compresses
-    stored as its factors (U, V), the others as they are.
+def _compressed(block: Callable, k: int, masses: np.ndarray) -> BlockGraph:
+    """The ``BlockGraph`` of G = W diag(masses) for the symmetric W of k x k
+    blocks whose block (i, j), i <= j, has the rows and columns (slices) that
+    ``block(i, j, rows, cols)`` gathers: the diagonal block gathered whole,
+    and each upper block as its adaptive cross approximation factors (U, V)
+    where they compress it, else gathered whole.
 
     The tolerance of a block is its share of GRAPH_TOL ||G||_inf: each
     block-row meets k - 1 upper blocks or their transposes, so a block is
     factored only if U V changes no row sum of |G - G~| of either block-row
     by more than GRAPH_TOL ||G||_inf / (k - 1), checked exactly against the
-    block.
+    block's entries.  No upper block is ever held whole beside its factors:
+    every check gathers 2^13 entries at a time, and the factors read only
+    their pivot rows and columns.
     """
-    b, k = len(G.diagonal), len(G.masses) // len(G.diagonal)
-    nu = G.masses.reshape(k, b)
+    b = len(masses) // k
+    nu = masses.reshape(k, b)
+    upper = {ij: partial(block, *ij) for ij in combinations(range(k), 2)}
+    diagonal = _gathered(partial(block, 0, 0), np.empty((b, b)))
     # the row sums of |G|, block-row by block-row: D's, then each upper
     # block's and its transpose's
-    sums = _abs_sums(lambda lo, hi: G.diagonal[lo:hi], b, nu[0], nu.T)[0].T  # (k, b)
-    for (i, j), C in G.upper.items():
-        rows, cols = _abs_sums(lambda lo, hi: C[lo:hi], b, nu[i], nu[j])
+    sums = _abs_sums(diagonal.__getitem__, b, nu[0], nu.T)[0].T  # (k, b)
+    for (i, j), C in upper.items():
+        rows, cols = _abs_sums(C, b, nu[i], nu[j])
         sums[i] += rows
         sums[j] += cols
     bound = GRAPH_TOL * sums.max() / (k - 1)
-    return replace(G, upper={(i, j): _low_rank(C, nu[i], nu[j], bound)
-                             for (i, j), C in G.upper.items()})
+    return BlockGraph(diagonal, {(i, j): _low_rank(C, nu[i], nu[j], bound)
+                                 for (i, j), C in upper.items()}, masses)
 
 
-def _low_rank(C: np.ndarray, left: np.ndarray, right: np.ndarray, bound: float):
-    """Factors (U, V) of C, U V within ``bound`` of C in the weighted row sums
-    of ``_abs_sums(C - U V, left, right)``, or C itself when that takes a
-    rank above a third of its smaller side (the factors would hold more than
-    two thirds of its bytes).
+def _low_rank(C: Callable, left: np.ndarray, right: np.ndarray, bound: float):
+    """Factors (U, V) of the len(left) x len(right) block whose rows and
+    columns (slices) ``C(rows, cols)`` gathers, U V within ``bound`` of it in
+    the weighted row sums of ``_abs_sums(C - U V, left, right)``, or the
+    block itself when that takes a rank above a third of its smaller side
+    (the factors would hold more than two thirds of its bytes).
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
     86, 2000): each term is a residual row of C scaled by its largest entry
@@ -161,7 +169,7 @@ def _low_rank(C: np.ndarray, left: np.ndarray, right: np.ndarray, bound: float):
     negligible term is dropped, and the factors are kept only if they pass
     the exact check.
     """
-    p, q = C.shape
+    p, q = len(left), len(right)
     cap = min(p, q) // 3
     UV = np.empty((cap, p + q))  # one buffer for both factors
     U, V = UV[:, :p], UV[:, p:]  # term r is U[r] V[r]^T
@@ -169,13 +177,13 @@ def _low_rank(C: np.ndarray, left: np.ndarray, right: np.ndarray, bound: float):
     r, i, frob = 0, 0, 0.0
     while r < cap and free.any():
         free[i] = False
-        row = C[i] - U[:r, i] @ V[:r]
+        row = C(slice(i, i + 1))[0] - U[:r, i] @ V[:r]
         j = np.argmax(np.abs(row))
         if row[j] == 0.0:  # row i is reproduced already
             i = np.argmax(free)
             continue
         V[r] = row / row[j]
-        U[r] = C[:, j] - V[:r, j] @ U[:r]
+        U[r] = C(slice(None), slice(j, j + 1))[:, 0] - V[:r, j] @ U[:r]
         size = (U[r] @ U[r]) * (V[r] @ V[r])
         frob += size + 2.0 * (U[:r] @ U[r]) @ (V[:r] @ V[r])
         if size <= ACA_TOL * ACA_TOL * frob:
@@ -189,30 +197,43 @@ def _low_rank(C: np.ndarray, left: np.ndarray, right: np.ndarray, bound: float):
         del U, V
         UV.resize((r, p + q), refcheck=False)
         return UV[:, :p].T, UV[:, p:]
-    return C
+    del U, V, UV  # before the block is gathered
+    return _gathered(C, np.empty((p, q)))
 
 
 def _fits(C, U, V, left, right, bound) -> bool:
     """Whether both weighted row sums of |C - U^T V| stay within ``bound``."""
-    def residual(lo, hi):
-        e = U[:, lo:hi].T @ V
-        return np.subtract(C[lo:hi], e, out=e)
+    def residual(rows):
+        e = U[:, rows].T @ V
+        return np.subtract(C(rows), e, out=e)
 
-    rows, cols = _abs_sums(residual, len(C), left, right)
+    rows, cols = _abs_sums(residual, len(left), left, right)
     return rows.max() <= bound and cols.max() <= bound
 
 
-def _abs_sums(rows: Callable, n: int, left: np.ndarray, right: np.ndarray):
-    """|B| right and left |B| for the n-row matrix B whose rows lo:hi
-    ``rows(lo, hi)`` returns, taken 2^13 entries at a time so that no
-    temporary holds more (64 KiB; at 256 KiB they raised the peak RSS of
-    the benchmark pipelines that build these graphs)."""
-    step = max(1, (1 << 13) // len(right))
+def _row_blocks(n: int, width: int, entries: int = 1 << 13):
+    """Slices of the rows of an n x ``width`` matrix, ``entries`` at a time so
+    that no temporary holds more (2^13: 64 KiB of float64; at 256 KiB they
+    raised the peak RSS of the benchmark pipelines that build these graphs)."""
+    step = max(1, entries // width)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _gathered(C: Callable, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the block whose rows (slices) ``C(rows)`` gathers."""
+    for rows in _row_blocks(*out.shape):
+        out[rows] = C(rows)
+    return out
+
+
+def _abs_sums(C: Callable, n: int, left: np.ndarray, right: np.ndarray):
+    """|B| right and left |B| for the n-row matrix B whose rows (slices)
+    ``C(rows)`` returns, taken by ``_row_blocks``."""
     out, back = [], 0.0
-    for lo in range(0, n, step):
-        a = np.abs(rows(lo, lo + step))
+    for rows in _row_blocks(n, len(right)):
+        a = np.abs(C(rows))
         out.append(a @ right)
-        back = back + left[lo:lo + step] @ a
+        back = back + left[rows] @ a
     return np.concatenate(out), back
 
 
@@ -304,16 +325,31 @@ def project_kernel(
     ``translation_invariant = True`` (W(x, y) = w(x - y), w even) and the
     maps share a linear part, level-m cells are translates of each other and
     W_wv depends only on the displacement +-delta between K_w and K_v: each
-    class is evaluated once, on its first pair, and W is filled from the
-    blocks of a ``BlockGraph``, so it is exactly symmetric (ValueError if w
+    class is evaluated once, on its first pair, and W is filled block by
+    block from the class values, so it is exactly symmetric (ValueError if w
     is not even).  Otherwise every pair is its own class.  Each row's pairs
     are one batch: K_w's nodes against the nodes of the cells of its classes.
     """
-    return KernelMatrix(meas.k, m, np.asarray(_projection(meas, kernel, m, sublevel)))
+    W = _projection(meas, kernel, m, sublevel)
+    if callable(W):  # the diagonal blocks repeat (0, 0), block (j, i) is (i, j)^T
+        k, b = meas.k, meas.k**(m - 1)
+        blocks = np.empty((k, b, k, b))
+        upper = list(combinations(range(k), 2))
+        for i, j in [(0, 0), *upper]:
+            _gathered(partial(W, i, j), blocks[i, :, j])
+        for i in range(1, k):
+            blocks[i, :, i] = blocks[0, :, 0]
+        for i, j in upper:
+            blocks[j, :, i] = blocks[i, :, j].T
+        W = blocks.reshape(k * b, k * b)
+    return KernelMatrix(meas.k, m, W)
 
 
 def _projection(meas: SelfSimilarMeasure, kernel, m: int, sublevel: int):
-    """``project_kernel``'s W: grouped, as a ``BlockGraph`` of unit masses."""
+    """``project_kernel``'s W, or for a grouped projection its class gather
+    ``block(i, j, rows=slice(None), cols=slice(None))``: the entries of the
+    rows and columns (slices) of block (i, j), i <= j, of the k x k blocks
+    cut by the first symbol."""
     k = meas.k
     n_cells = check_level_size(k, m)
     n_sub = k**sublevel
@@ -333,7 +369,7 @@ def _projection(meas: SelfSimilarMeasure, kernel, m: int, sublevel: int):
 
     if grouped:
         # x_w = f_w(anchor) = A^m anchor + t_w, so x_w - x_v = t_w - t_v
-        first, number = _class_table(pts[::n_sub], n_cells // k)
+        first, number, keys = _class_table(pts[::n_sub], n_cells // k)
         check_eval_budget((len(first) + 1) * n_sub * n_sub)  # + 1: evenness check
         rows, cols = np.divmod(first, n_cells)
         # first is ascending, so each row's representatives are contiguous
@@ -357,9 +393,8 @@ def _projection(meas: SelfSimilarMeasure, kernel, m: int, sublevel: int):
         return values.reshape(n_cells, n_cells)
     if not np.all(np.isfinite(values)):  # as KernelMatrix checks W
         raise ValueError("kernel entries must be finite")
-    return BlockGraph(values[number(0, 0)],
-                      {ij: values[number(*ij)] for ij in combinations(range(k), 2)},
-                      np.ones(n_cells))
+    values = values.take(number, mode="clip")  # by key; a key of no pair reads any class
+    return lambda i, j, rows=slice(None), cols=slice(None): values[keys(i, j, rows, cols)]
 
 
 def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
@@ -375,16 +410,27 @@ def _block_sums(kernel, cells, q, rows, cols) -> np.ndarray:
     return np.einsum("aubv,u,v->ab", block, q, q)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` by one sort: without index outputs np.unique imports
+    numpy.ma (12 ms and 1.25 MB of RSS per process)."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _class_table(t: np.ndarray, b: int):
     """Group the ordered pairs (w, v) of the points t by +-(t_w - t_v), so
-    that (w, v) and (v, w) share a class, b x b pairs at a time.
+    that (w, v) and (v, w) share a class, in row blocks of the b x b blocks.
 
     Returns, in ascending order, the flat index w * n + v of the first pair
-    of each class, and ``number(i, j)``, the classes of block (i, j), i <=
-    j.  Only block (0, 0) and the blocks i < j are keyed: the diagonal blocks
-    repeat (0, 0), as t_w = f_w(anchor) under one linear part.  An axis ranks
-    the displacements of its distinct coordinates, if at most b, else those
-    of the keyed blocks.
+    of each class, the class of each key, and ``keys(i, j, rows, cols)``,
+    the keys of the rows and columns (slices, all by default) of block (i,
+    j), i <= j.  Only block (0, 0) and the blocks i < j are keyed: the
+    diagonal blocks repeat (0, 0), as t_w = f_w(anchor) under one linear
+    part.  An axis ranks the displacements of its distinct coordinates, if
+    at most b, else those of the keyed blocks.
     Displacements are rounded to a grid of 2^-40 times the largest one: far
     above the rounding of the coordinates, and below the gap between
     distinct displacements of the lattice presets at every level the
@@ -394,17 +440,19 @@ def _class_table(t: np.ndarray, b: int):
     times the step.
     """
     n, step = len(t), 2.0**40 / (float(np.ptp(t, axis=0).max()) or 1.0)
-    keyed = [(0, 0), *combinations(range(n // b), 2)]
+    # the keyed blocks, 2^16 pairs at a time: no temporary of a block's size
+    keyed = [(i, j, rows) for i, j in [(0, 0), *combinations(range(n // b), 2)]
+             for rows in _row_blocks(b, b, 1 << 16)]
 
     def ranked(f, count):  # f on all pairs: on the keyed ones, and mirrored, count - 1 - f
-        seen = np.unique(np.concatenate([np.unique(f(i, j)) for i, j in keyed]))
-        return np.union1d(seen, count - 1 - seen)
+        seen = _distinct(np.concatenate([_distinct(f(*key)) for key in keyed]))
+        return _distinct(np.concatenate([seen, count - 1 - seen]))
 
-    def keys(i, j, fold=True):  # rint is odd, so -delta keys (span - 1) - key
-        key = np.zeros((b, b), dtype=np.int64)
+    def keys(i, j, rows=slice(None), cols=slice(None), fold=False):
+        key = 0  # rint is odd, so -delta keys (span - 1) - key
         for rank, count, levels in stages:
             key *= count
-            key += rank(i, j)
+            key += rank(i, j, rows, cols)
             key = key if levels is None else levels.searchsorted(key)
         return np.minimum(key, span - 1 - key, out=key) if fold else key
 
@@ -413,24 +461,29 @@ def _class_table(t: np.ndarray, b: int):
         vals, idx = np.unique(x, return_inverse=True)
         if len(vals) <= b:
             levels, r = np.unique(np.rint((vals[:, None] - vals) * step), return_inverse=True)
-            r, c = r.reshape(len(vals), -1), idx.reshape(-1, b)
-            rank = lambda i, j, r=r, c=c: r[c[i, :, None], c[j]]
+            c = idx.reshape(-1, b)  # r[u, v] of vals[u] - vals[v] is flat at u * len(vals) + v
+            rank = lambda i, j, rows, cols, r=r.reshape(-1), c=c, cu=c * len(vals): \
+                r[cu[i, rows, None] + c[j, cols]]
         else:
-            grid = lambda i, j, x=x.reshape(-1, b): np.rint((x[i, :, None] - x[j]) * step)
+            def grid(i, j, rows=slice(None), cols=slice(None), x=x.reshape(-1, b)):
+                return np.rint((x[i, rows, None] - x[j, cols]) * step)
+
             levels = ranked(grid, 1)  # mirrored to -d
-            rank = lambda i, j, g=grid, lv=levels: lv.searchsorted(g(i, j))
+            rank = lambda i, j, rows, cols, g=grid, lv=levels: lv.searchsorted(g(i, j, rows, cols))
         stages.append([rank, len(levels), None])
         span *= len(levels)
         if span > n * n:  # ranking the keys, mirrored, keeps that symmetry
-            stages[-1][2] = levels = ranked(lambda i, j: keys(i, j, fold=False), span)
+            stages[-1][2] = levels = ranked(keys, span)
             span = len(levels)
 
-    within = np.arange(b)[:, None] * n + np.arange(b)  # flat offsets inside a block
     first = np.full(span, n * n)
-    for i, j in keyed:
-        np.minimum.at(first, keys(i, j), within + (i * n + j) * b)
+    for i, j, rows in keyed:  # the flat index w * n + v of each pair
+        flat = np.arange(i * b, (i + 1) * b)[rows, None] * n + np.arange(j * b, (j + 1) * b)
+        np.minimum.at(first, keys(i, j, rows, fold=True), flat)
     number = np.argsort(np.argsort(first))  # keys in the order of their first pairs
-    return np.sort(first)[:np.count_nonzero(first < n * n)], lambda i, j: number[keys(i, j)]
+    mirror = np.arange(span)  # and each key's mirror, (span - 1) - key, in its class
+    number = number[np.minimum(mirror, span - 1 - mirror, out=mirror)]
+    return np.sort(first)[:np.count_nonzero(first < n * n)], number, keys
 
 
 def assemble_deterministic(km: KernelMatrix, meas: SelfSimilarMeasure) -> CouplingGraph:
@@ -701,10 +754,10 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     graph is ``stack_graphs(km, meas, graph_seeds, symmetric)``.  Without,
     it is ``assemble_deterministic``'s W diag(nu), except for a grouped
     projection over ``DENSE_GRAPH_BYTES``: that level's ``BlockGraph`` is
-    built from the class table, without W, and factored here by
-    ``_compressed``, the one place that factors a graph.  The levels are
-    projected finest first, so a level the budget refuses fails before any
-    work, and no kernel matrix outlives its graph.
+    built by ``_compressed`` from the class gather, without W or any whole
+    upper block it factors.  The levels are projected finest first, so a
+    level the budget refuses fails before any work, and no kernel matrix
+    outlives its graph.
 
     Consecutive levels whose models are equal but for their params (of one
     width), with the same member count and layout (shared graphs or stacks),
@@ -720,10 +773,9 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     """
     def graph(m):
         if graph_seeds is None and 8 * meas.k**(2 * m) > DENSE_GRAPH_BYTES:
-            W = _projection(meas, kernel, m, sublevel)  # grouped: its blocks, never W
-            if isinstance(W, BlockGraph):
-                return CouplingGraph(meas.k, m,
-                                     _compressed(replace(W, masses=meas.weights(m))))
+            W = _projection(meas, kernel, m, sublevel)  # grouped: its gather, never W
+            if callable(W):
+                return CouplingGraph(meas.k, m, _compressed(W, meas.k, meas.weights(m)))
             return assemble_deterministic(KernelMatrix(meas.k, m, W), meas)
         km = project_kernel(meas, kernel, m, sublevel)
         if graph_seeds is None:

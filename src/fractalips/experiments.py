@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import traj_error
+from .analysis import median, traj_error
 from .dynamics import integrate_levels, kuramoto_model
 from .quadrature import SelfSimilarMeasure
 from .transfer import PiecewiseConstantField, coarsen, martingale_level
@@ -124,7 +124,7 @@ def bernoulli_gap_medians(
         graph_seeds=(None, *seeds))
     per_seed = np.array([[traj_error(base, t, meas).max_error for t in draws]
                          for base, *draws in series]).reshape(len(levels), len(seeds))
-    medians = [float(np.median(row)) for row in per_seed]
+    medians = [float(median(row)) for row in per_seed]
     return np.array(levels), np.array(medians), per_seed
 
 

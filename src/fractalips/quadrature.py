@@ -37,22 +37,23 @@ def pairwise_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum with a fixed pairwise (binary tree) reduction order.
 
     Zero-pads to the next power of two and folds halves, so the result is
-    bit-stable for a given length regardless of any outer partitioning.
+    bit-stable for a given length regardless of any outer partitioning.  The
+    first fold writes into one buffer of half that length, and the others
+    fold it in place: no padded copy of x is made.
     """
     x = np.asarray(x, dtype=np.float64)
     x = np.moveaxis(x, axis, 0)
     n = x.shape[0]
-    if n == 0:
-        return np.zeros(x.shape[1:], dtype=np.float64)
-    size = 1 << (n - 1).bit_length()
-    if size != n:
-        pad = np.zeros((size - n,) + x.shape[1:], dtype=np.float64)
-        x = np.concatenate([x, pad], axis=0)
-    while size > 1:
-        half = size // 2
-        x = x[:half] + x[half:size]
-        size = half
-    return x[0]
+    if n < 2:
+        return x[0] if n else np.zeros(x.shape[1:], dtype=np.float64)
+    half = 1 << ((n - 1).bit_length() - 1)
+    buf = x[:half].copy()
+    buf[:n - half] += x[half:]
+    buf[n - half:] += 0.0  # the zero padding, which turns -0.0 into 0.0
+    while half > 1:
+        half //= 2
+        buf[:half] += buf[half:2 * half]
+    return buf[0].copy()
 
 
 def cell_means(values: np.ndarray, p: ProbabilityVector, sublevel: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -380,9 +381,34 @@ BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), 
 
 
 def exact_graph(meas, kernel, m, sublevel):
-    """The BlockGraph of the exact blocks that the grouped projection
-    returns, with the level's masses: what ``_compressed`` factors."""
-    return replace(dynamics._projection(meas, kernel, m, sublevel), masses=meas.weights(m))
+    """The BlockGraph of the exact blocks of W diag(nu), sliced from
+    ``project_kernel``'s W: the oracle of the graph ``_compressed`` builds."""
+    k, b = meas.k, meas.k**(m - 1)
+    W = project_kernel(meas, kernel, m, sublevel).entries.reshape(k, b, k, b)
+    return BlockGraph(W[0, :, 0].copy(), {(i, j): W[i, :, j].copy()
+                                          for i, j in itertools.combinations(range(k), 2)},
+                      meas.weights(m))
+
+
+def factored(exact):
+    """``_compressed`` on the exact blocks of a BlockGraph, gathered by
+    slicing them."""
+    def block(i, j, rows=slice(None), cols=slice(None)):
+        return (exact.diagonal if i == j else exact.upper[i, j])[rows, cols]
+
+    return dynamics._compressed(block, len(exact.masses) // len(exact.diagonal), exact.masses)
+
+
+@functools.lru_cache(maxsize=None)
+def factored_case(name, m, uniform):
+    """(exact blocks, their factored graph, the graph integrate_levels
+    builds from the class gather) of expdist on a preset, sublevel 1."""
+    ifs = preset(name)
+    meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
+                              else skewed_p(ifs.k))
+    kernel = builtin_kernels(ifs.dimension)["expdist"]
+    exact = exact_graph(meas, kernel, m, 1)
+    return exact, factored(exact), table_graph(meas, kernel, m, 1)
 
 
 def stored(graph):
@@ -409,7 +435,7 @@ class TestBlockGraph:
     @pytest.mark.parametrize("rows", [2, 4, 20])
     def test_product_matches_dense(self, block_case, rows):
         meas, km, dense, table, exact = block_case
-        graph = dynamics._compressed(exact)
+        graph = factored(exact)
         rng = np.random.Generator(np.random.Philox(rows))
         x = rng.uniform(0.0, 1.0, (2, rows, len(dense)))
         # the projection's exact blocks are the dense graph, bit for bit
@@ -431,11 +457,7 @@ class TestBlockGraph:
     def test_factored_product_is_within_the_bound(self, name, m, uniform):
         # ||G~ x - G x||_inf <= 1e-12 ||G||_inf ||x||_inf against the exact
         # blocks; expdist is positive, so ||G||_inf is the largest row sum
-        ifs = preset(name)
-        meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
-                                  else skewed_p(ifs.k))
-        exact = exact_graph(meas, builtin_kernels(ifs.dimension)["expdist"], m, 1)
-        graph = dynamics._compressed(exact)
+        exact, graph, _ = factored_case(name, m, uniform)
         assert all(isinstance(C, tuple) for C in graph.upper.values())
         assert graph.nbytes < exact.nbytes
         norm = graph_product(exact, np.ones((1, 1, exact.shape[0]))).max()
@@ -445,9 +467,38 @@ class TestBlockGraph:
             error = np.abs(graph_product(graph, x) - graph_product(exact, x)).max()
             assert error <= 1e-12 * norm * np.abs(x).max()
 
+    @pytest.mark.parametrize("name, m", [("sg", 6), ("sg", 7), ("interval-3", 6),
+                                         ("cantor", 10)])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "skewed"])
+    def test_gathered_factors_equal_the_exact_blocks_factors(self, name, m, uniform):
+        # the build from the class gather, which never holds an upper block
+        # whole, stores what factoring the sliced exact blocks stores
+        exact, graph, table = factored_case(name, m, uniform)
+        assert table.upper.keys() == graph.upper.keys()
+        for a, b in zip(stored(table), stored(graph), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert table.masses.tobytes() == exact.masses.tobytes()
+
+    @pytest.mark.parametrize("name, m", [("sg", 5), ("sg", 6), ("sg3", 4), ("cantor", 10),
+                                         ("interval-3", 6)])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "skewed"])
+    def test_w_is_filled_as_from_whole_blocks(self, name, m, uniform):
+        # project_kernel fills W 2^13 entries at a time; W is what the
+        # BlockGraph of the whole gathered blocks, of unit masses, gives
+        ifs = preset(name)
+        meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
+                                  else skewed_p(ifs.k))
+        kernel = builtin_kernels(ifs.dimension)["expdist"]
+        block = dynamics._projection(meas, kernel, m, 1)
+        whole = BlockGraph(block(0, 0), {(i, j): block(i, j) for i, j in
+                                         itertools.combinations(range(ifs.k), 2)},
+                           np.ones(ifs.k**m))
+        W = project_kernel(meas, kernel, m, 1).entries
+        assert W.tobytes() == np.asarray(whole).tobytes()
+
     def test_factors_are_what_nbytes_counts(self, sg_measure):
         exact = exact_graph(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
-        graph = dynamics._compressed(exact)
+        graph = factored(exact)
         assert graph.nbytes == sum(a.nbytes for a in stored(graph))
         ranks = [U.shape[1] for U, _ in graph.upper.values()]
         assert graph.nbytes == 243**2 * 8 + sum(ranks) * 2 * 243 * 8
@@ -465,20 +516,22 @@ class TestBlockGraph:
 
         wave.translation_invariant = True
         exact = exact_graph(sg_measure, wave, 6, 1)
-        graph = dynamics._compressed(exact)
-        assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
-        assert graph.nbytes == exact.nbytes
-        for a, b in zip(stored(graph), stored(exact), strict=True):
-            assert a is b
+        for graph in (factored(exact), table_graph(sg_measure, wave, 6, 1)):
+            assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
+            assert graph.nbytes == exact.nbytes
+            for a, b in zip(stored(graph), stored(exact), strict=True):
+                assert a.tobytes() == b.tobytes()
 
     def test_factors_that_fail_the_exact_check_are_not_kept(self, sg_measure, monkeypatch):
         # a loose stop leaves ranks far too low for GRAPH_TOL, so the exact
         # check refuses every block's factors
         monkeypatch.setattr(dynamics, "ACA_TOL", 1e-3)
-        exact = exact_graph(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
-        graph = dynamics._compressed(exact)
-        for a, b in zip(stored(graph), stored(exact), strict=True):
-            assert a is b
+        kernel = builtin_kernels(2)["expdist"]
+        exact = exact_graph(sg_measure, kernel, 6, 1)
+        for graph in (factored(exact), table_graph(sg_measure, kernel, 6, 1)):
+            assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
+            for a, b in zip(stored(graph), stored(exact), strict=True):
+                assert a.tobytes() == b.tobytes()
 
     def test_table_build_holds_no_dense_w(self, sg_measure):
         # sg at level 6, sublevel 2: W is 729^2 float64 (4.05 MiB), and the
@@ -493,6 +546,20 @@ class TestBlockGraph:
             tracemalloc.stop()
         assert isinstance(graph, BlockGraph)
         assert peak < 8 * 729**2
+
+    def test_level_7_build_holds_no_whole_upper_block(self, sg_measure):
+        # sg at level 7, sublevel 1: each 729 x 729 block is 4.05 MiB, and the
+        # graph stores the diagonal one and the factors (7.0 MiB).  Forming
+        # the three upper blocks to factor them peaked at 23.7 MiB; the build
+        # gathers them 2^13 entries at a time and peaks at 10.8 MiB
+        tracemalloc.start()
+        try:
+            graph = table_graph(sg_measure, builtin_kernels(2)["expdist"], 7, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(C, tuple) for C in graph.upper.values())
+        assert peak < 12 * 2**20
 
     def test_table_build_keeps_the_budget_and_the_refusals(self, sg_measure, monkeypatch):
         # sg at level 6, sublevel 3: grouping compares 729^2 = 531,441 anchor

@@ -11,12 +11,15 @@ expdist kernel, the uniform measure and T = 0: the kernel projection and the
 graph that its ``graph`` step builds, and no RK4 step. The graph is the
 deterministic one, or with ``--seeds`` the stack of one Bernoulli graph per
 seed (symmetric draws unless ``--asymmetric``). It prints the seconds of
-that call and the child's peak RSS (``ru_maxrss``) at its end, the import
-of numpy and of the package included, then the bytes the built graph
-stores and, for a ``BlockGraph``, the rank of each upper block's factors or
-"dense" for a block stored as it is. With ``--parent`` the same build runs
-first on that commit's committed files, exported as
-``tools/bench_pairs.py`` exports them.
+that call, and of its stages where the package has them (the kernel
+projection ``dynamics._projection`` and the factoring of a ``BlockGraph``,
+``dynamics._compressed``; a stage under another name is left out), and the
+child's peak RSS (``ru_maxrss``) at its end, the import of numpy and of the
+package included, then the bytes the built graph stores and, for a
+``BlockGraph``, the rank of each upper block's factors or "dense" for a
+block stored as it is. With ``--parent`` the same build runs first on that
+commit's committed files, exported as ``tools/bench_pairs.py`` exports
+them.
 
 As in ``tools/bench_pairs.py``, each side has a ``PYTHONPYCACHEPREFIX`` of
 its own, filled by one untimed build before the measured one, so neither
@@ -45,6 +48,22 @@ from fractalips import (PiecewiseConstantField, SelfSimilarMeasure, builtin_kern
 graphs, integrate_ips = [], dynamics.integrate_ips
 dynamics.integrate_ips = lambda model, coupling, *args: (
     graphs.append(coupling.weights) or integrate_ips(model, coupling, *args))
+stages = {}
+
+
+def timed(name, stage):
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
+    return run
+
+
+for name, attr in (("projection", "_projection"), ("factoring", "_compressed")):
+    if hasattr(dynamics, attr):
+        setattr(dynamics, attr, timed(name, getattr(dynamics, attr)))
 
 name, m, sublevel = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 seeds = [int(s) for s in sys.argv[4].split(",")] if sys.argv[4] else None
@@ -59,7 +78,7 @@ seconds = time.perf_counter() - start
 (graph,) = graphs
 ranks = [C[0].shape[1] if isinstance(C, tuple) else "dense"
          for C in getattr(graph, "upper", {}).values()]
-print(json.dumps({"seconds": seconds,
+print(json.dumps({"seconds": seconds, "stages": stages,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "layout": type(graph).__name__, "nbytes": graph.nbytes, "ranks": ranks}))
 """
@@ -105,9 +124,11 @@ def main() -> int:
             graph = (f"{'asymmetric' if args.asymmetric else 'symmetric'} Bernoulli seeds "
                      f"{args.seeds}" if args.seeds else "deterministic")
             ranks = ", ".join(map(str, result["ranks"]))
+            stages = "".join(f", {name} {s:.3f} s" for name, s in result["stages"].items())
             print(f"{side}: {args.preset} level {args.level} sublevel {args.sublevel} "
                   f"{graph}: "
-                  f"peak RSS {result['peak_rss_mb']:.1f} MB, {result['seconds']:.3f} s; "
+                  f"peak RSS {result['peak_rss_mb']:.1f} MB, {result['seconds']:.3f} s"
+                  f"{stages}; "
                   f"{result['layout']} of {result['nbytes']:,} B"
                   + (f", upper blocks {ranks}" if ranks else ""),
                   flush=True)

@@ -13,13 +13,15 @@ inside another stage is indented under it, and prints before it. The child's
 own JSON record follows on standard output. The wrappers replace the names
 in the package's loaded modules of that process only; no file changes.
 
-The stages are the kernel projection, the Bernoulli stack, each RK4 loop,
-the trajectory discrepancy, the Vlasov table, the rate fit and each CSV
-write. The first line whose "after" peak reaches the operation's
-``peak_rss_mb`` names the stage that set it; a peak that rises between one
-line's "after" and the next line's "before" was set by code the stages do
-not wrap, and one already reached before the first stage by set-up or by
-the speed probes of ``perfbench/speed.py``.
+The stages are the kernel projection, the factoring of a ``BlockGraph``,
+the Bernoulli stack, each RK4 loop, the trajectory discrepancy, the Vlasov
+table, the rate fit and each CSV write; a stage the package does not define
+under that name (a commit from before it, or after a rename) is listed as
+missing and not wrapped. The first line whose "after" peak reaches the
+operation's ``peak_rss_mb`` names the stage that set it; a peak that rises
+between one line's "after" and the next line's "before" was set by code the
+stages do not wrap, and one already reached before the first stage by
+set-up or by the speed probes of ``perfbench/speed.py``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = (
     ("dynamics", "_projection"),
+    ("dynamics", "_compressed"),
     ("dynamics", "stack_graphs"),
     ("dynamics", "integrate_ips"),
     ("analysis", "traj_error"),
@@ -59,7 +62,10 @@ def install(package) -> None:
                if mod is not None and key.split(".")[0] == package.__name__]
     depth = [0]
     for home, attr in STAGES:
-        original = getattr(sys.modules[f"{package.__name__}.{home}"], attr)
+        original = getattr(sys.modules[f"{package.__name__}.{home}"], attr, None)
+        if original is None:
+            print(f"{home}.{attr}: missing, not wrapped", file=sys.stderr)
+            continue
 
         @functools.wraps(original)
         def staged(*args, _original=original, _name=f"{home}.{attr}", **kwargs):
