@@ -135,8 +135,10 @@ def _compressed(block: Callable, k: int, masses: np.ndarray) -> BlockGraph:
     factored only if U V changes no row sum of |G - G~| of either block-row
     by more than GRAPH_TOL ||G||_inf / (k - 1), checked exactly against the
     block's entries.  No upper block is ever held whole beside its factors:
-    every check gathers 2^13 entries at a time, and the factors read only
-    their pivot rows and columns.
+    the factors read only their pivot rows and columns, and one pass over
+    the block's rows, gathered 2^13 entries at a time, takes both its |G|
+    row sums and those of |C - U V|; the checks are decided once ||G||_inf
+    is known.
     """
     b = len(masses) // k
     nu = masses.reshape(k, b)
@@ -144,32 +146,39 @@ def _compressed(block: Callable, k: int, masses: np.ndarray) -> BlockGraph:
     diagonal = _gathered(partial(block, 0, 0), np.empty((b, b)))
     # the row sums of |G|, block-row by block-row: D's, then each upper
     # block's and its transpose's
-    sums = _abs_sums(diagonal.__getitem__, b, nu[0], nu.T)[0].T  # (k, b)
+    sums = _abs_sums(diagonal.__getitem__, b, nu[0], nu.T)[0][0].T  # (k, b)
+    factors = {}
     for (i, j), C in upper.items():
-        rows, cols = _abs_sums(C, b, nu[i], nu[j])
+        UV = _low_rank(C, b, b)
+        (rows, cols), *residual = _abs_sums(C, b, nu[i], nu[j], UV)
         sums[i] += rows
         sums[j] += cols
+        factors[i, j] = UV, residual
     bound = GRAPH_TOL * sums.max() / (k - 1)
-    return BlockGraph(diagonal, {(i, j): _low_rank(C, nu[i], nu[j], bound)
-                                 for (i, j), C in upper.items()}, masses)
+    for ij, C in upper.items():
+        UV, residual = factors.pop(ij)
+        if residual and all(s.max() <= bound for s in residual[0]):
+            upper[ij] = UV[:, :b].T, UV[:, b:]
+        else:
+            del UV  # before the block is gathered
+            upper[ij] = _gathered(C, np.empty((b, b)))
+    return BlockGraph(diagonal, upper, masses)
 
 
-def _low_rank(C: Callable, left: np.ndarray, right: np.ndarray, bound: float):
-    """Factors (U, V) of the len(left) x len(right) block whose rows and
-    columns (slices) ``C(rows, cols)`` gathers, U V within ``bound`` of it in
-    the weighted row sums of ``_abs_sums(C - U V, left, right)``, or the
-    block itself when that takes a rank above a third of its smaller side
+def _low_rank(C: Callable, p: int, q: int) -> np.ndarray | None:
+    """The rows of U^T and V, as one (r, p + q) array, of the factors U V of
+    the p x q block whose rows and columns (slices) ``C(rows, cols)``
+    gathers, or None when they take a rank of a third of its smaller side
     (the factors would hold more than two thirds of its bytes).
+    ``_compressed`` keeps them only if they pass its exact check.
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
     86, 2000): each term is a residual row of C scaled by its largest entry
     and the residual column through that entry, and the next row is the free
     one where that column is largest.  It stops when a term's Frobenius norm
     falls below ACA_TOL times the running estimate of ||U V||_F; that last,
-    negligible term is dropped, and the factors are kept only if they pass
-    the exact check.
+    negligible term is dropped.
     """
-    p, q = len(left), len(right)
     cap = min(p, q) // 3
     UV = np.empty((cap, p + q))  # one buffer for both factors
     U, V = UV[:, :p], UV[:, p:]  # term r is U[r] V[r]^T
@@ -190,25 +199,14 @@ def _low_rank(C: Callable, left: np.ndarray, right: np.ndarray, bound: float):
             break
         i = np.argmax(np.where(free, np.abs(U[r]), -1.0))
         r += 1
-    if r < cap and _fits(C, U[:r], V[:r], left, right, bound):
-        # shrunk in place, not copied: a copy leaves the buffer's heap space
-        # behind as a hole among live arrays, which raised the peak RSS of
-        # the benchmark pipelines; no view of the buffer is left to move
-        del U, V
-        UV.resize((r, p + q), refcheck=False)
-        return UV[:, :p].T, UV[:, p:]
-    del U, V, UV  # before the block is gathered
-    return _gathered(C, np.empty((p, q)))
-
-
-def _fits(C, U, V, left, right, bound) -> bool:
-    """Whether both weighted row sums of |C - U^T V| stay within ``bound``."""
-    def residual(rows):
-        e = U[:, rows].T @ V
-        return np.subtract(C(rows), e, out=e)
-
-    rows, cols = _abs_sums(residual, len(left), left, right)
-    return rows.max() <= bound and cols.max() <= bound
+    del U, V
+    if r == cap:
+        return None
+    # shrunk in place, not copied: a copy leaves the buffer's heap space
+    # behind as a hole among live arrays, which raised the peak RSS of the
+    # benchmark pipelines; no view of the buffer is left to move
+    UV.resize((r, p + q), refcheck=False)
+    return UV
 
 
 def _row_blocks(n: int, width: int, entries: int = 1 << 13):
@@ -226,15 +224,23 @@ def _gathered(C: Callable, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs_sums(C: Callable, n: int, left: np.ndarray, right: np.ndarray):
-    """|B| right and left |B| for the n-row matrix B whose rows (slices)
-    ``C(rows)`` returns, taken by ``_row_blocks``."""
-    out, back = [], 0.0
+def _abs_sums(C: Callable, n: int, left: np.ndarray, right: np.ndarray, UV=None) -> list:
+    """[(|B| right, left |B|)] for the n-row matrix B whose rows (slices)
+    ``C(rows)`` returns, taken by ``_row_blocks``; with the rows ``UV`` of
+    the factors U^T and V of ``_low_rank``, followed by the same pair for
+    B - U V, from the same gathered rows."""
+    terms = 1 if UV is None else 2
+    out, back = [[] for _ in range(terms)], [0.0] * terms
     for rows in _row_blocks(n, len(right)):
-        a = np.abs(C(rows))
-        out.append(a @ right)
-        back = back + left[rows] @ a
-    return np.concatenate(out), back
+        blocks = [C(rows)]
+        if UV is not None:
+            e = UV[:, :n][:, rows].T @ UV[:, n:]
+            blocks.append(np.subtract(blocks[0], e, out=e))
+        for t, B in enumerate(blocks):
+            a = np.abs(B)
+            out[t].append(a @ right)
+            back[t] = back[t] + left[rows] @ a
+    return [(np.concatenate(o), s) for o, s in zip(out, back)]
 
 
 @dataclass(frozen=True)
@@ -256,14 +262,50 @@ class BlockDiagonal:
 
 
 @dataclass(frozen=True)
+class DeferredStack:
+    """The (E, n, n) stack of ``stack_graphs(km, meas, seeds, symmetric)``,
+    drawn only when sliced: ``stack[a:b]`` is the C-order stack of members
+    a to b - 1, drawn by ``stack_graphs`` with the same per-seed bits.  So
+    the whole stack never exists; ``integrate_ips`` draws one member group
+    at a time.  The kernel averages are checked against [0, 1] here, before
+    any member is drawn.
+    """
+
+    km: KernelMatrix
+    meas: SelfSimilarMeasure
+    seeds: tuple
+    symmetric: bool
+    ndim = 3
+
+    def __post_init__(self):
+        if any(seed is not None for seed in self.seeds):
+            _check_probabilities(self.km.entries)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.seeds),) + self.km.entries.shape
+
+    @property
+    def nbytes(self) -> int:  # of the whole stack, as if it were drawn
+        return len(self.seeds) * self.km.entries.nbytes
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, members: slice) -> np.ndarray:
+        return stack_graphs(self.km, self.meas, self.seeds[members], self.symmetric).weights
+
+
+@dataclass(frozen=True)
 class CouplingGraph:
     """The level-m coupling weights, already scaled by the cell masses.
 
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member.  A shared graph may also be a ``BlockGraph``, and
-    either layout a ``BlockDiagonal`` of independent systems; both are
+    graph per member.  A shared graph may also be a ``BlockGraph``, a stack
+    a ``DeferredStack`` whose members are drawn a group at a time, and
+    either layout a ``BlockDiagonal`` of independent systems; these are
     stored as they are given.
     """
 
@@ -273,7 +315,7 @@ class CouplingGraph:
 
     def __post_init__(self):
         w = self.weights
-        if not isinstance(w, (BlockGraph, BlockDiagonal)):
+        if not isinstance(w, (BlockGraph, BlockDiagonal, DeferredStack)):
             # the layouts graph_product reads fastest (OpenBLAS, one thread):
             # a shared graph with its transpose C-contiguous, for the GEMM of
             # all members' rows; a stack C-contiguous, for each member's two
@@ -526,12 +568,7 @@ def sample_bernoulli(
 def _draw_edges(km: KernelMatrix, seed: int, symmetric: bool, out: np.ndarray) -> np.ndarray:
     """``sample_bernoulli``'s edges xi in {0, 1}, drawn into the C-order
     array ``out`` and, with ``symmetric``, mirrored from its upper triangle."""
-    P = km.entries
-    if P.min() < -1e-12 or P.max() > 1.0 + 1e-12:
-        raise ValueError(
-            "Bernoulli sampling requires kernel averages in [0, 1]; "
-            f"got range [{P.min():.3g}, {P.max():.3g}]"
-        )
+    P = _check_probabilities(km.entries)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rng.random(out=out)
     np.less(out, P, out=out)
@@ -539,6 +576,16 @@ def _draw_edges(km: KernelMatrix, seed: int, symmetric: bool, out: np.ndarray) -
         for row in range(1, len(out)):
             out[row, :row] = out[:row, row]
     return out
+
+
+def _check_probabilities(P: np.ndarray) -> np.ndarray:
+    """P, if every entry lies in [0, 1] up to the slack of ``sample_bernoulli``."""
+    if P.min() < -1e-12 or P.max() > 1.0 + 1e-12:
+        raise ValueError(
+            "Bernoulli sampling requires kernel averages in [0, 1]; "
+            f"got range [{P.min():.3g}, {P.max():.3g}]"
+        )
+    return P
 
 
 def stack_graphs(
@@ -550,7 +597,7 @@ def stack_graphs(
     is None and the Bernoulli draw of ``sample_bernoulli`` with that seed
     otherwise.  Each member is written straight into its slice of the
     stack, in C order, so beside the E n x n stack nothing of graph size is
-    held.
+    held.  A ``DeferredStack`` calls it on each member group it draws.
     """
     seeds = tuple(seeds)
     masses = meas.weights(km.level)
@@ -695,8 +742,10 @@ def integrate_ips(
     data when ``initial`` is a sequence of E fields; one graph or one field
     serves every member.  Each RK4 stage evaluates all members together, or
     for a stack over ``DENSE_GRAPH_BYTES`` one even group of them at a time.
-    Returns one Trajectory per member, in order, when either input is
-    stacked, and the Trajectory otherwise.
+    A ``DeferredStack`` draws each group's graphs just before that group's
+    RK4 loop and frees them before the next group is drawn.  Returns one
+    Trajectory per member, in order, when either input is stacked, and the
+    Trajectory otherwise.
 
     The state is recorded at t = 0 and every ``output_stride`` steps (plus
     the final step).  Aborts with a diagnostic naming the member if a state
@@ -714,8 +763,10 @@ def integrate_ips(
     ]
     states = np.empty((members, 1 + len(recorded), n, model.state_dim))
     states[:, 0] = np.stack([f.values for f in fields])
-    stack = isinstance(weights, np.ndarray) and weights.ndim == 3 and len(weights) == members
-    groups = -(-members // max(1, DENSE_GRAPH_BYTES // weights[0].nbytes)) if stack else 1
+    stack = isinstance(weights, (np.ndarray, DeferredStack)) and weights.ndim == 3
+    # a stack of one graph that serves every member is one group, [0:members]
+    split = stack and len(weights) == members
+    groups = -(-members // max(1, DENSE_GRAPH_BYTES * members // weights.nbytes)) if split else 1
     cuts = [members * i // groups for i in range(groups + 1)]
     for first, last in zip(cuts[:-1], cuts[1:]):
         graphs = weights[first:last] if stack else weights
@@ -740,6 +791,7 @@ def integrate_ips(
             if (step + 1) % output_stride == 0 or step + 1 == n_steps:
                 states[first:last, out] = u
                 out += 1
+        del graphs  # a drawn group, before the next one is drawn
     times = np.array([0, *recorded]) * dt
     trajs = [Trajectory(coupling.k, coupling.level, times, v) for v in states]
     return trajs if listed else trajs[0]
@@ -751,13 +803,17 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     """What ``integrate_ips`` returns for the level-m Galerkin system of each
     m in ``levels``, in order: model_builder(m), the graph of the kernel
     projected at level m and init_builder(m).  With ``graph_seeds`` the
-    graph is ``stack_graphs(km, meas, graph_seeds, symmetric)``.  Without,
+    graph is ``stack_graphs(km, meas, graph_seeds, symmetric)``, or for a
+    stack over ``DENSE_GRAPH_BYTES`` its ``DeferredStack``, which keeps km
+    and lets ``integrate_ips`` draw one member group at a time, so such a
+    level holds one group's graphs and its n x n ``KernelMatrix``, never the
+    E n x n stack; its [0, 1] check still comes before any RK4 step.  Without,
     it is ``assemble_deterministic``'s W diag(nu), except for a grouped
     projection over ``DENSE_GRAPH_BYTES``: that level's ``BlockGraph`` is
     built by ``_compressed`` from the class gather, without W or any whole
     upper block it factors.  The levels are projected finest first, so a
     level the budget refuses fails before any work, and no kernel matrix
-    outlives its graph.
+    outlives its graph (a ``DeferredStack``'s is part of it).
 
     Consecutive levels whose models are equal but for their params (of one
     width), with the same member count and layout (shared graphs or stacks),
@@ -780,6 +836,8 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
         km = project_kernel(meas, kernel, m, sublevel)
         if graph_seeds is None:
             return assemble_deterministic(km, meas)
+        if len(graph_seeds) * km.entries.nbytes > DENSE_GRAPH_BYTES:  # drawn group by group
+            return CouplingGraph(meas.k, m, DeferredStack(km, meas, tuple(graph_seeds), symmetric))
         return stack_graphs(km, meas, graph_seeds, symmetric)
 
     levels = list(levels)

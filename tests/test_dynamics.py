@@ -41,7 +41,7 @@ from fractalips import (
 )
 from fractalips import analysis, cli, dynamics, experiments
 from fractalips.analysis import traj_error, vlasov_self_convergence
-from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, step_count
+from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, DeferredStack, step_count
 from fractalips.experiments import (
     bernoulli_gap_medians,
     kuramoto_fields,
@@ -1330,6 +1330,60 @@ class TestIntegrateSeries:
             np.testing.assert_array_equal(per_seed[li], gaps)
             assert medians[li] == np.median(gaps)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_drawn_groups_equal_the_whole_stack(self, sg_measure, monkeypatch, symmetric):
+        # sg level 5: 7 members of 0.47 MB run as groups of 3 and 4, each
+        # drawn by stack_graphs just before its RK4 loop
+        kern = builtin_kernels(2)["expdist"]
+        seeds = (None, 1, 2, 3, 4, 5, 6)
+        omega_fn, phase_fn = kuramoto_fields(1, 2)
+        omega = martingale_level(sg_measure, omega_fn, 5, 1)
+        init = martingale_level(sg_measure, phase_fn, 5, 1)
+        calls = self.record_calls(monkeypatch)
+        drawn, original = [], dynamics.stack_graphs
+        monkeypatch.setattr(dynamics, "stack_graphs", lambda km, meas, seeds, symmetric: (
+            drawn.append((km.level, seeds, symmetric)) or original(km, meas, seeds, symmetric)))
+        (series,) = integrate_levels(sg_measure, kern, [5], 1,
+                                     lambda m: kuramoto_model(0.5, omega), lambda m: init,
+                                     graph_seeds=seeds, symmetric=symmetric, **self.STEPS)
+        assert calls == [(int, (7, 243, 243))]
+        assert drawn == [(5, seeds[:3], symmetric), (5, seeds[3:], symmetric)]
+        monkeypatch.undo()
+        whole = stack_graphs(project_kernel(sg_measure, kern, 5, 1), sg_measure, seeds,
+                             symmetric)
+        alone = integrate_ips(kuramoto_model(0.5, omega), whole, init, **self.STEPS)
+        for traj, ref in zip(series, alone, strict=True):
+            assert traj.times.tobytes() == ref.times.tobytes()
+            assert traj.values.tobytes() == ref.values.tobytes()
+
+    def test_drawn_groups_hold_no_whole_stack(self, sg_measure):
+        # sg level 5 with 13 members (6.1 MB as one stack): the KernelMatrix,
+        # one group of 4 drawn graphs and the states, 5.4-5.5 graphs'
+        # bytes measured, where the whole stack held 14.2
+        kern = builtin_kernels(2)["expdist"]
+        sample_bernoulli(KernelMatrix(3, 1, np.zeros((3, 3))), sg_measure, 0)  # imports Philox
+        tracemalloc.start()
+        try:
+            integrate_levels(sg_measure, kern, [5], 1, lambda m: kuramoto_model(0.5, 0.0),
+                             lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)),
+                             graph_seeds=(None, *range(1, 13)), **self.STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * 243**2
+
+    def test_inadmissible_kernel_is_refused_before_any_integration(self, sg_measure,
+                                                                  monkeypatch):
+        # level 5's stack of 7 is drawn group by group, yet its [0, 1] check
+        # comes with its graph, before the first RK4 loop
+        calls = self.record_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"kernel averages in \[0, 1\]"):
+            integrate_levels(sg_measure, builtin_kernels(2)["constant"](1.5), [5], 1,
+                             lambda m: kuramoto_model(0.5, 0.0),
+                             lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)),
+                             graph_seeds=(None, 1, 2, 3, 4, 5, 6), **self.STEPS)
+        assert calls == []
+
     @pytest.mark.parametrize("pair", ["K = 1 and K = 2", "kuramoto and consensus",
                                       "one and two components", "params and none",
                                       "params of two widths"])
@@ -1373,6 +1427,20 @@ class TestIntegrateSeries:
         for traj, field in zip(together, fields, strict=True):
             (alone,) = integrate_ips(model, stacked, [field], T=0.02, dt=1e-2)
             np.testing.assert_array_equal(traj.values, alone.values)
+
+    def test_one_deferred_graph_over_budget_serves_every_member(self, sg_measure):
+        # drawn once for all members, with the bits of the drawn stack
+        n = 3**6
+        rng = np.random.Generator(np.random.Philox(8))
+        km = KernelMatrix(3, 6, rng.uniform(0.0, 1.0, (n, n)))
+        deferred = CouplingGraph(3, 6, DeferredStack(km, sg_measure, (1,), True))
+        assert deferred.weights.nbytes > DENSE_GRAPH_BYTES
+        fields = [PiecewiseConstantField(3, 6, rng.uniform(0.0, 1.0, n)) for _ in range(3)]
+        model = kuramoto_model(0.7, 0.0)
+        together = integrate_ips(model, deferred, fields, T=0.02, dt=1e-2)
+        alone = integrate_ips(model, stack_graphs(km, sg_measure, (1,)), fields, T=0.02, dt=1e-2)
+        for a, b in zip(together, alone, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_blow_up_in_a_later_group_names_its_ensemble_member(self):
         model = ModelSpec(

@@ -15,9 +15,11 @@ in the package's loaded modules of that process only; no file changes.
 
 The stages are the kernel projection, the factoring of a ``BlockGraph``,
 the Bernoulli stack, each RK4 loop, the trajectory discrepancy, the Vlasov
-table, the rate fit and each CSV write; a stage the package does not define
-under that name (a commit from before it, or after a rename) is listed as
-missing and not wrapped. The first line whose "after" peak reaches the
+table, the rate fit and each CSV write. A stack over ``DENSE_GRAPH_BYTES``
+is drawn one member group at a time inside its RK4 loop, so each group's
+``stack_graphs`` draw is listed nested under that ``integrate_ips`` stage.
+A stage the package does not define under that name (a commit from before
+it, or after a rename) is listed as missing and not wrapped. The first line whose "after" peak reaches the
 operation's ``peak_rss_mb`` names the stage that set it; a peak that rises
 between one line's "after" and the next line's "before" was set by code the
 stages do not wrap, and one already reached before the first stage by
