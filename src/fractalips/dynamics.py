@@ -265,10 +265,12 @@ class BlockDiagonal:
 class DeferredStack:
     """The (E, n, n) stack of ``stack_graphs(km, meas, seeds, symmetric)``,
     drawn only when sliced: ``stack[a:b]`` is the C-order stack of members
-    a to b - 1, drawn by ``stack_graphs`` with the same per-seed bits.  So
-    the whole stack never exists; ``integrate_ips`` draws one member group
-    at a time.  The kernel averages are checked against [0, 1] here, before
-    any member is drawn.
+    a to b - 1, drawn by ``stack_graphs`` with the same per-seed bits.  It
+    is the graph of every Bernoulli level of ``integrate_levels``: a level
+    that runs alone is drawn by ``integrate_ips`` one member group at a
+    time, and a union's levels whole when their batch starts.  Until then
+    it holds the n x n ``KernelMatrix`` only.  The kernel averages are
+    checked against [0, 1] here, before any member is drawn.
     """
 
     km: KernelMatrix
@@ -304,9 +306,10 @@ class CouplingGraph:
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
     graph per member.  A shared graph may also be a ``BlockGraph``, a stack
-    a ``DeferredStack`` whose members are drawn a group at a time, and
+    a ``DeferredStack`` whose members are drawn when it is sliced, and
     either layout a ``BlockDiagonal`` of independent systems; these are
-    stored as they are given.
+    stored as they are given.  In ``integrate_levels`` a graph lives until
+    its batch's RK4 loop ends.
     """
 
     k: int
@@ -597,7 +600,8 @@ def stack_graphs(
     is None and the Bernoulli draw of ``sample_bernoulli`` with that seed
     otherwise.  Each member is written straight into its slice of the
     stack, in C order, so beside the E n x n stack nothing of graph size is
-    held.  A ``DeferredStack`` calls it on each member group it draws.
+    held.  A ``DeferredStack`` calls it on each member group it draws, which
+    is how ``integrate_levels`` draws every Bernoulli level.
     """
     seeds = tuple(seeds)
     masses = meas.weights(km.level)
@@ -743,7 +747,8 @@ def integrate_ips(
     serves every member.  Each RK4 stage evaluates all members together, or
     for a stack over ``DENSE_GRAPH_BYTES`` one even group of them at a time.
     A ``DeferredStack`` draws each group's graphs just before that group's
-    RK4 loop and frees them before the next group is drawn.  Returns one
+    RK4 loop and frees them before the next group is drawn; with T = 0 no
+    group runs and none is drawn.  Returns one
     Trajectory per member, in order, when either input is stacked, and the
     Trajectory otherwise.
 
@@ -767,7 +772,8 @@ def integrate_ips(
     # a stack of one graph that serves every member is one group, [0:members]
     split = stack and len(weights) == members
     groups = -(-members // max(1, DENSE_GRAPH_BYTES * members // weights.nbytes)) if split else 1
-    cuts = [members * i // groups for i in range(groups + 1)]
+    # with no step to take, no group runs, so none is drawn
+    cuts = [members * i // groups for i in range(groups + 1)] if n_steps else [0]
     for first, last in zip(cuts[:-1], cuts[1:]):
         graphs = weights[first:last] if stack else weights
         u = states[first:last, 0].copy()
@@ -803,17 +809,25 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
     """What ``integrate_ips`` returns for the level-m Galerkin system of each
     m in ``levels``, in order: model_builder(m), the graph of the kernel
     projected at level m and init_builder(m).  With ``graph_seeds`` the
-    graph is ``stack_graphs(km, meas, graph_seeds, symmetric)``, or for a
-    stack over ``DENSE_GRAPH_BYTES`` its ``DeferredStack``, which keeps km
-    and lets ``integrate_ips`` draw one member group at a time, so such a
-    level holds one group's graphs and its n x n ``KernelMatrix``, never the
-    E n x n stack; its [0, 1] check still comes before any RK4 step.  Without,
-    it is ``assemble_deterministic``'s W diag(nu), except for a grouped
-    projection over ``DENSE_GRAPH_BYTES``: that level's ``BlockGraph`` is
-    built by ``_compressed`` from the class gather, without W or any whole
-    upper block it factors.  The levels are projected finest first, so a
-    level the budget refuses fails before any work, and no kernel matrix
-    outlives its graph (a ``DeferredStack``'s is part of it).
+    graph is the ``DeferredStack`` of ``stack_graphs(km, meas, graph_seeds,
+    symmetric)``: it keeps the n x n ``KernelMatrix`` km until the level's
+    batch runs, never the E n x n stack.  Without, it is
+    ``assemble_deterministic``'s W diag(nu), except for a grouped projection
+    over ``DENSE_GRAPH_BYTES``: that level's ``BlockGraph`` is built by
+    ``_compressed`` from the class gather, without W or any whole upper
+    block it factors.  Every level is projected, finest first, before any
+    RK4 step, so a level that the budget, the level cap, the evenness or
+    finiteness checks or the [0, 1] check of a ``DeferredStack`` refuses
+    fails before any integration.
+
+    A graph lives only while its batch integrates.  The batches run finest
+    first, so the finest batch, where a series peaks, holds no coarse drawn
+    stack or trajectory.  A level that runs alone passes its
+    ``DeferredStack`` to ``integrate_ips``, which draws one member group at
+    a time; a union draws its levels' stacks when its batch starts and drops
+    their kernel matrices before its loop.  Each batch's graphs go when its
+    loop ends.  So a series holds at most the largest batch, the kernel
+    matrices of the levels still to run and the trajectories already made.
 
     Consecutive levels whose models are equal but for their params (of one
     width), with the same member count and layout (shared graphs or stacks),
@@ -836,26 +850,27 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
         km = project_kernel(meas, kernel, m, sublevel)
         if graph_seeds is None:
             return assemble_deterministic(km, meas)
-        if len(graph_seeds) * km.entries.nbytes > DENSE_GRAPH_BYTES:  # drawn group by group
-            return CouplingGraph(meas.k, m, DeferredStack(km, meas, tuple(graph_seeds), symmetric))
-        return stack_graphs(km, meas, graph_seeds, symmetric)
+        return CouplingGraph(meas.k, m, DeferredStack(km, meas, tuple(graph_seeds), symmetric))
 
     levels = list(levels)
     graphs = {m: graph(m) for m in sorted(set(levels), reverse=True)}
     models, couplings = [model_builder(m) for m in levels], [graphs[m] for m in levels]
+    del graphs  # from here each graph is held by its levels' entries of couplings
     ensembles = [_ensemble(model, c, init_builder(m))
                  for model, c, m in zip(models, couplings, levels)]
     starts = [0, *accumulate(c.k**c.level for c in couplings)]
+    # (key, bytes) per level, in a comprehension that binds no graph past it
+    keyed = [((e[1], c.weights.ndim, replace(model, params=None), np.shape(model.params)[1:]),
+              c.weights.nbytes) for model, c, e in zip(models, couplings, ensembles)]
     batches, used = [], 0
-    for i, (model, c, e) in enumerate(zip(models, couplings, ensembles)):
-        key = (e[1], c.weights.ndim, replace(model, params=None), np.shape(model.params)[1:])
-        used += c.weights.nbytes
+    for i, (key, nbytes) in enumerate(keyed):
+        used += nbytes
         if not batches or batches[-1][0] != key or used > LOOP_GRAPH_BYTES:
             batches.append((key, []))
-            used = c.weights.nbytes
+            used = nbytes
         batches[-1][1].append(i)
-    results = []
-    for _, batch in batches:
+    results = [None] * len(levels)
+    for _, batch in sorted(batches, key=lambda b: -max(levels[i] for i in b[1])):
         lo, hi = starts[batch[0]], starts[batch[-1] + 1]
         model, coupling, fields = models[batch[0]], couplings[batch[0]], ensembles[batch[0]][0]
         if len(batch) > 1:
@@ -863,12 +878,16 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
                 model = replace(model, params=np.concatenate([np.broadcast_to(
                     models[i].params, (starts[i + 1] - starts[i], model.params.shape[1]))
                     for i in batch]))
-            graph = BlockDiagonal(tuple(couplings[i].weights for i in batch))
-            coupling = CouplingGraph(hi - lo, 1, graph)
+            # a union's stacks are drawn now, so its kernel matrices go before its loop
+            coupling = CouplingGraph(hi - lo, 1, BlockDiagonal(tuple(
+                w[:] if isinstance(w, DeferredStack) else w
+                for w in (couplings[i].weights for i in batch))))
             # a level's one field serves each member, as in integrate_ips
             sets = [ensembles[i][0] for i in batch]
             fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
                 [f[e % len(f)].values for f in sets])) for e in range(max(map(len, sets)))]
+        for i in batch:  # from here only the batch's coupling holds its graphs
+            couplings[i] = None
         try:
             trajs = integrate_ips(model, coupling, fields, T, dt, output_stride)
         except NumericalAbortError as exc:  # name the levels that the union's cells hold
@@ -876,10 +895,11 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
                 raise
             raise NumericalAbortError(f"{exc}, the union of levels " + ", ".join(
                 f"{levels[i]} ({starts[i + 1] - starts[i]} cells)" for i in batch)) from exc
+        del coupling  # the batch's graphs, before the next batch builds or draws its own
         for i in batch:
-            c, a, b = couplings[i], starts[i] - lo, starts[i + 1] - lo
-            split = [Trajectory(c.k, c.level, t.times, t.values[:, a:b]) for t in trajs]
-            results.append(split if ensembles[i][2] else split[0])
+            a, b = starts[i] - lo, starts[i + 1] - lo
+            split = [Trajectory(meas.k, levels[i], t.times, t.values[:, a:b]) for t in trajs]
+            results[i] = split if ensembles[i][2] else split[0]
     return results
 
 

@@ -1144,10 +1144,10 @@ class TestIntegrateSeries:
         series = self.integrate(sg_measure, levels,
                                 lambda m: replace(model, params=systems[m][1]),
                                 lambda m: systems[m][2], **self.STEPS)
-        # levels 2-5 (0.53 MB of graphs) as one union of 360 cells, then
         # level 6's factored BlockGraph (1.34 MB; 1.87 MB together is over
-        # LOOP_GRAPH_BYTES) alone
-        assert calls == [(int, (360, 360)), (int, (729, 729))]
+        # LOOP_GRAPH_BYTES) alone, then levels 2-5 (0.53 MB of graphs) as
+        # one union of 360 cells
+        assert calls == [(int, (729, 729)), (int, (360, 360))]
         for traj, (coupling, omega, init) in zip(series, systems.values(), strict=True):
             alone = integrate_ips(kuramoto_model(1.3, omega), coupling, init, **self.STEPS)
             assert (traj.k, traj.level) == (3, coupling.level)
@@ -1169,9 +1169,9 @@ class TestIntegrateSeries:
         series = self.integrate(sg_measure, levels,
                                 lambda m: replace(model, params=systems[m][1]),
                                 lambda m: systems[m][2], seeds, **self.STEPS)
-        # levels 2-4 as one union of 6 members; level 5's stack (2.83 MB)
-        # alone, in two groups of 3 members
-        assert calls == [(int, (6, 117, 117)), (int, (6, 243, 243))]
+        # level 5's stack (2.83 MB) alone, in two groups of 3 members; then
+        # levels 2-4 as one union of 6 members
+        assert calls == [(int, (6, 243, 243)), (int, (6, 117, 117))]
         assert groups == {("BlockDiagonal", 6), ("ndarray", 3)}
         monkeypatch.undo()
         for trajs, (coupling, omega, init) in zip(series, systems.values(), strict=True):
@@ -1266,8 +1266,8 @@ class TestIntegrateSeries:
         calls = self.record_calls(monkeypatch)
         levels, errors, trajs = kuramoto_refinement_errors(
             sg_measure, kern, [2, 3, 4, 5], coupling_strength=1.3, seed=4, **steps)
-        # levels 2-5 as one union, level 6's BlockGraph alone
-        assert calls == [(int, (360, 360)), (int, (729, 729))]
+        # level 6's BlockGraph alone, then levels 2-5 as one union
+        assert calls == [(int, (729, 729)), (int, (360, 360))]
         omega_fn, phase_fn = kuramoto_fields(4, 2)
         omega_fine = martingale_level(sg_measure, omega_fn, 6, 2)
         phase_fine = martingale_level(sg_measure, phase_fn, 6, 2)
@@ -1317,8 +1317,8 @@ class TestIntegrateSeries:
         _, medians, per_seed = bernoulli_gap_medians(
             sg_measure, kern, [2, 3, 4, 5], seeds, coupling_strength=0.5, field_seed=2,
             **steps)
-        # levels 2-4 as one union of 6 members, level 5's stack alone
-        assert calls == [(int, (6, 117, 117)), (int, (6, 243, 243))]
+        # level 5's stack alone, then levels 2-4 as one union of 6 members
+        assert calls == [(int, (6, 243, 243)), (int, (6, 117, 117))]
         omega_fn, phase_fn = kuramoto_fields(2, 2)
         for li, m in enumerate(range(2, 6)):
             graphs = stack_graphs(project_kernel(sg_measure, kern, m, 2), sg_measure,
@@ -1332,29 +1332,34 @@ class TestIntegrateSeries:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_drawn_groups_equal_the_whole_stack(self, sg_measure, monkeypatch, symmetric):
-        # sg level 5: 7 members of 0.47 MB run as groups of 3 and 4, each
-        # drawn by stack_graphs just before its RK4 loop
+        # sg levels 2-5 with 7 members: level 5 (0.47 MB a member) runs first,
+        # in groups of 3 and 4, each drawn by stack_graphs just before its
+        # RK4 loop; then levels 2-4 as one union, drawn when its batch starts
         kern = builtin_kernels(2)["expdist"]
-        seeds = (None, 1, 2, 3, 4, 5, 6)
+        levels, seeds = (2, 3, 4, 5), (None, 1, 2, 3, 4, 5, 6)
         omega_fn, phase_fn = kuramoto_fields(1, 2)
-        omega = martingale_level(sg_measure, omega_fn, 5, 1)
-        init = martingale_level(sg_measure, phase_fn, 5, 1)
+        omega = {m: martingale_level(sg_measure, omega_fn, m, 1) for m in levels}
+        init = {m: martingale_level(sg_measure, phase_fn, m, 1) for m in levels}
+        model = kuramoto_model(0.5)
         calls = self.record_calls(monkeypatch)
         drawn, original = [], dynamics.stack_graphs
         monkeypatch.setattr(dynamics, "stack_graphs", lambda km, meas, seeds, symmetric: (
             drawn.append((km.level, seeds, symmetric)) or original(km, meas, seeds, symmetric)))
-        (series,) = integrate_levels(sg_measure, kern, [5], 1,
-                                     lambda m: kuramoto_model(0.5, omega), lambda m: init,
-                                     graph_seeds=seeds, symmetric=symmetric, **self.STEPS)
-        assert calls == [(int, (7, 243, 243))]
-        assert drawn == [(5, seeds[:3], symmetric), (5, seeds[3:], symmetric)]
+        series = integrate_levels(sg_measure, kern, levels, 1,
+                                  lambda m: replace(model, params=omega[m]), init.get,
+                                  graph_seeds=seeds, symmetric=symmetric, **self.STEPS)
+        assert calls == [(int, (7, 243, 243)), (int, (7, 117, 117))]
+        assert drawn == [(5, seeds[:3], symmetric), (5, seeds[3:], symmetric),
+                         *((m, seeds, symmetric) for m in (2, 3, 4))]
         monkeypatch.undo()
-        whole = stack_graphs(project_kernel(sg_measure, kern, 5, 1), sg_measure, seeds,
-                             symmetric)
-        alone = integrate_ips(kuramoto_model(0.5, omega), whole, init, **self.STEPS)
-        for traj, ref in zip(series, alone, strict=True):
-            assert traj.times.tobytes() == ref.times.tobytes()
-            assert traj.values.tobytes() == ref.values.tobytes()
+        for m, trajs in zip(levels, series, strict=True):
+            whole = stack_graphs(project_kernel(sg_measure, kern, m, 1), sg_measure, seeds,
+                                 symmetric)
+            alone = integrate_ips(kuramoto_model(0.5, omega[m]), whole, init[m], **self.STEPS)
+            for traj, ref in zip(trajs, alone, strict=True):
+                assert (traj.k, traj.level) == (3, m)
+                assert traj.times.tobytes() == ref.times.tobytes()
+                assert traj.values.tobytes() == ref.values.tobytes()
 
     def test_drawn_groups_hold_no_whole_stack(self, sg_measure):
         # sg level 5 with 13 members (6.1 MB as one stack): the KernelMatrix,
@@ -1372,6 +1377,34 @@ class TestIntegrateSeries:
             tracemalloc.stop()
         assert peak <= 6.5 * 8 * 243**2
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_finest_batch_holds_no_coarse_stack(self, sg_measure, monkeypatch, symmetric):
+        # sg levels 2-5 with 6 members: at level 5's first RK4 step the
+        # kernel matrices of levels 2-5 and one group of 3 drawn graphs are
+        # held, 4.29-4.31 graphs' bytes measured; the drawn stacks of the
+        # union of levels 2-4, 6 x (9^2 + 27^2 + 81^2) floats (354 KB), would
+        # make it 4.99-5.01
+        kern = builtin_kernels(2)["expdist"]
+        model = kuramoto_model(0.5, 0.0)
+        sample_bernoulli(KernelMatrix(3, 1, np.zeros((3, 3))), sg_measure, 0)  # imports Philox
+        held, rhs = [], dynamics._rhs
+
+        def recording(model, weights, t, u):
+            if not held and u.shape[-2] == 243:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return rhs(model, weights, t, u)
+
+        monkeypatch.setattr(dynamics, "_rhs", recording)
+        tracemalloc.start()
+        try:
+            integrate_levels(sg_measure, kern, [2, 3, 4, 5], 1, lambda m: model,
+                             lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)),
+                             graph_seeds=(None, 1, 2, 3, 4, 5), symmetric=symmetric,
+                             **self.STEPS)
+        finally:
+            tracemalloc.stop()
+        assert held[0] <= 4.6 * 8 * 243**2
+
     def test_inadmissible_kernel_is_refused_before_any_integration(self, sg_measure,
                                                                   monkeypatch):
         # level 5's stack of 7 is drawn group by group, yet its [0, 1] check
@@ -1382,6 +1415,30 @@ class TestIntegrateSeries:
                              lambda m: kuramoto_model(0.5, 0.0),
                              lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)),
                              graph_seeds=(None, 1, 2, 3, 4, 5, 6), **self.STEPS)
+        assert calls == []
+
+    @pytest.mark.parametrize("refusal", ["coarse level outside [0, 1]", "budget", "level cap"])
+    def test_refusals_come_before_any_integration(self, sg_measure, monkeypatch, refusal):
+        # every level is projected, and checked, before the finest batch runs
+        levels, project = [2, 3, 4, 5], dynamics.project_kernel
+        if refusal == "coarse level outside [0, 1]":
+            monkeypatch.setattr(dynamics, "project_kernel", lambda meas, kernel, m, sublevel: (
+                KernelMatrix(3, m, 1.5 * project(meas, kernel, m, sublevel).entries) if m == 2
+                else project(meas, kernel, m, sublevel)))
+            error = (ValueError, r"kernel averages in \[0, 1\]")
+        elif refusal == "budget":
+            # level 5 compares 243^2 anchor pairs
+            monkeypatch.setenv("FRACTALIPS_MAX_EVALS", str(243**2 - 1))
+            error = (BudgetExceededError, "function evaluations exceed the budget")
+        else:
+            levels = [2, 3, 16]
+            error = (BudgetExceededError, "exceeds the cap")
+        calls = self.record_calls(monkeypatch)
+        with pytest.raises(error[0], match=error[1]):
+            integrate_levels(sg_measure, builtin_kernels(2)["expdist"], levels, 1,
+                             lambda m: kuramoto_model(0.5, 0.0),
+                             lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)),
+                             graph_seeds=(None, 1, 2, 3, 4, 5), **self.STEPS)
         assert calls == []
 
     @pytest.mark.parametrize("pair", ["K = 1 and K = 2", "kuramoto and consensus",
@@ -1408,7 +1465,7 @@ class TestIntegrateSeries:
         calls = self.record_calls(monkeypatch)
         series = self.integrate(sg_measure, (2, 3), lambda m: models[m - 2],
                                 lambda m: inits[m - 2], **steps)
-        assert calls == [(int, (9, 9)), (int, (27, 27))]
+        assert calls == [(int, (27, 27)), (int, (9, 9))]  # finest first
         monkeypatch.undo()
         for traj, model, coupling, init in zip(series, models, couplings, inits, strict=True):
             alone = integrate_ips(model, coupling, init, **steps)
@@ -1441,6 +1498,21 @@ class TestIntegrateSeries:
         alone = integrate_ips(model, stack_graphs(km, sg_measure, (1,)), fields, T=0.02, dt=1e-2)
         for a, b in zip(together, alone, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
+
+    def test_no_step_draws_no_group(self, sg_measure, monkeypatch):
+        # T = 0 records the initial fields; a deferred stack stays undrawn
+        km = KernelMatrix(3, 5, np.full((243, 243), 0.5))
+        deferred = CouplingGraph(3, 5, DeferredStack(km, sg_measure, (None, 1, 2, 3, 4, 5), True))
+        drawn, original = [], dynamics.stack_graphs
+        monkeypatch.setattr(dynamics, "stack_graphs", lambda *args: (
+            drawn.append(args[2]) or original(*args)))
+        init = PiecewiseConstantField(3, 5, np.linspace(0.0, 1.0, 243))
+        trajs = integrate_ips(kuramoto_model(0.5, 0.0), deferred, init, T=0.0, dt=1e-2)
+        assert drawn == []
+        assert len(trajs) == 6
+        for traj in trajs:
+            assert traj.times.tolist() == [0.0]
+            assert traj.values.tobytes() == init.values.reshape(1, 243, 1).tobytes()
 
     def test_blow_up_in_a_later_group_names_its_ensemble_member(self):
         model = ModelSpec(
@@ -1540,25 +1612,43 @@ class TestIntegrateLevels:
             projected.append((m, weakref.ref(km)))
             return km
 
+        def held():
+            return [m for m, ref in projected if ref() is not None]
+
+        models = {m: kuramoto_model(1.0, 0.0) for m in (3, 4)}  # level 4 runs alone
+
         def model(m):
-            # every graph is built before the first model, and every kernel
-            # matrix is gone by then
-            assert [ref() for _, ref in projected] == [None] * 3
-            return kuramoto_model(1.0, 0.0)
+            # every graph is built before the first model; a kernel matrix is
+            # held only by a Bernoulli level's DeferredStack, none yet drawn
+            assert held() == ([] if graph_seeds is None else [4, 3, 2])
+            return models[max(m, 3)]
+
+        batches, integrate_ips = [], dynamics.integrate_ips
+
+        def counting(model, coupling, *args, **kwargs):
+            batches.append((coupling.k**coupling.level, held()))
+            return integrate_ips(model, coupling, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "project_kernel", recording)
+        monkeypatch.setattr(dynamics, "integrate_ips", counting)
         series = integrate_levels(
             sg_measure, builtin_kernels(2)["expdist"], [2, 3, 4], 1, model,
             lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)), **self.STEPS,
             graph_seeds=graph_seeds)
         assert [m for m, _ in projected] == [4, 3, 2]
+        # level 4's batch first, drawing from its own DeferredStack; the union
+        # of levels 2 and 3 drew its stacks and dropped their kernel matrices
+        # before its loop, and level 4's went with its batch
+        assert batches == ([(81, []), (36, [])] if graph_seeds is None
+                           else [(81, [4, 3, 2]), (36, [])])
+        assert held() == []
         # a shared graph returns one trajectory per level, a stack one per member
         levels = [[t.level for t in (s if graph_seeds else [s])] for s in series]
         assert levels == [[m] * (2 if graph_seeds else 1) for m in (2, 3, 4)]
 
     def test_vlasov_table_equals_the_per_level_loop(self, sg_measure, monkeypatch):
-        # levels 4 and 5 run as one union, level 6's BlockGraph alone; each
-        # level's model is the one model with its own frequency field
+        # level 6's BlockGraph runs alone, then levels 4 and 5 as one union;
+        # each level's model is the one model with its own frequency field
         omega_fn, _ = kuramoto_fields(3, 2)
         model = kuramoto_model(0.7)
         calls = TestIntegrateSeries.record_calls(monkeypatch)
@@ -1578,7 +1668,7 @@ class TestIntegrateLevels:
                 builtin_kernels(2)["expdist"], uniform_phase_sampler, m=2, ells=(2, 3, 4),
                 seeds=(1, 2), **self.STEPS))
         # per_level_loop calls integrate_ips by its own name, which is not recorded
-        assert calls == [(int, (324, 324)), (int, (729, 729))]
+        assert calls == [(int, (729, 729)), (int, (324, 324))]
         *series, table = runs["levels"]
         *alone, expected = runs["loop"]
         assert table.distances.tobytes() == expected.distances.tobytes()

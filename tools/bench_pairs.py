@@ -6,7 +6,9 @@ Usage, from the root of the repository::
         [--workload bernoulli --workload refine ...] [--pairs 10] [--seed N]
 
 The parent commit's committed files are exported to a temporary directory
-(``git archive``: a fresh checkout, as the benchmark itself is run on). For
+(``git archive``: a fresh checkout, as the benchmark itself is run on), and
+the working tree's files, those git tracks or would track (no ``__pycache__``
+and nothing else that ``.gitignore`` names), are copied to another. For
 each workload the script then runs ``perfbench/run.py --workload W`` once per
 side per pair, with the benchmark's own default run length, alternating which
 side runs first, and reads each run's medians from
@@ -18,13 +20,14 @@ with their median and quartiles, the fraction of pairs the working tree won
 (ties count for neither), and the operations attempted and failed on each
 side.
 
-Each side has a ``PYTHONPYCACHEPREFIX`` of its own, kept for the whole
-script and filled by one untimed run of each workload before its pairs, so
-both sides load every module, numpy's and the package's, from bytecode they
-compiled themselves: neither loads a ``.pyc`` that the other lacks (loading
-the package from bytecode moves peak RSS by megabytes), and no timed run
-compiles a module from source (``np.median``'s first call compiles
-``numpy.ma``, about 7.5 MB of transient RSS).
+Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``,
+so each operation compiles the package from its source, as the benchmark's
+own runs on a fresh checkout do: their recorded ``peak_rss_mb`` medians
+match runs made that way (``bernoulli`` 43.84-43.97 MB and ``refine``
+43.23-43.34 MB at one commit) and not runs that load the package from a
+warmed bytecode cache (42.80-42.82 and 42.05-42.08 MB). Neither side has a
+``.pyc`` of the package that the other lacks, which alone moves peak RSS by
+megabytes; numpy's modules load from their installed bytecode on both.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,14 +67,27 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int | None, pycache: Path) -> dict:
-    """One ``perfbench/run.py`` run, reading and writing bytecode under
-    ``pycache``; per-metric medians over its operations."""
+def copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files to
+    ``dest``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, listed):
+        if (ROOT / name).is_file():  # a deleted tracked file is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def run_once(checkout: Path, workload: str, seed: int | None) -> dict:
+    """One ``perfbench/run.py`` run, writing no bytecode; per-metric medians
+    over its operations."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = json.loads(
@@ -128,21 +145,18 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = Path(tmp) / "parent"
-        parent_dir.mkdir()
-        sha = export(args.parent, parent_dir)
-        sides = {"parent": parent_dir, "change": ROOT}
-        caches = {side: Path(tmp) / f"pycache-{side}" for side in sides}
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
+        for path in sides.values():
+            path.mkdir()
+        sha = export(args.parent, sides["parent"])
+        copy_worktree(sides["change"])
         report = {}
         for workload in workloads:
-            for side in sides:  # untimed: compiles what the workload imports
-                run_once(sides[side], workload, args.seed, caches[side])
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, args.seed,
-                                               caches[side]))
+                    runs[side].append(run_once(sides[side], workload, args.seed))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"{json.dumps(runs[side][-1])}", flush=True)
             report[workload] = summarize(runs)
@@ -153,8 +167,8 @@ def main() -> int:
         "protocol": (
             f"{args.pairs} pairs per workload of `python3 perfbench/run.py --workload W`"
             f" (seed: {seed}), one run on an export of the parent commit and one on"
-            " the working tree, alternating which runs first, after one untimed run"
-            " per side that fills that side's own bytecode cache; each run's value is"
+            " a copy of the working tree, alternating which runs first, with"
+            " PYTHONDONTWRITEBYTECODE=1 and no bytecode cache for either; each run's value is"
             " its median over the operations that passed; medians and quartiles"
             " are over the runs; change_wins is the fraction of pairs in which the"
             " working tree's value was lower"

@@ -14,17 +14,22 @@ seed (symmetric draws unless ``--asymmetric``). It prints the seconds of
 that call, and of its stages where the package has them (the kernel
 projection ``dynamics._projection`` and the factoring of a ``BlockGraph``,
 ``dynamics._compressed``; a stage under another name is left out), and the
-child's peak RSS (``ru_maxrss``) at its end, the import of numpy and of the
-package included, then the bytes the built graph stores and, for a
-``BlockGraph``, the rank of each upper block's factors or "dense" for a
-block stored as it is. With ``--parent`` the same build runs first on that
-commit's committed files, exported as ``tools/bench_pairs.py`` exports
-them.
+child's peak RSS (``ru_maxrss``) at its end, the import of numpy, of the
+package and of what a Bernoulli draw imports included, then the bytes the
+built graph holds before its batch runs: for a ``DeferredStack`` its
+``KernelMatrix``, else the graph's own bytes, and for a ``BlockGraph`` the
+rank of each upper block's factors or "dense" for a block stored as it is. Members that the build itself drew
+are reported too. With ``--seeds`` the child then takes one RK4 step on the
+graph, which draws its member groups as the level's batch would, and
+prints the bytes of the largest group and the seconds of its draw (one
+``stack_graphs`` call), after the peak RSS is read. With ``--parent`` the
+same build runs first on that commit's committed files, exported as
+``tools/bench_pairs.py`` exports them.
 
-As in ``tools/bench_pairs.py``, each side has a ``PYTHONPYCACHEPREFIX`` of
-its own, filled by one untimed build before the measured one, so neither
-side compiles a module from source in the build it reports, and neither
-loads bytecode that the other lacks.
+Each side has a ``PYTHONPYCACHEPREFIX`` of its own, filled by one untimed
+build before the measured one, so neither side compiles a module from
+source in the build it reports, and neither loads bytecode that the other
+lacks.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ import numpy as np
 from fractalips import (PiecewiseConstantField, SelfSimilarMeasure, builtin_kernels,
                         dynamics, integrate_levels, kuramoto_model, preset)
 
-graphs, integrate_ips = [], dynamics.integrate_ips
+couplings, integrate_ips = [], dynamics.integrate_ips
 dynamics.integrate_ips = lambda model, coupling, *args: (
-    graphs.append(coupling.weights) or integrate_ips(model, coupling, *args))
-stages = {}
+    couplings.append(coupling) or integrate_ips(model, coupling, *args))
+stages, draws, stack_graphs = {}, [], dynamics.stack_graphs
 
 
 def timed(name, stage):
@@ -61,26 +66,45 @@ def timed(name, stage):
     return run
 
 
+def drawing(*args):
+    start = time.perf_counter()
+    stack = stack_graphs(*args)
+    draws.append((stack.weights.nbytes, time.perf_counter() - start))
+    return stack
+
+
 for name, attr in (("projection", "_projection"), ("factoring", "_compressed")):
     if hasattr(dynamics, attr):
         setattr(dynamics, attr, timed(name, getattr(dynamics, attr)))
+dynamics.stack_graphs = drawing
 
 name, m, sublevel = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 seeds = [int(s) for s in sys.argv[4].split(",")] if sys.argv[4] else None
 symmetric = sys.argv[5] == "symmetric"
 meas = SelfSimilarMeasure.uniform(preset(name))
 kernel = builtin_kernels(meas.ifs.dimension)["expdist"]
+field = PiecewiseConstantField(meas.k, m, np.zeros(meas.k**m))
+# what a draw imports (numpy.random and, through it, hashlib), before the
+# build: whether or not the build draws, its peak and the draw time exclude it
+np.random.Generator(np.random.Philox(0))
 start = time.perf_counter()
 integrate_levels(meas, kernel, [m], sublevel, lambda m: kuramoto_model(1.0),
-                 lambda m: PiecewiseConstantField(meas.k, m, np.zeros(meas.k**m)),
-                 T=0.0, dt=1.0, output_stride=1, graph_seeds=seeds, symmetric=symmetric)
+                 lambda m: field, T=0.0, dt=1.0, output_stride=1,
+                 graph_seeds=seeds, symmetric=symmetric)
 seconds = time.perf_counter() - start
-(graph,) = graphs
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+(coupling,) = couplings
+graph = coupling.weights
+held = graph.km.entries.nbytes if hasattr(graph, "km") else graph.nbytes
+built, draws[:] = sum(b for b, _ in draws), []
+if seeds:  # one step draws every member group, as the level's batch does
+    integrate_ips(kuramoto_model(1.0), coupling, field, 1.0, 1.0)
+group = max(draws, default=(0, 0.0))
 ranks = [C[0].shape[1] if isinstance(C, tuple) else "dense"
          for C in getattr(graph, "upper", {}).values()]
-print(json.dumps({"seconds": seconds, "stages": stages,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "layout": type(graph).__name__, "nbytes": graph.nbytes, "ranks": ranks}))
+print(json.dumps({"seconds": seconds, "stages": stages, "peak_rss_mb": peak,
+                  "layout": type(graph).__name__, "held": held, "built_draws": built,
+                  "group": group[0], "draw_s": group[1], "ranks": ranks}))
 """
 
 
@@ -129,8 +153,12 @@ def main() -> int:
                   f"{graph}: "
                   f"peak RSS {result['peak_rss_mb']:.1f} MB, {result['seconds']:.3f} s"
                   f"{stages}; "
-                  f"{result['layout']} of {result['nbytes']:,} B"
-                  + (f", upper blocks {ranks}" if ranks else ""),
+                  f"{result['layout']} holding {result['held']:,} B before its batch"
+                  + (f", upper blocks {ranks}" if ranks else "")
+                  + (f", {result['built_draws']:,} B drawn by the build"
+                     if result["built_draws"] else "")
+                  + (f"; largest member group {result['group']:,} B, drawn in "
+                     f"{result['draw_s']:.3f} s" if result["group"] else ""),
                   flush=True)
     return 0
 

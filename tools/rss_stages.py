@@ -14,12 +14,15 @@ own JSON record follows on standard output. The wrappers replace the names
 in the package's loaded modules of that process only; no file changes.
 
 The stages are the kernel projection, the factoring of a ``BlockGraph``,
-the Bernoulli stack, each RK4 loop, the trajectory discrepancy, the Vlasov
-table, the rate fit and each CSV write. A stack over ``DENSE_GRAPH_BYTES``
-is drawn one member group at a time inside its RK4 loop, so each group's
-``stack_graphs`` draw is listed nested under that ``integrate_ips`` stage.
-A stage the package does not define under that name (a commit from before
-it, or after a rename) is listed as missing and not wrapped. The first line whose "after" peak reaches the
+each Bernoulli stack draw, each RK4 loop, the trajectory discrepancy, the
+Vlasov table, the rate fit and each CSV write. The batches run finest
+first. A Bernoulli level that runs alone is drawn one member group at a
+time inside its RK4 loop, so each group's ``stack_graphs`` draw is listed
+nested under that ``integrate_ips`` stage; a union's levels are drawn when
+its batch starts, so their draws are listed at the top level, before the
+union's ``integrate_ips``. A stage the package does not define under that
+name (a commit from before it, or after a rename) is listed as missing and
+not wrapped. The first line whose "after" peak reaches the
 operation's ``peak_rss_mb`` names the stage that set it; a peak that rises
 between one line's "after" and the next line's "before" was set by code the
 stages do not wrap, and one already reached before the first stage by
