@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import Trajectory, integrate_levels
+from .dynamics import Trajectory, _row_blocks, integrate_levels
 from .geometry import (
     attractor_points,
     common_contraction_ratio,
@@ -57,16 +57,15 @@ def traj_error(
     repeats = coarse.k ** (fine.level - coarse.level)
     weights = meas.weights(fine.level)
     errs = np.empty(len(fine.times))
-    # each row's sum is its own, so the rows go 2^13 state entries at a time
-    # (the rule of dynamics._abs_sums) and no temporary has the size of the
-    # fine trajectory; the differences are squared in place
-    step = max(1, (1 << 13) // fine.values[0].size)
-    for lo in range(0, len(errs), step):
-        diff = np.repeat(coarse.values[lo:lo + step], repeats, axis=1)
-        np.subtract(diff, fine.values[lo:lo + step], out=diff)
+    # each row's sum is its own, so the rows go by _row_blocks and no
+    # temporary has the size of the fine trajectory; the differences are
+    # squared in place
+    for rows in _row_blocks(len(errs), fine.values[0].size):
+        diff = np.repeat(coarse.values[rows], repeats, axis=1)
+        np.subtract(diff, fine.values[rows], out=diff)
         sq = np.sum(np.multiply(diff, diff, out=diff), axis=2)  # (rows, n_fine)
         sq *= weights
-        errs[lo:lo + step] = pairwise_sum(sq, axis=1)
+        errs[rows] = pairwise_sum(sq, axis=1)
     np.sqrt(np.maximum(errs, 0.0, out=errs), out=errs)
     return TrajectoryError(coarse.times, errs, float(errs.max()))
 

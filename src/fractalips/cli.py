@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +42,7 @@ from .dynamics import (
     step_count,
 )
 from .errors import BudgetExceededError, ConfigError, NumericalAbortError
-from .experiments import (
-    kuramoto_fields,
-    phase_state,
-    refinement_errors,
-    uniform_phase_sampler,
-)
+from .experiments import level_data, refinement_errors, uniform_phase_sampler
 from .geometry import (
     IFS,
     Similitude,
@@ -146,6 +141,13 @@ class ExperimentConfig:
 
     def model(self):  # built once per run: only its params change with the level
         return builtin_models()[self.model_name](self.coupling_strength, self.damping, 0.0)
+
+    def omega_amplitude(self) -> float:
+        """The amplitude of the frequency field: ``omega_scale`` with
+        ``model.omega = field``, 0 with ``zero``, and ValueError otherwise."""
+        if self.omega_mode not in ("field", "zero"):
+            raise ValueError(f"model omega must be 'field' or 'zero', not {self.omega_mode!r}")
+        return self.omega_scale if self.omega_mode == "field" else 0.0
 
     def test_function(self):
         return _test_functions(self.ifs.dimension)[self.function_name]
@@ -337,8 +339,10 @@ def validate(cfg: ExperimentConfig, subcommand: str | None = None) -> list[str]:
     if subcommand in ("rate", "vlasov") and cfg.graph_kind == "bernoulli":
         diags.append(f"{subcommand} mode integrates the deterministic graph only, "
                      "not a bernoulli one")
-    if cfg.omega_mode not in ("field", "zero"):
-        diags.append(f"model omega must be 'field' or 'zero', not {cfg.omega_mode!r}")
+    try:  # omega_amplitude owns the rule of model.omega
+        cfg.omega_amplitude()
+    except ValueError as exc:
+        diags.append(str(exc))
     for f in _INI_FIELDS:
         key, least, value = f.metadata["ini"], f.metadata["least"], getattr(cfg, f.name)
         low = min(value, default=least) if isinstance(value, tuple) else value
@@ -512,27 +516,16 @@ def run_transfer(cfg: ExperimentConfig, out: Path) -> list[str]:
     return ["transfer_step.csv", "graphon_pixels.csv"]
 
 
-def _level_models(cfg: ExperimentConfig, meas, omega_fn, model):
-    """``model`` at level m: with a nonzero omega field projected there, if it has params."""
-    if model.params is None or cfg.omega_mode != "field" or cfg.omega_scale == 0:
-        return lambda m: model
-    return lambda m: replace(model, params=martingale_level(meas, omega_fn, m, cfg.sublevel))
-
-
 def run_simulate(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
-    omega_fn, phase_fn = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
     graph_seeds = cfg.seeds if cfg.graph_kind == "bernoulli" else None
     levels = sorted(cfg.levels)
     model = cfg.model()
-
-    initial = lambda m: phase_state(martingale_level(meas, phase_fn, m, cfg.sublevel),
-                                    model.state_dim)
+    data = level_data(meas, model, cfg.seeds[0], cfg.omega_amplitude(), cfg.sublevel)
     # the kernel, frequencies and phases depend on the level only; the graph
     # seeds share them, and a deterministic run integrates the shared graph
     # of rate and vlasov, one trajectory per level
-    series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel,
-                              _level_models(cfg, meas, omega_fn, model), initial, cfg.T,
+    series = integrate_levels(meas, cfg.kernel(), levels, cfg.sublevel, *data, cfg.T,
                               cfg.dt, cfg.output_stride, graph_seeds, cfg.graph_symmetric)
     outputs = []
     for m, trajs in zip(levels, series):
@@ -568,7 +561,7 @@ def _write_trajectory(out: Path, stem: str, traj, model, seed,
 def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
     levels, errors, _ = refinement_errors(
         cfg.measure(), cfg.kernel(), cfg.levels, cfg.model(), cfg.T, cfg.dt, cfg.seeds[0],
-        cfg.sublevel, cfg.output_stride, cfg.omega_scale if cfg.omega_mode == "field" else 0.0)
+        cfg.sublevel, cfg.output_stride, cfg.omega_amplitude())
     lam = max(m.ratio for m in cfg.ifs.maps)
     fit = rate_fit(errors, lam, levels=levels)
     # fitted envelope C lambda^(alpha m) with C matched to the worst level
@@ -593,11 +586,11 @@ def run_rate(cfg: ExperimentConfig, out: Path) -> list[str]:
 def run_vlasov(cfg: ExperimentConfig, out: Path) -> list[str]:
     meas = cfg.measure()
     m = min(cfg.levels)
-    omega_fn, _ = kuramoto_fields(cfg.seeds[0], cfg.ifs.dimension, cfg.omega_scale)
+    model_builder, _ = level_data(meas, cfg.model(), cfg.seeds[0], cfg.omega_amplitude(),
+                                  cfg.sublevel)
     table = vlasov_self_convergence(
-        meas, _level_models(cfg, meas, omega_fn, cfg.model()), cfg.kernel(),
-        uniform_phase_sampler, m, cfg.ell_levels, cfg.T, cfg.dt, cfg.seeds, cfg.sublevel,
-        cfg.output_stride)
+        meas, model_builder, cfg.kernel(), uniform_phase_sampler, m, cfg.ell_levels, cfg.T,
+        cfg.dt, cfg.seeds, cfg.sublevel, cfg.output_stride)
     pairs = np.array(table.ell_pairs)
     write_csv(out / "vlasov.csv",
               ("seed", "ell_coarse", "ell_fine", "t", "distance"),

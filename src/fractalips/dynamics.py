@@ -280,8 +280,7 @@ class DeferredStack:
     ndim = 3
 
     def __post_init__(self):
-        if any(seed is not None for seed in self.seeds):
-            _check_probabilities(self.km.entries)
+        _check_probabilities(self.km.entries, self.seeds)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -556,39 +555,21 @@ def sample_bernoulli(
     ``symmetric`` the strict upper triangle is sampled and mirrored; the
     diagonal is sampled once.  Deterministic per seed.
 
-    The draws, the edges, the mirror and the mass scaling share one n x n
-    array, which a symmetric draw returns as its transpose, in the Fortran
-    order ``CouplingGraph`` keeps; an asymmetric draw holds a second n x n
-    array, ``CouplingGraph``'s Fortran-order copy.
+    The one-member ``stack_graphs`` draw, as one shared graph: it holds the
+    drawn member and ``CouplingGraph``'s Fortran-order copy of it.
     """
-    xi = _draw_edges(km, seed, symmetric, np.empty(km.entries.shape))
-    if symmetric:
-        xi = xi.T  # the same entries, since xi is symmetric
-    xi *= meas.weights(km.level)
-    return CouplingGraph(km.k, km.level, xi)
+    return CouplingGraph(km.k, km.level, stack_graphs(km, meas, (seed,), symmetric).weights[0])
 
 
-def _draw_edges(km: KernelMatrix, seed: int, symmetric: bool, out: np.ndarray) -> np.ndarray:
-    """``sample_bernoulli``'s edges xi in {0, 1}, drawn into the C-order
-    array ``out`` and, with ``symmetric``, mirrored from its upper triangle."""
-    P = _check_probabilities(km.entries)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    rng.random(out=out)
-    np.less(out, P, out=out)
-    if symmetric:
-        for row in range(1, len(out)):
-            out[row, :row] = out[:row, row]
-    return out
-
-
-def _check_probabilities(P: np.ndarray) -> np.ndarray:
-    """P, if every entry lies in [0, 1] up to the slack of ``sample_bernoulli``."""
-    if P.min() < -1e-12 or P.max() > 1.0 + 1e-12:
+def _check_probabilities(P: np.ndarray, seeds) -> None:
+    """Refuse P if a seed draws from it and an entry lies outside [0, 1]
+    beyond the slack of ``sample_bernoulli``."""
+    drawn = any(seed is not None for seed in seeds)
+    if drawn and (P.min() < -1e-12 or P.max() > 1.0 + 1e-12):
         raise ValueError(
             "Bernoulli sampling requires kernel averages in [0, 1]; "
             f"got range [{P.min():.3g}, {P.max():.3g}]"
         )
-    return P
 
 
 def stack_graphs(
@@ -597,21 +578,29 @@ def stack_graphs(
     """One graph per ensemble member, stacked into one (E, n, n) coupling.
 
     Member i is the dense deterministic graph W_wv nu(K_v) when ``seeds[i]``
-    is None and the Bernoulli draw of ``sample_bernoulli`` with that seed
-    otherwise.  Each member is written straight into its slice of the
-    stack, in C order, so beside the E n x n stack nothing of graph size is
-    held.  A ``DeferredStack`` calls it on each member group it draws, which
-    is how ``integrate_levels`` draws every Bernoulli level.
+    is None and otherwise the Bernoulli draw of ``sample_bernoulli`` with
+    that seed: uniform draws from the seed's Philox stream compared with W,
+    with ``symmetric`` mirrored from the upper triangle, then scaled by the
+    masses.  The entries are checked against [0, 1] once, before any draw.
+    Each member is written straight into its slice of the stack, in C
+    order, so beside the E n x n stack nothing of graph size is held.  A
+    ``DeferredStack`` calls it on each member group it draws, which is how
+    ``integrate_levels`` draws every Bernoulli level.
     """
     seeds = tuple(seeds)
+    _check_probabilities(km.entries, seeds)
     masses = meas.weights(km.level)
     weights = np.empty((len(seeds),) + km.entries.shape)
     for member, seed in zip(weights, seeds):
         if seed is None:
             np.multiply(km.entries, masses, out=member)
-        else:
-            _draw_edges(km, seed, symmetric, member)
-            member *= masses
+            continue
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(out=member)
+        np.less(member, km.entries, out=member)
+        if symmetric:
+            for row in range(1, len(member)):
+                member[row, :row] = member[:row, row]
+        member *= masses
     return CouplingGraph(km.k, km.level, weights)
 
 

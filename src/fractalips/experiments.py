@@ -51,10 +51,33 @@ def kuramoto_fields(seed, dimension: int, omega_scale: float = 1.0):
     )
 
 
-def phase_state(phases, state_dim: int):
-    """A state field whose first component is ``phases``; the others are 0."""
-    return PiecewiseConstantField(phases.k, phases.level,
-                                  np.pad(phases.values, ((0, 0), (0, state_dim - 1))))
+def level_data(meas: SelfSimilarMeasure, model, seed, omega_scale: float, sublevel: int,
+               fine: int | None = None):
+    """The ``(model_builder, init_builder)`` of ``integrate_levels`` for the
+    Kuramoto data of ``seed``: the fields of ``kuramoto_fields``.
+
+    The frequency field, of amplitude ``omega_scale``, becomes the model's
+    params if it has params and the amplitude is not 0; else the one model
+    serves every level.  The phases fill the first state component and the
+    others are 0.  Each field is projected at every level, or with ``fine``
+    projected once at that level and coarsened, so that all levels
+    discretize one and the same pair of data functions.
+    """
+    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
+
+    def projected(fn):
+        if fine is None:
+            return lambda m: martingale_level(meas, fn, m, sublevel)
+        top = martingale_level(meas, fn, fine, sublevel)
+        return lambda m: coarsen(top, m, meas.p)
+
+    model_builder = lambda m: model
+    if model.params is not None and omega_scale != 0:
+        omega = projected(omega_fn)
+        model_builder = lambda m: replace(model, params=omega(m))
+    phases, pad = projected(phase_fn), ((0, 0), (0, model.state_dim - 1))
+    initial = lambda m: PiecewiseConstantField(meas.k, m, np.pad(phases(m).values, pad))
+    return model_builder, initial
 
 
 def refinement_errors(meas: SelfSimilarMeasure, kernel, levels, model, T: float = 1.0,
@@ -62,23 +85,14 @@ def refinement_errors(meas: SelfSimilarMeasure, kernel, levels, model, T: float 
                       output_stride: int = 10, omega_scale: float = 1.0):
     """The continuum-limit self-convergence series e_m = ||u^m - u^(m+1)|| of ``model``.
 
-    Frequencies and initial phases come from seeded random Lipschitz fields
-    projected once at the finest level and coarsened to every coarser level,
-    so all systems discretize one and the same pair of data functions.  The
-    frequency field, of amplitude ``omega_scale``, becomes the model's params
-    when it has params and the amplitude is not 0.
+    Its data is that of ``level_data``, projected once at the finest level
+    and coarsened to every coarser level.
     """
     levels = sorted(int(m) for m in levels)
     needed = sorted(set(levels) | {m + 1 for m in levels})
-    omega_fn, phase_fn = kuramoto_fields(seed, meas.ifs.dimension, omega_scale)
-    level_model = lambda m: model
-    if model.params is not None and omega_scale != 0:
-        omega_fine = martingale_level(meas, omega_fn, needed[-1], sublevel)
-        level_model = lambda m: replace(model, params=coarsen(omega_fine, m, meas.p))
-    phase_fine = martingale_level(meas, phase_fn, needed[-1], sublevel)
     series = integrate_levels(
-        meas, kernel, needed, sublevel, level_model,
-        lambda m: phase_state(coarsen(phase_fine, m, meas.p), model.state_dim),
+        meas, kernel, needed, sublevel,
+        *level_data(meas, model, seed, omega_scale, sublevel, fine=needed[-1]),
         T, dt, output_stride)
     trajs = dict(zip(needed, series))
     errors = np.array([traj_error(trajs[m], trajs[m + 1], meas).max_error for m in levels])
@@ -113,15 +127,12 @@ def bernoulli_gap_medians(
     """
     levels = sorted(int(m) for m in levels)
     seeds = tuple(int(s) for s in seeds)
-    omega_fn, phase_fn = kuramoto_fields(field_seed, meas.ifs.dimension)
-    model = kuramoto_model(coupling_strength)
     # member 0 of each level is the deterministic system, members 1.. its
     # Bernoulli draws
     series = integrate_levels(
         meas, kernel, levels, sublevel,
-        lambda m: replace(model, params=martingale_level(meas, omega_fn, m, sublevel)),
-        lambda m: martingale_level(meas, phase_fn, m, sublevel), T, dt, output_stride,
-        graph_seeds=(None, *seeds))
+        *level_data(meas, kuramoto_model(coupling_strength), field_seed, 1.0, sublevel),
+        T, dt, output_stride, graph_seeds=(None, *seeds))
     per_seed = np.array([[traj_error(base, t, meas).max_error for t in draws]
                          for base, *draws in series]).reshape(len(levels), len(seeds))
     medians = [float(median(row)) for row in per_seed]

@@ -211,6 +211,35 @@ def test_criterion_08_mean_field_self_convergence(sgm):
     report(8, "mean-field self-convergence", t0, 600.0)
 
 
+def test_criterion_07_gaps_hold_at_half_the_time_step(sgm):
+    # sg level 4 with criterion 07's parameters and 5 graph seeds, recorded
+    # every 0.01 as there: the per-seed gaps at dt = 1e-2 and 5e-3 differ by
+    # 3.9e-10 relative, RK4's dt^4 error (15/16 of the 4.2e-10 to dt = 1e-3)
+    kern = builtin_kernels(2)["expdist"]
+
+    def gaps(dt, stride):
+        return bernoulli_gap_medians(
+            sgm, kern, [4], seeds=range(5), coupling_strength=0.5, T=1.0, dt=dt,
+            field_seed=FIELD_SEED, sublevel=2, output_stride=stride)[2][0]
+
+    np.testing.assert_allclose(gaps(1e-2, 1), gaps(5e-3, 2), rtol=2e-9, atol=0)
+
+
+def test_criterion_08_distances_hold_at_half_the_time_step(sgm):
+    # criterion 08's table for its ell pair (2, 3), recorded every 0.02 as
+    # there: the per-seed sup distances at dt = 1e-2 and 5e-3 differ by
+    # 2.4e-9 relative (2.6e-9 to dt = 1e-3)
+    kern = builtin_kernels(2)["expdist"]
+
+    def sups(dt, stride):
+        table = vlasov_self_convergence(
+            sgm, lambda level: kuramoto_model(1.0, 0.0), kern, uniform_phase_sampler, m=2,
+            ells=(2, 3), T=1.0, dt=dt, seeds=range(10), sublevel=2, output_stride=stride)
+        return table.distances.max(axis=2)[:, 0]
+
+    np.testing.assert_allclose(sups(1e-2, 2), sups(5e-3, 4), rtol=1e-8, atol=0)
+
+
 def test_criterion_09_exchangeability_reduction(sgm):
     t0 = time.time()
     model = kuramoto_model(1.0, 0.25)

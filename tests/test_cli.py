@@ -13,15 +13,14 @@ from fractalips import ConfigError
 from fractalips.cli import (
     SUBCOMMANDS,
     _columns,
-    _level_models,
     _write_trajectory,
     main,
     parse_config,
     validate,
     write_csv,
 )
-from fractalips.dynamics import Trajectory, project_kernel
-from fractalips.experiments import kuramoto_fields
+from fractalips.dynamics import Trajectory, builtin_kernels, project_kernel
+from fractalips.experiments import bernoulli_gap_medians, kuramoto_fields, level_data
 from fractalips.transfer import kernel_to_graphon, martingale_level, transfer_to_interval
 
 BASE_CONFIG = """
@@ -607,26 +606,47 @@ class TestRunSubcommands:
         alphas = {l.split(",")[3] for l in lines[1:]}
         assert len(alphas) == 1
 
-    def test_rate_reads_the_frequency_settings(self, tmp_path):
+    @pytest.mark.parametrize("subcommand", ["rate", "simulate", "vlasov"])
+    def test_subcommands_read_the_frequency_settings(self, tmp_path, subcommand):
         # omega = zero and omega_scale = 0 both make the frequencies exactly
         # zero; a strong frequency field over a longer horizon gives other
-        # errors (at scale 1, or up to T = 0.1, the largest error is the one
-        # at t = 0, which the frequencies do not touch)
+        # tables (for rate at scale 1, or up to T = 0.1, the largest error is
+        # the one at t = 0, which the frequencies do not touch).  The CSVs
+        # are compared: the JSON artifacts also carry the config hash
         base = Path(write_config(tmp_path, model_extra="omega_scale = 5")).read_text()
         base = base.replace("T = 0.1", "T = 1.0")
 
-        def rate_errors(name, text):
+        def tables(name, text):
             path = tmp_path / f"{name}.ini"
             path.write_text(text)
             out = tmp_path / name
-            assert main(["rate", "--config", str(path), "--output", str(out)]) == 0
-            return json.loads((out / "rate.json").read_text())["errors"]
+            assert main([subcommand, "--config", str(path), "--output", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
-        field = rate_errors("field", base)
-        zero = rate_errors("zero", base.replace("omega = field", "omega = zero"))
-        unscaled = rate_errors("unscaled", base.replace("omega_scale = 5", "omega_scale = 0"))
-        assert zero == unscaled
-        assert zero != field
+        field = tables("field", base)
+        zero = tables("zero", base.replace("omega = field", "omega = zero"))
+        unscaled = tables("unscaled", base.replace("omega_scale = 5", "omega_scale = 0"))
+        assert zero and zero == unscaled
+        assert zero.keys() == field.keys() and zero != field
+
+    @pytest.mark.parametrize("pipeline", ["simulate", "rate", "vlasov", "bernoulli"])
+    def test_each_pipeline_builds_its_data_in_one_call(self, tmp_path, monkeypatch,
+                                                       pipeline):
+        calls, original = [], fractalips.experiments.level_data
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fractalips.experiments, "level_data", counting)
+        monkeypatch.setattr(fractalips.cli, "level_data", counting)
+        cfgp = write_config(tmp_path)
+        if pipeline == "bernoulli":
+            bernoulli_gap_medians(parse_config(cfgp).measure(), builtin_kernels(2)["expdist"],
+                                  [2, 3], (1, 2), T=0.1, dt=1e-2, output_stride=5)
+        else:
+            assert main([pipeline, "--config", cfgp]) == 0
+        assert len(calls) == 1
 
     def test_rate_runs_a_model_with_two_state_components(self, tmp_path):
         cfgp = write_config(tmp_path)
@@ -689,7 +709,8 @@ class TestRunSubcommands:
         cfg = parse_config(cfgp)
         one = cfg.model()
         omega_fn, _ = kuramoto_fields(cfg.seeds[0], 2, cfg.omega_scale)
-        level_model = _level_models(cfg, cfg.measure(), omega_fn, one)
+        level_model, _ = level_data(cfg.measure(), one, cfg.seeds[0], cfg.omega_amplitude(),
+                                    cfg.sublevel)
         for m in (2, 3):
             at_m = level_model(m)
             assert (at_m is one) != projected
@@ -707,7 +728,7 @@ class TestRunSubcommands:
             calls.append(args[2])
             return martingale_level(*args, **kwargs)
 
-        monkeypatch.setattr(fractalips.cli, "martingale_level", counting)
+        monkeypatch.setattr(fractalips.experiments, "martingale_level", counting)
         for scale, levels in (("1.0", [2, 3, 2, 3]), ("0", [2, 3])):
             calls.clear()
             cfgp = write_config(tmp_path, levels="2,3", model_extra=f"omega_scale = {scale}")

@@ -722,9 +722,10 @@ class TestSampleBernoulli:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_draw_holds_at_most_two_dense_arrays(self, sg_measure, symmetric):
         # sg at level 6: beyond its KernelMatrix (729^2 float64, 4.05 MiB) a
-        # symmetric draw holds the one array it returns, an asymmetric one
-        # also CouplingGraph's Fortran-order copy
+        # draw holds the one-member stack of stack_graphs and the
+        # Fortran-order copy of its member that CouplingGraph returns
         km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 6, 1)
+        sample_bernoulli(KernelMatrix(3, 1, np.zeros((3, 3))), sg_measure, 0)  # imports Philox
         tracemalloc.start()
         try:
             graph = sample_bernoulli(km, sg_measure, 3, symmetric)
@@ -1297,16 +1298,21 @@ class TestIntegrateSeries:
         (kuramoto_model(1.0), 1.0, 2),
         (kuramoto_model(1.0), 0.0, 1),
         (consensus_model(1.0), 1.0, 1),  # no params to hold the frequencies
+        (None, 1.0, 2),  # bernoulli_gap_medians' Kuramoto model
     ])
     def test_refinement_errors_project_the_frequencies_only_where_used(
             self, sg_measure, monkeypatch, model, omega_scale, projections):
         calls, original = [], experiments.martingale_level
         monkeypatch.setattr(experiments, "martingale_level",
                             lambda *args: calls.append(args[2]) or original(*args))
-        _, errors, _ = refinement_errors(
-            sg_measure, builtin_kernels(2)["expdist"], [2, 3], model, T=0.1, dt=1e-2,
-            output_stride=5, omega_scale=omega_scale)
-        assert calls == [4] * projections  # the finest level only
+        kern, steps = builtin_kernels(2)["expdist"], dict(T=0.1, dt=1e-2, output_stride=5)
+        if model is None:  # frequencies and phases once per level, at every level
+            _, errors, _ = bernoulli_gap_medians(sg_measure, kern, [2, 3], (1, 2), **steps)
+            assert sorted(calls) == [2] * projections + [3] * projections
+        else:
+            _, errors, _ = refinement_errors(sg_measure, kern, [2, 3], model,
+                                             omega_scale=omega_scale, **steps)
+            assert calls == [4] * projections  # the finest level only
         assert np.all(errors > 0)
 
     def test_gap_medians_equal_the_per_level_loop(self, sg_measure, monkeypatch):

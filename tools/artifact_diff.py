@@ -190,8 +190,8 @@ def configs() -> dict:
         omega="field", kind="deterministic", symmetric="true",
     ).replace("levels = 2,3,4\n", "levels = 2,3,4,5\n")
     # asymmetric Bernoulli draws on sg at level 6 under a skewed measure:
-    # each 729 x 729 draw (4.25 MB, over DENSE_GRAPH_BYTES) is copied into
-    # Fortran order, then into the stack of two
+    # each 729 x 729 draw (4.25 MB, over DENSE_GRAPH_BYTES) is drawn in
+    # place, into its slice of the stack of two
     out["bernoulli_asym_level6"] = out["kuramoto_bernoulli_asym"].replace(
         "p = natural\n", "p = 0.5,0.3,0.2\n").replace(
         "levels = 2,3,4\n", "levels = 6\n").replace("T = 0.1\n", "T = 0.05\n")
