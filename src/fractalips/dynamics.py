@@ -26,12 +26,13 @@ from .quadrature import SelfSimilarMeasure
 from .symbolic import check_eval_budget, check_level_size, level_weights
 from .transfer import KernelMatrix, PiecewiseConstantField
 
-# the per-core L2 budget for the largest graph kept dense: on sg at level 6
-# the dense graph (4.25 MB) overflows a 2 MiB L2 cache
+# the largest deterministic graph that level_graph keeps dense, the 2 MiB of
+# a per-core L2 cache: on sg at level 6 the dense graph (4.25 MB) overflows it
 DENSE_GRAPH_BYTES = 2 << 20
-# the graph bytes of a union of levels that runs as one RK4 loop: four
-# fifths of that budget (1.68 MB), so that the rest of the loop's data stays
-# in the cache beside them.  Measured on the benchmark (10 pairs each):
+# the most graph bytes that one RK4 loop of integrate_levels reads, for a
+# union of levels or a group of a level's members: four fifths of that
+# cache (1.68 MB), so that the rest of the loop's data stays in the cache
+# beside them.  Measured on the benchmark (10 pairs each):
 # levels 2-5 of sg (0.53 MB) and level 6's factored BlockGraph (1.34 MB)
 # ran 7 % slower as one loop than as two, while the simulate workload's
 # union of Bernoulli stacks (1.57 MB) ran slower as two loops.
@@ -48,7 +49,7 @@ class ModelSpec:
     ``coupling_term(G, u)`` returns sum_v G_wv D(u_w, u_v) for every member
     as an (E, n, s) array.  G is either one (n, n) graph that every member
     shares (an array or a ``BlockGraph``) or an (E, n, n) stack with one
-    graph per member, and for a batch of ``integrate_levels`` a
+    graph per member, and for each RK4 loop of ``integrate_levels`` a
     ``BlockDiagonal`` of either; ``graph_product`` applies all of them.
     ``pairwise_coupling`` builds it from a broadcasting D, for every layout.
     ``params`` holds optional per-cell constants such as oscillator
@@ -247,7 +248,7 @@ def _abs_sums(C: Callable, n: int, left: np.ndarray, right: np.ndarray, UV=None)
 class BlockDiagonal:
     """Independent systems side by side, their graphs on the diagonal: all
     shared (n_i, n_i) graphs or all (E, n_i, n_i) stacks, (N, N) or (E, N, N)
-    as a whole.  ``integrate_levels`` builds one for a batch of levels."""
+    as a whole.  ``integrate_levels`` builds one for each RK4 loop."""
 
     blocks: tuple
 
@@ -266,10 +267,10 @@ class DeferredStack:
     """The (E, n, n) stack of ``stack_graphs(km, meas, seeds, symmetric)``,
     drawn only when sliced: ``stack[a:b]`` is the C-order stack of members
     a to b - 1, drawn by ``stack_graphs`` with the same per-seed bits.  It
-    is the graph of every Bernoulli level of ``integrate_levels``: a level
-    that runs alone is drawn by ``integrate_ips`` one member group at a
-    time, and a union's levels whole when their batch starts.  Until then
-    it holds the n x n ``KernelMatrix`` only.  The kernel averages are
+    is the graph ``level_graph`` builds for a Bernoulli level, which
+    ``integrate_levels`` draws one member group at a time, each just before
+    its RK4 loop; ``integrate_ips`` draws one handed to it whole.  Until
+    then it holds the n x n ``KernelMatrix`` only.  The kernel averages are
     checked against [0, 1] here, before any member is drawn.
     """
 
@@ -290,9 +291,6 @@ class DeferredStack:
     def nbytes(self) -> int:  # of the whole stack, as if it were drawn
         return len(self.seeds) * self.km.entries.nbytes
 
-    def __len__(self) -> int:
-        return len(self.seeds)
-
     def __getitem__(self, members: slice) -> np.ndarray:
         return stack_graphs(self.km, self.meas, self.seeds[members], self.symmetric).weights
 
@@ -307,8 +305,8 @@ class CouplingGraph:
     graph per member.  A shared graph may also be a ``BlockGraph``, a stack
     a ``DeferredStack`` whose members are drawn when it is sliced, and
     either layout a ``BlockDiagonal`` of independent systems; these are
-    stored as they are given.  In ``integrate_levels`` a graph lives until
-    its batch's RK4 loop ends.
+    stored as they are given.  In ``integrate_levels`` a drawn graph lives
+    until its RK4 loop ends.
     """
 
     k: int
@@ -612,7 +610,7 @@ def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     its own graph in one batched matmul.  A ``BlockGraph`` folds the masses
     into x, since G_wv = W_wv nu_v, and makes one GEMM of its diagonal block
     with every block-row, then two per upper block C (C and C^T), or for
-    the factors C ~ U V that ``integrate_levels`` keeps four thin ones,
+    the factors C ~ U V that ``level_graph`` keeps four thin ones,
     (z_j V^T) U^T and (z_i U) V.  A ``BlockDiagonal`` writes each block's
     product, as its system alone makes it, into the block's slice of the
     output.
@@ -733,13 +731,10 @@ def integrate_ips(
     The members share the model and the time grid.  They differ in their
     graphs when ``coupling`` holds an (E, n, n) stack, and in their initial
     data when ``initial`` is a sequence of E fields; one graph or one field
-    serves every member.  Each RK4 stage evaluates all members together, or
-    for a stack over ``DENSE_GRAPH_BYTES`` one even group of them at a time.
-    A ``DeferredStack`` draws each group's graphs just before that group's
-    RK4 loop and frees them before the next group is drawn; with T = 0 no
-    group runs and none is drawn.  Returns one
-    Trajectory per member, in order, when either input is stacked, and the
-    Trajectory otherwise.
+    serves every member.  One RK4 loop runs, and each of its stages
+    evaluates all members together; a ``DeferredStack`` is drawn whole
+    before it.  Returns one Trajectory per member, in order, when either
+    input is stacked, and the Trajectory otherwise.
 
     The state is recorded at t = 0 and every ``output_stride`` steps (plus
     the final step).  Aborts with a diagnostic naming the member if a state
@@ -749,100 +744,100 @@ def integrate_ips(
         raise ValueError(f"output_stride must be >= 1, not {output_stride}")
     n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
-    weights = coupling.weights
     fields, members, listed = _ensemble(model, coupling, initial)
+    graphs = coupling.weights
+    graphs = graphs[:] if isinstance(graphs, DeferredStack) else graphs
 
     recorded = [
         s for s in range(1, n_steps + 1) if s % output_stride == 0 or s == n_steps
     ]
     states = np.empty((members, 1 + len(recorded), n, model.state_dim))
     states[:, 0] = np.stack([f.values for f in fields])
-    stack = isinstance(weights, (np.ndarray, DeferredStack)) and weights.ndim == 3
-    # a stack of one graph that serves every member is one group, [0:members]
-    split = stack and len(weights) == members
-    groups = -(-members // max(1, DENSE_GRAPH_BYTES * members // weights.nbytes)) if split else 1
-    # with no step to take, no group runs, so none is drawn
-    cuts = [members * i // groups for i in range(groups + 1)] if n_steps else [0]
-    for first, last in zip(cuts[:-1], cuts[1:]):
-        graphs = weights[first:last] if stack else weights
-        u = states[first:last, 0].copy()
-        out = 1
-        for step in range(n_steps):
-            t = step * dt
-            k1 = _rhs(model, graphs, t, u)
-            k2 = _rhs(model, graphs, t + dt / 2, u + (dt / 2) * k1)
-            k3 = _rhs(model, graphs, t + dt / 2, u + (dt / 2) * k2)
-            k4 = _rhs(model, graphs, t + dt, u + dt * k3)
-            u = u + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(u)):
-                bad = ~np.isfinite(u).all(axis=2)
-                where = ", ".join(
-                    f"member {first + e} ({np.count_nonzero(bad[e])} of {n} cells)"
-                    for e in np.flatnonzero(bad.any(axis=1))
-                )
-                raise NumericalAbortError(
-                    f"non-finite state after step {step + 1} (t = {t + dt:.6g}) in {where}"
-                )
-            if (step + 1) % output_stride == 0 or step + 1 == n_steps:
-                states[first:last, out] = u
-                out += 1
-        del graphs  # a drawn group, before the next one is drawn
+    u, out = states[:, 0].copy(), 1
+    for step in range(n_steps):
+        t = step * dt
+        k1 = _rhs(model, graphs, t, u)
+        k2 = _rhs(model, graphs, t + dt / 2, u + (dt / 2) * k1)
+        k3 = _rhs(model, graphs, t + dt / 2, u + (dt / 2) * k2)
+        k4 = _rhs(model, graphs, t + dt, u + dt * k3)
+        u = u + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(u)):
+            bad = ~np.isfinite(u).all(axis=2)
+            where = ", ".join(
+                f"member {e} ({np.count_nonzero(bad[e])} of {n} cells)"
+                for e in np.flatnonzero(bad.any(axis=1))
+            )
+            raise NumericalAbortError(
+                f"non-finite state after step {step + 1} (t = {t + dt:.6g}) in {where}"
+            )
+        if (step + 1) % output_stride == 0 or step + 1 == n_steps:
+            states[:, out] = u
+            out += 1
     times = np.array([0, *recorded]) * dt
     trajs = [Trajectory(coupling.k, coupling.level, times, v) for v in states]
     return trajs if listed else trajs[0]
+
+
+def level_graph(meas: SelfSimilarMeasure, kernel, m: int, sublevel: int,
+                graph_seeds=None, symmetric: bool = True) -> CouplingGraph:
+    """The graph that ``integrate_levels`` integrates for level m.
+
+    With ``graph_seeds`` it is the ``DeferredStack`` of ``stack_graphs(km,
+    meas, graph_seeds, symmetric)``: it keeps the n x n ``KernelMatrix`` km,
+    never the E n x n stack.  Without, it is ``assemble_deterministic``'s W
+    diag(nu), except for a grouped projection over ``DENSE_GRAPH_BYTES``:
+    that level's ``BlockGraph`` is built by ``_compressed`` from the class
+    gather, without W or any whole upper block it factors.  So this is the
+    one place that decides the layout of a level's graph.
+    """
+    if graph_seeds is None and 8 * meas.k**(2 * m) > DENSE_GRAPH_BYTES:
+        W = _projection(meas, kernel, m, sublevel)  # grouped: its gather, never W
+        if callable(W):
+            return CouplingGraph(meas.k, m, _compressed(W, meas.k, meas.weights(m)))
+        return assemble_deterministic(KernelMatrix(meas.k, m, W), meas)
+    km = project_kernel(meas, kernel, m, sublevel)
+    if graph_seeds is None:
+        return assemble_deterministic(km, meas)
+    return CouplingGraph(meas.k, m, DeferredStack(km, meas, tuple(graph_seeds), symmetric))
 
 
 def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
                      model_builder, init_builder, T: float, dt: float,
                      output_stride: int, graph_seeds=None, symmetric: bool = True) -> list:
     """What ``integrate_ips`` returns for the level-m Galerkin system of each
-    m in ``levels``, in order: model_builder(m), the graph of the kernel
-    projected at level m and init_builder(m).  With ``graph_seeds`` the
-    graph is the ``DeferredStack`` of ``stack_graphs(km, meas, graph_seeds,
-    symmetric)``: it keeps the n x n ``KernelMatrix`` km until the level's
-    batch runs, never the E n x n stack.  Without, it is
-    ``assemble_deterministic``'s W diag(nu), except for a grouped projection
-    over ``DENSE_GRAPH_BYTES``: that level's ``BlockGraph`` is built by
-    ``_compressed`` from the class gather, without W or any whole upper
-    block it factors.  Every level is projected, finest first, before any
-    RK4 step, so a level that the budget, the level cap, the evenness or
-    finiteness checks or the [0, 1] check of a ``DeferredStack`` refuses
-    fails before any integration.
+    m in ``levels``, in order: model_builder(m), ``level_graph(meas, kernel,
+    m, sublevel, graph_seeds, symmetric)`` and init_builder(m).  Every level's
+    graph is built, finest first, before any RK4 step, so a level that the
+    budget, the level cap, the evenness or finiteness checks or the [0, 1]
+    check of a ``DeferredStack`` refuses fails before any integration.
 
-    A graph lives only while its batch integrates.  The batches run finest
-    first, so the finest batch, where a series peaks, holds no coarse drawn
-    stack or trajectory.  A level that runs alone passes its
-    ``DeferredStack`` to ``integrate_ips``, which draws one member group at
-    a time; a union draws its levels' stacks when its batch starts and drops
-    their kernel matrices before its loop.  Each batch's graphs go when its
-    loop ends.  So a series holds at most the largest batch, the kernel
-    matrices of the levels still to run and the trajectories already made.
+    This is the one place that decides what each RK4 loop holds; every loop
+    is one ``integrate_ips`` call.  Consecutive levels whose models are
+    equal but for their params (of one width), with the same member count
+    and layout (shared graphs or stacks), whose graphs fit
+    ``LOOP_GRAPH_BYTES`` together form one batch.  A ``BlockGraph`` counts
+    the bytes it stores, the low-rank factors of its upper blocks where
+    ``_compressed`` keeps them: sg level 6 (1.34 MB) joins level 4 (1.40 MB
+    together) but not levels 2-5 (1.87 MB).  A batch of one level whose
+    stack, one graph per member, is over ``LOOP_GRAPH_BYTES`` runs in even
+    groups of members within it, one loop after the other; any other batch
+    is one group.  Each loop runs the N cells of its batch's disjoint union
+    at level 1 on a ``BlockDiagonal`` graph, on the params of each level, so
+    every trajectory keeps the bits of its level run alone.  A
+    ``NumericalAbortError`` names the loop's level, or the union's levels,
+    and for one group of several its members, counted from 0 within it.
 
-    Consecutive levels whose models are equal but for their params (of one
-    width), with the same member count and layout (shared graphs or stacks),
-    whose graphs fit ``LOOP_GRAPH_BYTES`` together run as one
-    ``integrate_ips`` call, on the params of each: the N cells of their
-    disjoint union at level 1, on a ``BlockDiagonal`` graph, so every
-    trajectory keeps the bits of its level run alone.  A ``BlockGraph``
-    counts the bytes it stores, the low-rank factors of its upper blocks
-    where ``_compressed`` keeps them: sg level 6 (1.34 MB) joins level 4
-    (1.40 MB together) but not levels 2-5 (1.87 MB).  Any other level runs
-    alone.  A ``NumericalAbortError`` inside a union names the union's
-    levels.
+    A graph lives only while it integrates.  The batches run finest first,
+    so the finest batch, where a series peaks, holds no coarse drawn stack
+    or trajectory.  Each group's members are drawn just before its loop,
+    the batch's kernel matrices go once its last group is drawn, and each
+    group's graphs go when its loop ends.  So a series holds at most the
+    largest group, the kernel matrices of the levels still to run and the
+    trajectories already made.
     """
-    def graph(m):
-        if graph_seeds is None and 8 * meas.k**(2 * m) > DENSE_GRAPH_BYTES:
-            W = _projection(meas, kernel, m, sublevel)  # grouped: its gather, never W
-            if callable(W):
-                return CouplingGraph(meas.k, m, _compressed(W, meas.k, meas.weights(m)))
-            return assemble_deterministic(KernelMatrix(meas.k, m, W), meas)
-        km = project_kernel(meas, kernel, m, sublevel)
-        if graph_seeds is None:
-            return assemble_deterministic(km, meas)
-        return CouplingGraph(meas.k, m, DeferredStack(km, meas, tuple(graph_seeds), symmetric))
-
     levels = list(levels)
-    graphs = {m: graph(m) for m in sorted(set(levels), reverse=True)}
+    graphs = {m: level_graph(meas, kernel, m, sublevel, graph_seeds, symmetric)
+              for m in sorted(set(levels), reverse=True)}
     models, couplings = [model_builder(m) for m in levels], [graphs[m] for m in levels]
     del graphs  # from here each graph is held by its levels' entries of couplings
     ensembles = [_ensemble(model, c, init_builder(m))
@@ -858,38 +853,43 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
             batches.append((key, []))
             used = nbytes
         batches[-1][1].append(i)
-    results = [None] * len(levels)
+    results = [[] for _ in levels]
     for _, batch in sorted(batches, key=lambda b: -max(levels[i] for i in b[1])):
         lo, hi = starts[batch[0]], starts[batch[-1] + 1]
-        model, coupling, fields = models[batch[0]], couplings[batch[0]], ensembles[batch[0]][0]
-        if len(batch) > 1:
-            if model.params is not None:  # one row serves each cell of its level
-                model = replace(model, params=np.concatenate([np.broadcast_to(
-                    models[i].params, (starts[i + 1] - starts[i], model.params.shape[1]))
-                    for i in batch]))
-            # a union's stacks are drawn now, so its kernel matrices go before its loop
-            coupling = CouplingGraph(hi - lo, 1, BlockDiagonal(tuple(
-                w[:] if isinstance(w, DeferredStack) else w
-                for w in (couplings[i].weights for i in batch))))
-            # a level's one field serves each member, as in integrate_ips
-            sets = [ensembles[i][0] for i in batch]
-            fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
-                [f[e % len(f)].values for f in sets])) for e in range(max(map(len, sets)))]
-        for i in batch:  # from here only the batch's coupling holds its graphs
+        model, members = models[batch[0]], ensembles[batch[0]][1]
+        if model.params is not None:  # one row serves each cell of its level
+            model = replace(model, params=np.concatenate([np.broadcast_to(
+                models[i].params, (starts[i + 1] - starts[i], model.params.shape[1]))
+                for i in batch]))
+        weights, sets = [couplings[i].weights for i in batch], [ensembles[i][0] for i in batch]
+        for i in batch:  # from here only weights, then each group, holds the graphs
             couplings[i] = None
-        try:
-            trajs = integrate_ips(model, coupling, fields, T, dt, output_stride)
-        except NumericalAbortError as exc:  # name the levels that the union's cells hold
-            if len(batch) == 1:
-                raise
-            raise NumericalAbortError(f"{exc}, the union of levels " + ", ".join(
-                f"{levels[i]} ({starts[i + 1] - starts[i]} cells)" for i in batch)) from exc
-        del coupling  # the batch's graphs, before the next batch builds or draws its own
-        for i in batch:
-            a, b = starts[i] - lo, starts[i + 1] - lo
-            split = [Trajectory(meas.k, levels[i], t.times, t.values[:, a:b]) for t in trajs]
-            results[i] = split if ensembles[i][2] else split[0]
-    return results
+        # stacks of one graph per member run in even groups within LOOP_GRAPH_BYTES
+        split = all(w.ndim == 3 and w.shape[0] == members for w in weights)
+        size = sum(w.nbytes for w in weights)
+        groups = -(-members // max(1, LOOP_GRAPH_BYTES * members // size)) if split else 1
+        cuts = [members * g // groups for g in range(groups + 1)]
+        for a, b in zip(cuts, cuts[1:]):
+            coupling = CouplingGraph(hi - lo, 1, BlockDiagonal(tuple(
+                w[a:b] if w.ndim == 3 else w for w in weights)))
+            if b == members:  # the last group is drawn: its kernel matrices go
+                del weights
+            # a level's one field serves each member, as in integrate_ips
+            fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
+                [f[e % len(f)].values for f in sets])) for e in range(a, b)]
+            try:
+                trajs = integrate_ips(model, coupling, fields, T, dt, output_stride)
+            except NumericalAbortError as exc:  # name the loop's levels, and its members
+                held = ", ".join(f"{levels[i]} ({starts[i + 1] - starts[i]} cells)" for i in batch)
+                held = f"the union of levels {held}" if len(batch) > 1 else f"level {held}"
+                where = held if groups == 1 else f"the group of members {a}-{b - 1} of {held}"
+                raise NumericalAbortError(f"{exc}, {where}") from exc
+            del coupling  # the group's graphs, before the next group draws its own
+            for i in batch:
+                results[i] += [Trajectory(meas.k, levels[i], t.times,
+                                          t.values[:, starts[i] - lo:starts[i + 1] - lo])
+                               for t in trajs]
+    return [r if e[2] else r[0] for r, e in zip(results, ensembles)]
 
 
 # ---------------------------------------------------------------------------

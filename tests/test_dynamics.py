@@ -41,7 +41,8 @@ from fractalips import (
 )
 from fractalips import analysis, cli, dynamics, experiments
 from fractalips.analysis import traj_error, vlasov_self_convergence
-from fractalips.dynamics import DENSE_GRAPH_BYTES, BlockGraph, DeferredStack, step_count
+from fractalips.dynamics import (DENSE_GRAPH_BYTES, LOOP_GRAPH_BYTES, BlockGraph, DeferredStack,
+                                 level_graph, step_count)
 from fractalips.experiments import (
     bernoulli_gap_medians,
     kuramoto_fields,
@@ -350,31 +351,6 @@ class TestAssemble:
                                       expected[None])
 
 
-def table_graph(meas, kernel, m, sublevel):
-    """The deterministic graph that ``integrate_levels`` integrates for
-    level m alone: W diag(nu), or for a grouped level over
-    DENSE_GRAPH_BYTES the factored BlockGraph it builds from the class
-    table, without W.  The level runs through the package's own
-    ``integrate_ips``, so a test that records that call does not see it."""
-    graphs = []
-
-    def recording(model, coupling, *args):
-        graphs.append(coupling.weights)
-        return integrate_ips(model, coupling, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "integrate_ips", recording)
-        integrate_levels(meas, kernel, [m], sublevel, lambda m: kuramoto_model(1.0),
-                         lambda m: PiecewiseConstantField(meas.k, m, np.zeros(meas.k**m)),
-                         T=0.0, dt=1.0, output_stride=1)
-    return graphs[0]
-
-
-def level_graph(meas, kernel, m, sublevel):
-    """``table_graph`` as the CouplingGraph that ``integrate_ips`` takes."""
-    return CouplingGraph(meas.k, m, table_graph(meas, kernel, m, sublevel))
-
-
 # level-m graphs over DENSE_GRAPH_BYTES: k = 3 and 2, uniform and skewed p
 BLOCK_CASES = [(name, m, uniform) for name, m in (("sg", 6), ("interval-3", 6), ("cantor", 10))
                for uniform in (True, False)]
@@ -401,14 +377,14 @@ def factored(exact):
 
 @functools.lru_cache(maxsize=None)
 def factored_case(name, m, uniform):
-    """(exact blocks, their factored graph, the graph integrate_levels
-    builds from the class gather) of expdist on a preset, sublevel 1."""
+    """(exact blocks, their factored graph, the graph level_graph builds
+    from the class gather) of expdist on a preset, sublevel 1."""
     ifs = preset(name)
     meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
                               else skewed_p(ifs.k))
     kernel = builtin_kernels(ifs.dimension)["expdist"]
     exact = exact_graph(meas, kernel, m, 1)
-    return exact, factored(exact), table_graph(meas, kernel, m, 1)
+    return exact, factored(exact), level_graph(meas, kernel, m, 1).weights
 
 
 def stored(graph):
@@ -427,8 +403,8 @@ def block_case(request):
     meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform else skewed_p(ifs.k))
     kernel = builtin_kernels(ifs.dimension)["expdist"]
     km = project_kernel(meas, kernel, m, 1)
-    return (meas, km, km.entries * meas.weights(m)[None, :], table_graph(meas, kernel, m, 1),
-            exact_graph(meas, kernel, m, 1))
+    return (meas, km, km.entries * meas.weights(m)[None, :],
+            level_graph(meas, kernel, m, 1).weights, exact_graph(meas, kernel, m, 1))
 
 
 class TestBlockGraph:
@@ -516,7 +492,7 @@ class TestBlockGraph:
 
         wave.translation_invariant = True
         exact = exact_graph(sg_measure, wave, 6, 1)
-        for graph in (factored(exact), table_graph(sg_measure, wave, 6, 1)):
+        for graph in (factored(exact), level_graph(sg_measure, wave, 6, 1).weights):
             assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
             assert graph.nbytes == exact.nbytes
             for a, b in zip(stored(graph), stored(exact), strict=True):
@@ -528,7 +504,7 @@ class TestBlockGraph:
         monkeypatch.setattr(dynamics, "ACA_TOL", 1e-3)
         kernel = builtin_kernels(2)["expdist"]
         exact = exact_graph(sg_measure, kernel, 6, 1)
-        for graph in (factored(exact), table_graph(sg_measure, kernel, 6, 1)):
+        for graph in (factored(exact), level_graph(sg_measure, kernel, 6, 1).weights):
             assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
             for a, b in zip(stored(graph), stored(exact), strict=True):
                 assert a.tobytes() == b.tobytes()
@@ -540,7 +516,7 @@ class TestBlockGraph:
         kernel = builtin_kernels(2)["expdist"]
         tracemalloc.start()
         try:
-            graph = table_graph(sg_measure, kernel, 6, 2)
+            graph = level_graph(sg_measure, kernel, 6, 2).weights
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -554,7 +530,7 @@ class TestBlockGraph:
         # gathers them 2^13 entries at a time and peaks at 10.8 MiB
         tracemalloc.start()
         try:
-            graph = table_graph(sg_measure, builtin_kernels(2)["expdist"], 7, 1)
+            graph = level_graph(sg_measure, builtin_kernels(2)["expdist"], 7, 1).weights
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -567,11 +543,11 @@ class TestBlockGraph:
         # node pairs (4,410,450)
         kernel = builtin_kernels(2)["expdist"]
         monkeypatch.setenv("FRACTALIPS_MAX_EVALS", "4410450")
-        assert isinstance(table_graph(sg_measure, kernel, 6, 3), BlockGraph)
+        assert isinstance(level_graph(sg_measure, kernel, 6, 3).weights, BlockGraph)
         for budget, charge in ((4410449, 4410450), (531440, 531441)):
             monkeypatch.setenv("FRACTALIPS_MAX_EVALS", str(budget))
             with pytest.raises(BudgetExceededError, match=f"^{charge} function evaluations"):
-                table_graph(sg_measure, kernel, 6, 3)
+                level_graph(sg_measure, kernel, 6, 3)
         monkeypatch.delenv("FRACTALIPS_MAX_EVALS")
 
         def odd(x, y):
@@ -579,9 +555,9 @@ class TestBlockGraph:
 
         odd.translation_invariant = True
         with pytest.raises(ValueError, match="must be even"):
-            table_graph(sg_measure, odd, 6, 1)
+            level_graph(sg_measure, odd, 6, 1)
         with pytest.raises(ValueError, match="kernel entries must be finite"):
-            table_graph(sg_measure, builtin_kernels(2)["constant"](math.nan), 6, 1)
+            level_graph(sg_measure, builtin_kernels(2)["constant"](math.nan), 6, 1)
 
     @pytest.mark.parametrize("name", sorted(builtin_models()))
     def test_integration_matches_dense(self, name):
@@ -598,16 +574,16 @@ class TestBlockGraph:
             np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
     def test_other_graphs_stay_dense(self, sg_measure):
-        # integrate_levels' graph step makes the one layout decision: only a
-        # grouped level over DENSE_GRAPH_BYTES becomes a BlockGraph
+        # level_graph makes the one layout decision: only a grouped level
+        # over DENSE_GRAPH_BYTES becomes a BlockGraph
         kern, line = builtin_kernels(2)["expdist"], builtin_kernels(1)["expdist"]
         cantor = SelfSimilarMeasure.uniform(preset("cantor"))
         assert 8 * 2**(2 * 9) == DENSE_GRAPH_BYTES  # cantor level 9, at the limit
         for meas, kernel, m in ((sg_measure, lambda x, y: kern(x, y), 6),
                                 (SelfSimilarMeasure.uniform(ROTATED), kern, 6),
                                 (sg_measure, kern, 5), (cantor, line, 9)):
-            assert isinstance(table_graph(meas, kernel, m, 1), np.ndarray)
-        assert isinstance(table_graph(cantor, line, 10, 1), BlockGraph)
+            assert isinstance(level_graph(meas, kernel, m, 1).weights, np.ndarray)
+        assert isinstance(level_graph(cantor, line, 10, 1).weights, BlockGraph)
         km = project_kernel(sg_measure, kern, 6, 1)
         # assemble_deterministic is W diag(nu) exactly, in the layout kept
         graph = assemble_deterministic(km, sg_measure).weights
@@ -1160,20 +1136,12 @@ class TestIntegrateSeries:
         systems = dict(zip(levels, sg_levels(sg_measure, levels, seeds=seeds)))
         model = kuramoto_model(0.5)
         calls = self.record_calls(monkeypatch)
-        groups, rhs = set(), dynamics._rhs
-
-        def recording(model, weights, t, u):
-            groups.add((type(weights).__name__, weights.shape[0]))
-            return rhs(model, weights, t, u)
-
-        monkeypatch.setattr(dynamics, "_rhs", recording)
         series = self.integrate(sg_measure, levels,
                                 lambda m: replace(model, params=systems[m][1]),
                                 lambda m: systems[m][2], seeds, **self.STEPS)
-        # level 5's stack (2.83 MB) alone, in two groups of 3 members; then
-        # levels 2-4 as one union of 6 members
-        assert calls == [(int, (6, 243, 243)), (int, (6, 117, 117))]
-        assert groups == {("BlockDiagonal", 6), ("ndarray", 3)}
+        # level 5's stack (2.83 MB) alone, in two groups of 3 members, one
+        # loop each; then levels 2-4 as one union of 6 members
+        assert calls == [(int, (3, 243, 243)), (int, (3, 243, 243)), (int, (6, 117, 117))]
         monkeypatch.undo()
         for trajs, (coupling, omega, init) in zip(series, systems.values(), strict=True):
             assert len(trajs) == 6
@@ -1323,8 +1291,9 @@ class TestIntegrateSeries:
         _, medians, per_seed = bernoulli_gap_medians(
             sg_measure, kern, [2, 3, 4, 5], seeds, coupling_strength=0.5, field_seed=2,
             **steps)
-        # level 5's stack alone, then levels 2-4 as one union of 6 members
-        assert calls == [(int, (6, 243, 243)), (int, (6, 117, 117))]
+        # level 5's stack alone in two groups of 3 members, then levels 2-4
+        # as one union of 6 members: the benchmark's bernoulli workload
+        assert calls == [(int, (3, 243, 243)), (int, (3, 243, 243)), (int, (6, 117, 117))]
         omega_fn, phase_fn = kuramoto_fields(2, 2)
         for li, m in enumerate(range(2, 6)):
             graphs = stack_graphs(project_kernel(sg_measure, kern, m, 2), sg_measure,
@@ -1339,8 +1308,8 @@ class TestIntegrateSeries:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_drawn_groups_equal_the_whole_stack(self, sg_measure, monkeypatch, symmetric):
         # sg levels 2-5 with 7 members: level 5 (0.47 MB a member) runs first,
-        # in groups of 3 and 4, each drawn by stack_graphs just before its
-        # RK4 loop; then levels 2-4 as one union, drawn when its batch starts
+        # in groups of 2, 2 and 3 within LOOP_GRAPH_BYTES, each drawn by
+        # stack_graphs just before its RK4 loop; then levels 2-4 as one union
         kern = builtin_kernels(2)["expdist"]
         levels, seeds = (2, 3, 4, 5), (None, 1, 2, 3, 4, 5, 6)
         omega_fn, phase_fn = kuramoto_fields(1, 2)
@@ -1354,9 +1323,10 @@ class TestIntegrateSeries:
         series = integrate_levels(sg_measure, kern, levels, 1,
                                   lambda m: replace(model, params=omega[m]), init.get,
                                   graph_seeds=seeds, symmetric=symmetric, **self.STEPS)
-        assert calls == [(int, (7, 243, 243)), (int, (7, 117, 117))]
-        assert drawn == [(5, seeds[:3], symmetric), (5, seeds[3:], symmetric),
-                         *((m, seeds, symmetric) for m in (2, 3, 4))]
+        assert calls == [(int, (2, 243, 243)), (int, (2, 243, 243)), (int, (3, 243, 243)),
+                         (int, (7, 117, 117))]
+        assert drawn == [(5, seeds[:2], symmetric), (5, seeds[2:4], symmetric),
+                         (5, seeds[4:], symmetric), *((m, seeds, symmetric) for m in (2, 3, 4))]
         monkeypatch.undo()
         for m, trajs in zip(levels, series, strict=True):
             whole = stack_graphs(project_kernel(sg_measure, kern, m, 1), sg_measure, seeds,
@@ -1491,36 +1461,65 @@ class TestIntegrateSeries:
             (alone,) = integrate_ips(model, stacked, [field], T=0.02, dt=1e-2)
             np.testing.assert_array_equal(traj.values, alone.values)
 
-    def test_one_deferred_graph_over_budget_serves_every_member(self, sg_measure):
-        # drawn once for all members, with the bits of the drawn stack
-        n = 3**6
+    def test_one_deferred_graph_over_budget_serves_every_member(self, sg_measure,
+                                                                monkeypatch):
+        # one seed and three fields at sg level 6 (4.25 MB): the stack of one
+        # graph is drawn once for all members, not cut into groups, with the
+        # bits of the drawn stack
+        kern, n = builtin_kernels(2)["expdist"], 3**6
         rng = np.random.Generator(np.random.Philox(8))
-        km = KernelMatrix(3, 6, rng.uniform(0.0, 1.0, (n, n)))
-        deferred = CouplingGraph(3, 6, DeferredStack(km, sg_measure, (1,), True))
-        assert deferred.weights.nbytes > DENSE_GRAPH_BYTES
         fields = [PiecewiseConstantField(3, 6, rng.uniform(0.0, 1.0, n)) for _ in range(3)]
         model = kuramoto_model(0.7, 0.0)
-        together = integrate_ips(model, deferred, fields, T=0.02, dt=1e-2)
+        drawn, original = [], dynamics.stack_graphs
+        monkeypatch.setattr(dynamics, "stack_graphs", lambda *args: (
+            drawn.append(args[2]) or original(*args)))
+        (together,) = integrate_levels(sg_measure, kern, [6], 1, lambda m: model,
+                                       lambda m: fields, graph_seeds=(1,), T=0.02, dt=1e-2,
+                                       output_stride=1)
+        assert drawn == [(1,)]
+        monkeypatch.undo()
+        km = project_kernel(sg_measure, kern, 6, 1)
+        assert 8 * n * n > LOOP_GRAPH_BYTES
         alone = integrate_ips(model, stack_graphs(km, sg_measure, (1,)), fields, T=0.02, dt=1e-2)
         for a, b in zip(together, alone, strict=True):
+            assert (a.k, a.level) == (3, 6)
             assert a.values.tobytes() == b.values.tobytes()
 
-    def test_no_step_draws_no_group(self, sg_measure, monkeypatch):
-        # T = 0 records the initial fields; a deferred stack stays undrawn
-        km = KernelMatrix(3, 5, np.full((243, 243), 0.5))
-        deferred = CouplingGraph(3, 5, DeferredStack(km, sg_measure, (None, 1, 2, 3, 4, 5), True))
+    @pytest.mark.parametrize("T", [0.0, 0.02])
+    def test_integrate_ips_draws_a_deferred_stack_whole(self, sg_measure, monkeypatch, T):
+        # one draw of every member before the one RK4 loop, whatever T
+        km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 5, 1)
+        seeds = (None, 1, 2, 3, 4, 5)
         drawn, original = [], dynamics.stack_graphs
         monkeypatch.setattr(dynamics, "stack_graphs", lambda *args: (
             drawn.append(args[2]) or original(*args)))
         init = PiecewiseConstantField(3, 5, np.linspace(0.0, 1.0, 243))
-        trajs = integrate_ips(kuramoto_model(0.5, 0.0), deferred, init, T=0.0, dt=1e-2)
-        assert drawn == []
+        model = kuramoto_model(0.5, 0.0)
+        deferred = integrate_ips(model, CouplingGraph(3, 5, DeferredStack(km, sg_measure, seeds,
+                                                                          True)),
+                                 init, T=T, dt=1e-2)
+        assert drawn == [seeds]
+        monkeypatch.undo()
+        whole = integrate_ips(model, stack_graphs(km, sg_measure, seeds), init, T=T, dt=1e-2)
+        for a, b in zip(deferred, whole, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_no_step_records_each_members_initial_field(self, sg_measure):
+        # T = 0 takes no step: every member of every group keeps its field
+        init = PiecewiseConstantField(3, 5, np.linspace(0.0, 1.0, 243))
+        (trajs,) = integrate_levels(sg_measure, builtin_kernels(2)["constant"](0.5), [5], 1,
+                                    lambda m: kuramoto_model(0.5, 0.0), lambda m: init,
+                                    graph_seeds=(None, 1, 2, 3, 4, 5), T=0.0, dt=1e-2,
+                                    output_stride=1)
         assert len(trajs) == 6
         for traj in trajs:
             assert traj.times.tolist() == [0.0]
             assert traj.values.tobytes() == init.values.reshape(1, 243, 1).tobytes()
 
-    def test_blow_up_in_a_later_group_names_its_ensemble_member(self):
+    def test_blow_up_in_a_later_group_names_its_ensemble_member(self, sg_measure,
+                                                                monkeypatch):
+        # six members at sg level 5 run as groups of members 0-2 and 3-5; the
+        # hot one is member 1 of the second group
         model = ModelSpec(
             name="blowup",
             state_dim=1,
@@ -1528,13 +1527,27 @@ class TestIntegrateSeries:
             coupling_term=lambda G, u: np.zeros_like(u),
         )
         n = 3**5
-        coupling = CouplingGraph(3, 5, np.zeros((6, n, n)))
-        assert coupling.weights.nbytes > DENSE_GRAPH_BYTES  # groups of members 0-2, 3-5
         calm = PiecewiseConstantField(3, 5, np.zeros(n))
         hot = PiecewiseConstantField(3, 5, np.full(n, 50.0))
+        calls = self.record_calls(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalAbortError, match=rf"in member 4 \({n} of {n} cells\)$"):
-                integrate_ips(model, coupling, [calm] * 4 + [hot, calm], T=10.0, dt=0.5)
+            with pytest.raises(NumericalAbortError, match=(
+                    rf"in member 1 \({n} of {n} cells\), the group of members 3-5 of "
+                    rf"level 5 \({n} cells\)$")):
+                integrate_levels(sg_measure, builtin_kernels(2)["expdist"], [5], 1,
+                                 lambda m: model, lambda m: [calm] * 4 + [hot, calm],
+                                 graph_seeds=range(1, 7), T=10.0, dt=0.5, output_stride=1)
+        assert calls == [(int, (3, n, n))] * 2
+
+    def test_blow_up_in_a_lone_level_names_the_level(self, sg_measure):
+        model = ModelSpec("blowup", 1, lambda t, u, p: u**3, lambda G, u: np.zeros_like(u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalAbortError,
+                               match=r"in member 0 \(9 of 9 cells\), level 2 \(9 cells\)$"):
+                integrate_levels(sg_measure, builtin_kernels(2)["expdist"], [2], 1,
+                                 lambda m: model,
+                                 lambda m: PiecewiseConstantField(3, m, np.full(3**m, 50.0)),
+                                 T=10.0, dt=0.5, output_stride=1)
 
 
 def per_level_loop(meas, kernel, levels, sublevel, model_builder, init_builder, T, dt,
@@ -1642,11 +1655,10 @@ class TestIntegrateLevels:
             lambda m: PiecewiseConstantField(3, m, np.zeros(3**m)), **self.STEPS,
             graph_seeds=graph_seeds)
         assert [m for m, _ in projected] == [4, 3, 2]
-        # level 4's batch first, drawing from its own DeferredStack; the union
-        # of levels 2 and 3 drew its stacks and dropped their kernel matrices
-        # before its loop, and level 4's went with its batch
+        # level 4's batch first, then the union of levels 2 and 3: each drew
+        # its stacks and dropped their kernel matrices before its loop
         assert batches == ([(81, []), (36, [])] if graph_seeds is None
-                           else [(81, [4, 3, 2]), (36, [])])
+                           else [(81, [3, 2]), (36, [])])
         assert held() == []
         # a shared graph returns one trajectory per level, a stack one per member
         levels = [[t.level for t in (s if graph_seeds else [s])] for s in series]

@@ -12,9 +12,11 @@ with the working tree's, each in a fresh process with BLAS pinned to one
 thread. The configs are twenty small ones written here (three models,
 each on a deterministic, a symmetric Bernoulli and an asymmetric Bernoulli
 graph; the symmetric Bernoulli one again at level 5 alone with five seeds,
-whose stack of graphs is integrated in groups of members; the asymmetric
-Bernoulli one again at level 6 alone with a skewed measure, whose draws are
-over ``DENSE_GRAPH_BYTES``; the deterministic Kuramoto one again with
+whose stack of graphs is integrated in groups of members within
+``LOOP_GRAPH_BYTES``, each group drawn just before its own ``integrate_ips``
+call; the asymmetric Bernoulli one again at level 6 alone with a skewed
+measure, whose draws are each over that bound, so each member is a group of
+its own; the deterministic Kuramoto one again with
 ``ell_levels = 2,4``, whose ``vlasov`` integrates level 4's dense graph and
 level 6's ``BlockGraph`` as one union; a Cantor
 set with a non-uniform measure; an inline IFS with unequal ratios under its
@@ -170,11 +172,11 @@ def configs() -> dict:
         kind="deterministic", symmetric="true",
     )
     # one level whose stack of five Bernoulli graphs (2.36 MB) is over
-    # DENSE_GRAPH_BYTES, so simulate integrates it in groups of members
+    # LOOP_GRAPH_BYTES, so simulate integrates it in groups of members
     out["bernoulli_groups"] = out["kuramoto_bernoulli"].replace(
         "levels = 2,3,4\n", "levels = 5\n").replace("seeds = 1,2\n", "seeds = 1,2,3,4,5\n")
-    # vlasov at levels 4 and 6 (m = 2): 52 KB of dense graph and a 1.89 MB
-    # BlockGraph, one union within DENSE_GRAPH_BYTES
+    # vlasov at levels 4 and 6 (m = 2): 52 KB of dense graph and a 1.34 MB
+    # factored BlockGraph, one union within LOOP_GRAPH_BYTES
     out["vlasov_blockgraph_union"] = out["kuramoto_deterministic"].replace(
         "ell_levels = 1,2\n", "ell_levels = 2,4\n")
     # skewed p and a frequency field of amplitude 0 on sg: rate reaches level
@@ -190,8 +192,8 @@ def configs() -> dict:
         omega="field", kind="deterministic", symmetric="true",
     ).replace("levels = 2,3,4\n", "levels = 2,3,4,5\n")
     # asymmetric Bernoulli draws on sg at level 6 under a skewed measure:
-    # each 729 x 729 draw (4.25 MB, over DENSE_GRAPH_BYTES) is drawn in
-    # place, into its slice of the stack of two
+    # each 729 x 729 draw (4.25 MB, over LOOP_GRAPH_BYTES) is a member group
+    # of its own, drawn in place just before its RK4 loop
     out["bernoulli_asym_level6"] = out["kuramoto_bernoulli_asym"].replace(
         "p = natural\n", "p = 0.5,0.3,0.2\n").replace(
         "levels = 2,3,4\n", "levels = 6\n").replace("T = 0.1\n", "T = 0.05\n")

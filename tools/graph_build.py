@@ -6,9 +6,9 @@ Usage, from the root of the repository::
     python3 tools/graph_build.py --level 7 --seeds 1,2,3 [--asymmetric] [--parent HEAD]
 
 A child process, with BLAS pinned to one thread, imports ``fractalips`` from
-``src`` and times one ``integrate_levels`` call on the level alone, with the
-expdist kernel, the uniform measure and T = 0: the kernel projection and the
-graph that its ``graph`` step builds, and no RK4 step. The graph is the
+``src`` and times one ``dynamics.level_graph`` call, with the expdist
+kernel and the uniform measure: the kernel projection and the graph that
+``integrate_levels`` would integrate for the level. The graph is the
 deterministic one, or with ``--seeds`` the stack of one Bernoulli graph per
 seed (symmetric draws unless ``--asymmetric``). It prints the seconds of
 that call, and of its stages where the package has them (the kernel
@@ -18,13 +18,14 @@ child's peak RSS (``ru_maxrss``) at its end, the import of numpy, of the
 package and of what a Bernoulli draw imports included, then the bytes the
 built graph holds before its batch runs: for a ``DeferredStack`` its
 ``KernelMatrix``, else the graph's own bytes, and for a ``BlockGraph`` the
-rank of each upper block's factors or "dense" for a block stored as it is. Members that the build itself drew
-are reported too. With ``--seeds`` the child then takes one RK4 step on the
-graph, which draws its member groups as the level's batch would, and
-prints the bytes of the largest group and the seconds of its draw (one
+rank of each upper block's factors or "dense" for a block stored as it is.
+With ``--seeds`` the child then runs the level through one
+``integrate_levels`` step, which draws its member groups, and prints the
+bytes of the largest group and the seconds of its draw (one
 ``stack_graphs`` call), after the peak RSS is read. With ``--parent`` the
 same build runs first on that commit's committed files, exported as
-``tools/bench_pairs.py`` exports them.
+``tools/bench_pairs.py`` exports them; a commit without
+``dynamics.level_graph`` is reported as such.
 
 Each side has a ``PYTHONPYCACHEPREFIX`` of its own, filled by one untimed
 build before the measured one, so neither side compiles a module from
@@ -50,9 +51,8 @@ import numpy as np
 from fractalips import (PiecewiseConstantField, SelfSimilarMeasure, builtin_kernels,
                         dynamics, integrate_levels, kuramoto_model, preset)
 
-couplings, integrate_ips = [], dynamics.integrate_ips
-dynamics.integrate_ips = lambda model, coupling, *args: (
-    couplings.append(coupling) or integrate_ips(model, coupling, *args))
+if not hasattr(dynamics, "level_graph"):
+    sys.exit("this commit has no dynamics.level_graph to build a graph with")
 stages, draws, stack_graphs = {}, [], dynamics.stack_graphs
 
 
@@ -88,22 +88,20 @@ field = PiecewiseConstantField(meas.k, m, np.zeros(meas.k**m))
 # build: whether or not the build draws, its peak and the draw time exclude it
 np.random.Generator(np.random.Philox(0))
 start = time.perf_counter()
-integrate_levels(meas, kernel, [m], sublevel, lambda m: kuramoto_model(1.0),
-                 lambda m: field, T=0.0, dt=1.0, output_stride=1,
-                 graph_seeds=seeds, symmetric=symmetric)
+graph = dynamics.level_graph(meas, kernel, m, sublevel, seeds, symmetric).weights
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-(coupling,) = couplings
-graph = coupling.weights
 held = graph.km.entries.nbytes if hasattr(graph, "km") else graph.nbytes
-built, draws[:] = sum(b for b, _ in draws), []
-if seeds:  # one step draws every member group, as the level's batch does
-    integrate_ips(kuramoto_model(1.0), coupling, field, 1.0, 1.0)
+built = dict(stages)
+if seeds:  # one step draws every member group of the level
+    integrate_levels(meas, kernel, [m], sublevel, lambda m: kuramoto_model(1.0),
+                     lambda m: field, T=1.0, dt=1.0, output_stride=1,
+                     graph_seeds=seeds, symmetric=symmetric)
 group = max(draws, default=(0, 0.0))
 ranks = [C[0].shape[1] if isinstance(C, tuple) else "dense"
          for C in getattr(graph, "upper", {}).values()]
-print(json.dumps({"seconds": seconds, "stages": stages, "peak_rss_mb": peak,
-                  "layout": type(graph).__name__, "held": held, "built_draws": built,
+print(json.dumps({"seconds": seconds, "stages": built, "peak_rss_mb": peak,
+                  "layout": type(graph).__name__, "held": held,
                   "group": group[0], "draw_s": group[1], "ranks": ranks}))
 """
 
@@ -119,8 +117,10 @@ def build(src: Path, pycache: Path, preset: str, level: int, sublevel: int, seed
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, preset, str(level), str(sublevel), seeds,
          "symmetric" if symmetric else "asymmetric"],
-        env=env, check=True, capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
+    if proc.returncode:
+        return {"error": proc.stderr.strip().splitlines()[-1]}
     return json.loads(proc.stdout)
 
 
@@ -145,6 +145,9 @@ def main() -> int:
             for _ in range(2):  # the first, untimed, fills the side's bytecode cache
                 result = build(src, pycache, args.preset, args.level, args.sublevel,
                                args.seeds, not args.asymmetric)
+            if "error" in result:
+                print(f"{side}: {result['error']}", flush=True)
+                continue
             graph = (f"{'asymmetric' if args.asymmetric else 'symmetric'} Bernoulli seeds "
                      f"{args.seeds}" if args.seeds else "deterministic")
             ranks = ", ".join(map(str, result["ranks"]))
@@ -155,8 +158,6 @@ def main() -> int:
                   f"{stages}; "
                   f"{result['layout']} holding {result['held']:,} B before its batch"
                   + (f", upper blocks {ranks}" if ranks else "")
-                  + (f", {result['built_draws']:,} B drawn by the build"
-                     if result["built_draws"] else "")
                   + (f"; largest member group {result['group']:,} B, drawn in "
                      f"{result['draw_s']:.3f} s" if result["group"] else ""),
                   flush=True)
