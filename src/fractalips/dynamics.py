@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, combinations
 from typing import Callable
 
@@ -47,10 +47,9 @@ class ModelSpec:
     (E, n, s): E members, n cells, state dimension s.
     ``drift(t, u, params)`` returns an array that broadcasts to u's shape.
     ``coupling_term(G, u)`` returns sum_v G_wv D(u_w, u_v) for every member
-    as an (E, n, s) array.  G is either one (n, n) graph that every member
-    shares (an array or a ``BlockGraph``) or an (E, n, n) stack with one
-    graph per member, and for each RK4 loop of ``integrate_levels`` a
-    ``BlockDiagonal`` of either; ``graph_product`` applies all of them.
+    as an (E, n, s) array.  G is one (n, n) graph that every member shares
+    or an (E, n, n) stack with one graph per member: an array, or a layout
+    that makes its own ``product``, which ``graph_product`` calls.
     ``pairwise_coupling`` builds it from a broadcasting D, for every layout.
     ``params`` holds optional per-cell constants such as oscillator
     frequencies (they obey d(lambda)/dt = 0), given as a field, an array or
@@ -82,11 +81,11 @@ class BlockGraph:
     the shared diagonal block, ``upper`` maps (i, j), i < j, to block (i, j),
     whose transpose is block (j, i), and ``masses`` holds the nu(K_v): k(k -
     1)/2 + 1 of the k^2 blocks are stored.  ``_compressed`` builds it from
-    the class gather of the grouped kernel projection: an upper block is
-    either the block itself or its low-rank factors (U, V) with U V within
-    ``GRAPH_TOL`` of it.  ``np.asarray`` gives the dense G, which is W
-    diag(nu) exactly only when every block is stored; ``pairwise_coupling``
-    densifies a factored graph that way.
+    the class gather of the grouped kernel projection: an upper block is the
+    tuple of factors whose product it is, ``(C,)`` for the block kept whole
+    or the low-rank ``(U, V)`` with U V within ``GRAPH_TOL`` of it.  The
+    dense G, ``np.asarray``, is W diag(nu) exactly only when every block is
+    whole; ``pairwise_coupling`` densifies a factored graph that way.
     """
 
     diagonal: np.ndarray
@@ -100,9 +99,7 @@ class BlockGraph:
 
     @property
     def nbytes(self) -> int:  # the blocks and factors a product reads
-        return self.diagonal.nbytes + sum(
-            sum(f.nbytes for f in C) if isinstance(C, tuple) else C.nbytes
-            for C in self.upper.values())
+        return self.diagonal.nbytes + sum(f.nbytes for C in self.upper.values() for f in C)
 
     def __array__(self, dtype=None, copy=None):
         b = len(self.diagonal)
@@ -110,9 +107,24 @@ class BlockGraph:
         for i in range(len(W)):
             W[i, :, i] = self.diagonal
         for (i, j), C in self.upper.items():
-            W[i, :, j] = C[0] @ C[1] if isinstance(C, tuple) else C
+            W[i, :, j] = reduce(np.matmul, C)
             W[j, :, i] = W[i, :, j].T
         return np.multiply(W.reshape(self.shape), self.masses, out=W.reshape(self.shape))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``graph_product`` of G: z = x diag(nu), as G_wv = W_wv nu_v, times
+        the diagonal block in one GEMM for every block-row, then z_j C^T and
+        z_i C per upper block C, factor by factor: (z_j V^T) U^T for U V."""
+        b = len(self.diagonal)
+        z = (x * self.masses).reshape(-1, len(self.masses) // b, b)
+        y = (z.reshape(-1, b) @ self.diagonal).reshape(z.shape)
+        for (i, j), (U, *V) in self.upper.items():  # C = U, or U V
+            zj, zi = z[:, j], z[:, i] @ U
+            for f in V:  # z_j C^T and z_i C, one factor at a time
+                zj, zi = zj @ f.T, zi @ f
+            y[:, i] += zj @ U.T
+            y[:, j] += zi
+        return y.reshape(x.shape)
 
 
 # a CouplingGraph stores an upper block of a BlockGraph as factors U V that
@@ -162,7 +174,7 @@ def _compressed(block: Callable, k: int, masses: np.ndarray) -> BlockGraph:
             upper[ij] = UV[:, :b].T, UV[:, b:]
         else:
             del UV  # before the block is gathered
-            upper[ij] = _gathered(C, np.empty((b, b)))
+            upper[ij] = (_gathered(C, np.empty((b, b))),)
     return BlockGraph(diagonal, upper, masses)
 
 
@@ -248,7 +260,7 @@ def _abs_sums(C: Callable, n: int, left: np.ndarray, right: np.ndarray, UV=None)
 class BlockDiagonal:
     """Independent systems side by side, their graphs on the diagonal: all
     shared (n_i, n_i) graphs or all (E, n_i, n_i) stacks, (N, N) or (E, N, N)
-    as a whole.  ``integrate_levels`` builds one for each RK4 loop."""
+    as a whole.  ``integrate_levels`` builds one for each batch of levels."""
 
     blocks: tuple
 
@@ -260,6 +272,31 @@ class BlockDiagonal:
     @property
     def ndim(self) -> int:
         return len(self.shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(g.nbytes for g in self.blocks)
+
+    def __getitem__(self, members: slice) -> BlockDiagonal:
+        """Members a to b - 1 of each stack block; a shared block as it is."""
+        return BlockDiagonal(tuple(g[members] if g.ndim == 3 else g for g in self.blocks))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """Each block's product, as its system alone makes it, in its slice of
+        the output: a shared array's one GEMM of all E members' c rows, on the
+        (E c, N) views, reads it once, and an array stack makes one batched
+        matmul; any other layout makes its own ``product``."""
+        y, lo = np.empty(x.shape), 0
+        x2, y2 = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
+        for g in self.blocks:
+            hi = lo + g.shape[-1]
+            if isinstance(g, np.ndarray):  # in place: a call per block cost 10-15 %
+                a, b = (x2, y2) if g.ndim == 2 else (x, y)
+                np.matmul(a[..., lo:hi], g.swapaxes(-1, -2), out=b[..., lo:hi])
+            else:
+                y[..., lo:hi] = g.product(x[..., lo:hi])
+            lo = hi
+        return y
 
 
 @dataclass(frozen=True)
@@ -302,20 +339,20 @@ class CouplingGraph:
     Deterministic entries are W_wv * nu(K_v); Bernoulli entries are
     xi_wv * nu(K_v) with xi in {0, 1}.  ``weights`` is one (n, n) graph,
     shared by every member of an ensemble, or an (E, n, n) stack with one
-    graph per member.  A shared graph may also be a ``BlockGraph``, a stack
-    a ``DeferredStack`` whose members are drawn when it is sliced, and
-    either layout a ``BlockDiagonal`` of independent systems; these are
-    stored as they are given.  In ``integrate_levels`` a drawn graph lives
-    until its RK4 loop ends.
+    graph per member.  An array, or an array-like without ``ndim``, is
+    stored as a read-only float64 array; any other layout as it is given:
+    a ``BlockGraph`` or ``BlockDiagonal`` makes its own ``product``, a stack
+    layout its own member slices.  In ``integrate_levels`` a drawn graph
+    lives until its RK4 loop ends.
     """
 
     k: int
     level: int
-    weights: np.ndarray | BlockGraph | BlockDiagonal
+    weights: np.ndarray | BlockGraph | BlockDiagonal | DeferredStack
 
     def __post_init__(self):
         w = self.weights
-        if not isinstance(w, (BlockGraph, BlockDiagonal, DeferredStack)):
+        if isinstance(w, np.ndarray) or not hasattr(w, "ndim"):
             # the layouts graph_product reads fastest (OpenBLAS, one thread):
             # a shared graph with its transpose C-contiguous, for the GEMM of
             # all members' rows; a stack C-contiguous, for each member's two
@@ -603,46 +640,10 @@ def stack_graphs(
 
 
 def graph_product(G: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_v G_wv x_v along the last axis of x: (E, c, n) -> (E, c, n).
-
-    A shared (n, n) graph multiplies the c rows of all E members in one GEMM,
-    which reads G once; an (E, n, n) stack multiplies each member's rows by
-    its own graph in one batched matmul.  A ``BlockGraph`` folds the masses
-    into x, since G_wv = W_wv nu_v, and makes one GEMM of its diagonal block
-    with every block-row, then two per upper block C (C and C^T), or for
-    the factors C ~ U V that ``level_graph`` keeps four thin ones,
-    (z_j V^T) U^T and (z_i U) V.  A ``BlockDiagonal`` writes each block's
-    product, as its system alone makes it, into the block's slice of the
-    output.
-    """
-    if isinstance(G, BlockDiagonal):
-        y, lo = np.empty(x.shape), 0
-        x2, y2 = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
-        for g in G.blocks:
-            hi = lo + g.shape[-1]
-            if isinstance(g, BlockGraph):
-                y[..., lo:hi] = graph_product(g, x[..., lo:hi])
-            else:  # a shared graph's one GEMM is on the (E c, N) views
-                a, b = (x2, y2) if g.ndim == 2 else (x, y)
-                np.matmul(a[..., lo:hi], g.swapaxes(-1, -2), out=b[..., lo:hi])
-            lo = hi
-        return y
-    if isinstance(G, BlockGraph):
-        b = len(G.diagonal)
-        z = (x * G.masses).reshape(-1, len(G.masses) // b, b)
-        y = (z.reshape(-1, b) @ G.diagonal).reshape(z.shape)
-        for (i, j), C in G.upper.items():
-            if isinstance(C, tuple):
-                U, V = C
-                y[:, i] += (z[:, j] @ V.T) @ U.T
-                y[:, j] += (z[:, i] @ U) @ V
-            else:
-                y[:, i] += z[:, j] @ C.T
-                y[:, j] += z[:, i] @ C
-        return y.reshape(x.shape)
-    if G.ndim == 2:
-        return (x.reshape(-1, x.shape[-1]) @ G.swapaxes(-1, -2)).reshape(x.shape)
-    return x @ G.swapaxes(-1, -2)
+    """sum_v G_wv x_v along the last axis of x: (E, c, n) -> (E, c, n), by
+    the layout's own ``product``; an array is the union of itself alone,
+    whose ``BlockDiagonal.product`` multiplies arrays."""
+    return (BlockDiagonal((G,)) if isinstance(G, np.ndarray) else G).product(x)
 
 
 def pairwise_coupling(interaction: Callable, bound: float, state_dim: int = 1) -> Callable:
@@ -732,9 +733,9 @@ def integrate_ips(
     graphs when ``coupling`` holds an (E, n, n) stack, and in their initial
     data when ``initial`` is a sequence of E fields; one graph or one field
     serves every member.  One RK4 loop runs, and each of its stages
-    evaluates all members together; a ``DeferredStack`` is drawn whole
-    before it.  Returns one Trajectory per member, in order, when either
-    input is stacked, and the Trajectory otherwise.
+    evaluates all members together; a stack is drawn whole (``G[:]``) before
+    it.  Returns one Trajectory per member, in order, when either input is
+    stacked, and the Trajectory otherwise.
 
     The state is recorded at t = 0 and every ``output_stride`` steps (plus
     the final step).  Aborts with a diagnostic naming the member if a state
@@ -745,8 +746,7 @@ def integrate_ips(
     n_steps = step_count(T, dt)
     n = coupling.k**coupling.level
     fields, members, listed = _ensemble(model, coupling, initial)
-    graphs = coupling.weights
-    graphs = graphs[:] if isinstance(graphs, DeferredStack) else graphs
+    graphs = coupling.weights[:] if coupling.weights.ndim == 3 else coupling.weights
 
     recorded = [
         s for s in range(1, n_steps + 1) if s % output_stride == 0 or s == n_steps
@@ -861,19 +861,18 @@ def integrate_levels(meas: SelfSimilarMeasure, kernel, levels, sublevel: int,
             model = replace(model, params=np.concatenate([np.broadcast_to(
                 models[i].params, (starts[i + 1] - starts[i], model.params.shape[1]))
                 for i in batch]))
-        weights, sets = [couplings[i].weights for i in batch], [ensembles[i][0] for i in batch]
-        for i in batch:  # from here only weights, then each group, holds the graphs
+        union = BlockDiagonal(tuple(couplings[i].weights for i in batch))
+        sets = [ensembles[i][0] for i in batch]
+        for i in batch:  # from here only the union, then each group, holds the graphs
             couplings[i] = None
         # stacks of one graph per member run in even groups within LOOP_GRAPH_BYTES
-        split = all(w.ndim == 3 and w.shape[0] == members for w in weights)
-        size = sum(w.nbytes for w in weights)
-        groups = -(-members // max(1, LOOP_GRAPH_BYTES * members // size)) if split else 1
+        split = union.ndim == 3 and union.shape[0] == members
+        groups = -(-members // max(1, LOOP_GRAPH_BYTES * members // union.nbytes)) if split else 1
         cuts = [members * g // groups for g in range(groups + 1)]
         for a, b in zip(cuts, cuts[1:]):
-            coupling = CouplingGraph(hi - lo, 1, BlockDiagonal(tuple(
-                w[a:b] if w.ndim == 3 else w for w in weights)))
+            coupling = CouplingGraph(hi - lo, 1, union[a:b])
             if b == members:  # the last group is drawn: its kernel matrices go
-                del weights
+                del union
             # a level's one field serves each member, as in integrate_ips
             fields = [PiecewiseConstantField(hi - lo, 1, np.concatenate(
                 [f[e % len(f)].values for f in sets])) for e in range(a, b)]

@@ -216,17 +216,45 @@ seeds = 4,5
         with pytest.raises(ConfigError, match="Not a boolean: maybe"):
             parse_config(path)
 
-    @pytest.mark.parametrize(
-        "line", ["ratio=abc translation=0.0", "ratio=0.5 translation=0.0 junk",
-                 "ratio=0.5 matrix=0.5,0,0 translation=0.0"]
-    )
-    def test_bad_map_line_is_config_error(self, tmp_path, line):
+    @pytest.mark.parametrize("line, message", [
+        pytest.param(line, message, id=line) for line, message in (
+            ("ratio=abc translation=0.0", "bad map definition .*'abc'"),
+            ("ratio=0.5 translation=0.0 junk", "map definition tokens must be key=value"),
+            ("ratio=0.5 matrix=0.5,0,0 translation=0.0",
+             "bad map definition .*matrix needs 1 entries"),
+            ("translation=0.0", "map definition needs ratio= and translation="),
+            ("ratio=0.5 translation=0.0,0.0",
+             "bad map definition .*translation has wrong dimension"),
+            ("ratio=0.5 angle=0.5 translation=0.0",
+             "bad map definition .*rotation angles are only supported in dimension 2"))])
+    def test_bad_map_line_is_config_error(self, tmp_path, line, message):
         path = tmp_path / "bad.ini"
         path.write_text(
             f"[ifs]\ndimension = 1\nmaps = 2\nmap1 = {line}\n"
             "map2 = ratio=0.5 translation=0.5\n"
         )
-        with pytest.raises(ConfigError, match="map definition"):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[ifs]\npreset = sg\n[ifs]\npreset = sg\n", "malformed config: .*'ifs' already exists"),
+        ("[ifs]\npreset = nosuch\n", "unknown IFS preset 'nosuch'"),
+        ("[time]\nT = 1.0\n", r"config needs an \[ifs\] section"),
+        ("[ifs]\nmaps = 2\n", "inline IFS needs dimension and maps"),
+        ("[ifs]\ndimension = 1\nmaps = 2\nmap1 = ratio=0.5 translation=0.0\n",
+         r"missing map2 in \[ifs\]"),
+        ("[ifs]\ndimension = 1\nmaps = 2\nmap1 = ratio=0.5 translation=0.0\n"
+         "map2 = ratio=0.5 translation=0.0\n", "fixed points of the maps are all identical"),
+        ("[ifs]\npreset = sg\n[measure]\np = a,b,c\n", "bad probability vector 'a,b,c'"),
+        ("[ifs]\npreset = sg\n[measure]\np = 0.5,0.5\n",
+         "probability vector length must match the map count"),
+    ], ids=["duplicate-section", "unknown-preset", "no-ifs-section", "no-dimension",
+            "missing-map", "identical-maps", "non-numeric-p", "p-of-wrong-length"])
+    def test_refused_config_is_config_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
             parse_config(path)
         assert main(["validate", "--config", str(path)]) == 2
 

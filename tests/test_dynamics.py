@@ -41,8 +41,8 @@ from fractalips import (
 )
 from fractalips import analysis, cli, dynamics, experiments
 from fractalips.analysis import traj_error, vlasov_self_convergence
-from fractalips.dynamics import (DENSE_GRAPH_BYTES, LOOP_GRAPH_BYTES, BlockGraph, DeferredStack,
-                                 level_graph, step_count)
+from fractalips.dynamics import (DENSE_GRAPH_BYTES, LOOP_GRAPH_BYTES, BlockDiagonal, BlockGraph,
+                                 DeferredStack, level_graph, step_count)
 from fractalips.experiments import (
     bernoulli_gap_medians,
     kuramoto_fields,
@@ -361,7 +361,7 @@ def exact_graph(meas, kernel, m, sublevel):
     ``project_kernel``'s W: the oracle of the graph ``_compressed`` builds."""
     k, b = meas.k, meas.k**(m - 1)
     W = project_kernel(meas, kernel, m, sublevel).entries.reshape(k, b, k, b)
-    return BlockGraph(W[0, :, 0].copy(), {(i, j): W[i, :, j].copy()
+    return BlockGraph(W[0, :, 0].copy(), {(i, j): (W[i, :, j].copy(),)
                                           for i, j in itertools.combinations(range(k), 2)},
                       meas.weights(m))
 
@@ -370,28 +370,29 @@ def factored(exact):
     """``_compressed`` on the exact blocks of a BlockGraph, gathered by
     slicing them."""
     def block(i, j, rows=slice(None), cols=slice(None)):
-        return (exact.diagonal if i == j else exact.upper[i, j])[rows, cols]
+        return (exact.diagonal if i == j else exact.upper[i, j][0])[rows, cols]
 
     return dynamics._compressed(block, len(exact.masses) // len(exact.diagonal), exact.masses)
 
 
 @functools.lru_cache(maxsize=None)
-def factored_case(name, m, uniform):
+def factored_case(name, m, uniform, kernel="expdist"):
     """(exact blocks, their factored graph, the graph level_graph builds
-    from the class gather) of expdist on a preset, sublevel 1."""
+    from the class gather) of a kernel on a preset, sublevel 1: expdist, or
+    ``constant`` of 0.5."""
     ifs = preset(name)
     meas = SelfSimilarMeasure(ifs, ProbabilityVector.uniform(ifs.k) if uniform
                               else skewed_p(ifs.k))
-    kernel = builtin_kernels(ifs.dimension)["expdist"]
+    kernels = builtin_kernels(ifs.dimension)
+    kernel = kernels["constant"](0.5) if kernel == "constant" else kernels[kernel]
     exact = exact_graph(meas, kernel, m, 1)
     return exact, factored(exact), level_graph(meas, kernel, m, 1).weights
 
 
 def stored(graph):
-    """The arrays a BlockGraph holds: its diagonal block, then each upper
-    block or its factors."""
-    return [graph.diagonal, *(f for C in graph.upper.values()
-                              for f in (C if isinstance(C, tuple) else (C,)))]
+    """The arrays a BlockGraph holds: its diagonal block, then the factors
+    of each upper block."""
+    return [graph.diagonal, *(f for C in graph.upper.values() for f in C)]
 
 
 @pytest.fixture(scope="module", params=BLOCK_CASES, ids=lambda c: f"{c[0]}-m{c[1]}-{c[2]}")
@@ -427,14 +428,20 @@ class TestBlockGraph:
         for a, b in zip(stored(table), stored(graph), strict=True):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("name, m", [("sg", 6), ("sg", 7), ("interval-3", 6),
-                                         ("cantor", 10)])
+    @pytest.mark.parametrize("name, m, kernel", [
+        ("sg", 6, "expdist"), ("sg", 7, "expdist"), ("interval-3", 6, "expdist"),
+        ("cantor", 10, "expdist"), ("sg", 6, "constant")],
+        ids=["sg-6", "sg-7", "interval-3-6", "cantor-10", "sg-6-constant"])
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "skewed"])
-    def test_factored_product_is_within_the_bound(self, name, m, uniform):
+    def test_factored_product_is_within_the_bound(self, name, m, kernel, uniform):
         # ||G~ x - G x||_inf <= 1e-12 ||G||_inf ||x||_inf against the exact
-        # blocks; expdist is positive, so ||G||_inf is the largest row sum
-        exact, graph, _ = factored_case(name, m, uniform)
-        assert all(isinstance(C, tuple) for C in graph.upper.values())
+        # blocks; both kernels are positive, so ||G||_inf is the largest row
+        # sum.  ACA meets every row of a constant block reproduced by its
+        # first term, so each upper block factors at rank 1
+        exact, graph, table = factored_case(name, m, uniform, kernel)
+        for g in (graph, table):
+            ranks = {U.shape[1] for U, V in g.upper.values()}  # every block factored
+            assert kernel != "constant" or ranks == {1}
         assert graph.nbytes < exact.nbytes
         norm = graph_product(exact, np.ones((1, 1, exact.shape[0]))).max()
         rng = np.random.Generator(np.random.Philox(m))
@@ -466,7 +473,7 @@ class TestBlockGraph:
                                   else skewed_p(ifs.k))
         kernel = builtin_kernels(ifs.dimension)["expdist"]
         block = dynamics._projection(meas, kernel, m, 1)
-        whole = BlockGraph(block(0, 0), {(i, j): block(i, j) for i, j in
+        whole = BlockGraph(block(0, 0), {(i, j): (block(i, j),) for i, j in
                                          itertools.combinations(range(ifs.k), 2)},
                            np.ones(ifs.k**m))
         W = project_kernel(meas, kernel, m, 1).entries
@@ -493,7 +500,7 @@ class TestBlockGraph:
         wave.translation_invariant = True
         exact = exact_graph(sg_measure, wave, 6, 1)
         for graph in (factored(exact), level_graph(sg_measure, wave, 6, 1).weights):
-            assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
+            assert all(len(C) == 1 for C in graph.upper.values())
             assert graph.nbytes == exact.nbytes
             for a, b in zip(stored(graph), stored(exact), strict=True):
                 assert a.tobytes() == b.tobytes()
@@ -505,7 +512,7 @@ class TestBlockGraph:
         kernel = builtin_kernels(2)["expdist"]
         exact = exact_graph(sg_measure, kernel, 6, 1)
         for graph in (factored(exact), level_graph(sg_measure, kernel, 6, 1).weights):
-            assert all(isinstance(C, np.ndarray) for C in graph.upper.values())
+            assert all(len(C) == 1 for C in graph.upper.values())
             for a, b in zip(stored(graph), stored(exact), strict=True):
                 assert a.tobytes() == b.tobytes()
 
@@ -534,7 +541,7 @@ class TestBlockGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(isinstance(C, tuple) for C in graph.upper.values())
+        assert all(len(C) == 2 for C in graph.upper.values())
         assert peak < 12 * 2**20
 
     def test_table_build_keeps_the_budget_and_the_refusals(self, sg_measure, monkeypatch):
@@ -1502,6 +1509,21 @@ class TestIntegrateSeries:
         monkeypatch.undo()
         whole = integrate_ips(model, stack_graphs(km, sg_measure, seeds), init, T=T, dt=1e-2)
         for a, b in zip(deferred, whole, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_integrate_ips_draws_a_deferred_stack_in_a_union(self, sg_measure):
+        # a union holding a DeferredStack is drawn whole too, and each
+        # member keeps the bits of the drawn stack run as its level
+        km = project_kernel(sg_measure, builtin_kernels(2)["expdist"], 2, 1)
+        union = BlockDiagonal((DeferredStack(km, sg_measure, (1, 2), True),))
+        model = kuramoto_model(0.5, 0.0)
+        values = np.linspace(0.0, 1.0, 9)
+        deferred = integrate_ips(model, CouplingGraph(9, 1, union),
+                                 PiecewiseConstantField(9, 1, values), T=0.05, dt=1e-2)
+        whole = integrate_ips(model, stack_graphs(km, sg_measure, (1, 2)),
+                              PiecewiseConstantField(3, 2, values), T=0.05, dt=1e-2)
+        for a, b in zip(deferred, whole, strict=True):
+            assert (a.k, a.level) == (9, 1)
             assert a.values.tobytes() == b.values.tobytes()
 
     def test_no_step_records_each_members_initial_field(self, sg_measure):

@@ -18,7 +18,7 @@ child's peak RSS (``ru_maxrss``) at its end, the import of numpy, of the
 package and of what a Bernoulli draw imports included, then the bytes the
 built graph holds before its batch runs: for a ``DeferredStack`` its
 ``KernelMatrix``, else the graph's own bytes, and for a ``BlockGraph`` the
-rank of each upper block's factors or "dense" for a block stored as it is.
+rank of each upper block's factors or "dense" for a block stored whole.
 With ``--seeds`` the child then runs the level through one
 ``integrate_levels`` step, which draws its member groups, and prints the
 bytes of the largest group and the seconds of its draw (one
@@ -98,7 +98,7 @@ if seeds:  # one step draws every member group of the level
                      lambda m: field, T=1.0, dt=1.0, output_stride=1,
                      graph_seeds=seeds, symmetric=symmetric)
 group = max(draws, default=(0, 0.0))
-ranks = [C[0].shape[1] if isinstance(C, tuple) else "dense"
+ranks = [C[0].shape[1] if len(C) == 2 else "dense"
          for C in getattr(graph, "upper", {}).values()]
 print(json.dumps({"seconds": seconds, "stages": built, "peak_rss_mb": peak,
                   "layout": type(graph).__name__, "held": held,
